@@ -1,6 +1,7 @@
 package cache
 
 import (
+	"fmt"
 	"testing"
 	"testing/quick"
 
@@ -265,4 +266,141 @@ func TestRTMCapacityMismatchPanics(t *testing.T) {
 		}
 	}()
 	NewRTMArray(DefaultRTM(), 4096+512)
+}
+
+// refCache is the cache model as an array of line records, kept as the
+// reference the parallel-array tag store must match call for call.
+type refCache struct {
+	sets, ways, lineBytes int
+	lines                 []refLine
+	clock                 uint64
+	stats                 Stats
+}
+
+type refLine struct {
+	tag          uint64
+	valid, dirty bool
+	age          uint64
+}
+
+func newRefCache(capacityB int64, ways, lineBytes int) *refCache {
+	sets := int(capacityB / int64(ways*lineBytes))
+	return &refCache{sets: sets, ways: ways, lineBytes: lineBytes, lines: make([]refLine, sets*ways)}
+}
+
+func (c *refCache) index(addr uint64) (int, uint64) {
+	lineAddr := addr / uint64(c.lineBytes)
+	return int(lineAddr % uint64(c.sets)), lineAddr / uint64(c.sets)
+}
+
+func (c *refCache) access(addr uint64, write bool) Result {
+	c.clock++
+	set, tag := c.index(addr)
+	base := set * c.ways
+	if write {
+		c.stats.WriteAccesses++
+	} else {
+		c.stats.ReadAccesses++
+	}
+	for w := 0; w < c.ways; w++ {
+		l := &c.lines[base+w]
+		if l.valid && l.tag == tag {
+			l.age = c.clock
+			l.dirty = l.dirty || write
+			c.stats.Hits++
+			return Result{Hit: true, Way: w, Set: set}
+		}
+	}
+	c.stats.Misses++
+	victim, oldest := 0, ^uint64(0)
+	for w := 0; w < c.ways; w++ {
+		l := &c.lines[base+w]
+		if !l.valid {
+			victim = w
+			break
+		}
+		if l.age < oldest {
+			oldest, victim = l.age, w
+		}
+	}
+	res := Result{Way: victim, Set: set}
+	l := &c.lines[base+victim]
+	if l.valid {
+		res.Evicted, res.Writeback = true, l.dirty
+		if l.dirty {
+			c.stats.Writebacks++
+		}
+		c.stats.Evictions++
+		res.EvictedAddr = (l.tag*uint64(c.sets) + uint64(set)) * uint64(c.lineBytes)
+	}
+	*l = refLine{tag: tag, valid: true, dirty: write, age: c.clock}
+	return res
+}
+
+func (c *refCache) contains(addr uint64) bool {
+	set, tag := c.index(addr)
+	for _, l := range c.lines[set*c.ways : (set+1)*c.ways] {
+		if l.valid && l.tag == tag {
+			return true
+		}
+	}
+	return false
+}
+
+func (c *refCache) invalidate(addr uint64) (resident, dirty bool) {
+	set, tag := c.index(addr)
+	for w := set * c.ways; w < (set+1)*c.ways; w++ {
+		if l := &c.lines[w]; l.valid && l.tag == tag {
+			l.valid = false
+			return true, l.dirty
+		}
+	}
+	return false, false
+}
+
+// TestCacheMatchesReference drives Cache and refCache with the same seeded
+// mix of accesses, probes and invalidations, on a power-of-two and a
+// non-power-of-two set count, and requires identical answers and Stats
+// after every call.
+func TestCacheMatchesReference(t *testing.T) {
+	for _, g := range []struct {
+		sets, ways int
+	}{{64, 16}, {192, 4}, {256, 2}} {
+		for seed := uint64(1); seed <= 3; seed++ {
+			capacity := int64(g.sets * g.ways * 64)
+			c, ref := New(capacity, g.ways, 64), newRefCache(capacity, g.ways, 64)
+			r := sim.NewRNG(seed)
+			// Lines over three times the capacity, a quarter of them hot,
+			// so hits, evictions and writebacks all happen.
+			lines := uint64(3 * g.sets * g.ways)
+			for i := 0; i < 20000; i++ {
+				line := r.Uint64n(lines)
+				if r.Bool(0.5) {
+					line %= lines / 4
+				}
+				addr := line*64 + r.Uint64n(64)
+				what := func() string { return fmt.Sprintf("%dx%d seed %d call %d", g.sets, g.ways, seed, i) }
+				switch p := r.Float64(); {
+				case p < 0.8:
+					write := r.Bool(0.3)
+					if got, want := c.Access(addr, write), ref.access(addr, write); got != want {
+						t.Fatalf("%s: Access(%#x, %v) = %+v, reference %+v", what(), addr, write, got, want)
+					}
+				case p < 0.9:
+					if got, want := c.Contains(addr), ref.contains(addr); got != want {
+						t.Fatalf("%s: Contains(%#x) = %v, reference %v", what(), addr, got, want)
+					}
+				default:
+					gr, gd := c.Invalidate(addr)
+					wr, wd := ref.invalidate(addr)
+					if gr != wr || gd != wd {
+						t.Fatalf("%s: Invalidate(%#x) = %v, %v, reference %v, %v", what(), addr, gr, gd, wr, wd)
+					}
+				}
+				if c.Stats != ref.stats {
+					t.Fatalf("%s: Stats %+v, reference %+v", what(), c.Stats, ref.stats)
+				}
+			}
+		}
+	}
 }
