@@ -130,41 +130,82 @@ func (r *RNG) Exponential(rate float64) float64 {
 
 // Geometric returns the number of Bernoulli(p) failures before the first
 // success. p must be in (0, 1].
-func (r *RNG) Geometric(p float64) int {
+func (r *RNG) Geometric(p float64) int { return NewGeometricSampler(p).Draw(r) }
+
+// GeometricSampler is Geometric(p) with log(1-p) computed once, for
+// callers that draw many variates at one p: RNG.Geometric(p) is
+// NewGeometricSampler(p).Draw(r).
+type GeometricSampler struct {
+	logQ float64 // math.Log(1-p)
+	// certain marks p == 1: every draw is 0 and consumes no randomness.
+	certain bool
+}
+
+// NewGeometricSampler precomputes Geometric(p). p must be in (0, 1].
+func NewGeometricSampler(p float64) GeometricSampler {
 	if p <= 0 || p > 1 {
 		panic("sim: Geometric with p outside (0,1]")
 	}
-	if p == 1 {
+	return GeometricSampler{logQ: math.Log(1 - p), certain: p == 1}
+}
+
+// Draw returns the next variate from r.
+func (g GeometricSampler) Draw(r *RNG) int {
+	if g.certain {
 		return 0
 	}
-	return int(math.Floor(math.Log(1-r.Float64()) / math.Log(1-p)))
+	return int(math.Floor(math.Log(1-r.Float64()) / g.logQ))
 }
 
 // Zipf returns a value in [0, n) following an approximately Zipfian
 // distribution with exponent s > 0: value 0 is the most probable. It uses
 // inverse-CDF sampling of the continuous density x^-s on [1, n+1], which is
 // accurate enough for workload trace generation.
-func (r *RNG) Zipf(n int, s float64) int {
+func (r *RNG) Zipf(n int, s float64) int { return NewZipfSampler(n, s).Draw(r) }
+
+// ZipfSampler is Zipf(n, s) with the inverse CDF's constants computed
+// once, for callers that draw many variates at one (n, s): RNG.Zipf(n, s)
+// is NewZipfSampler(n, s).Draw(r).
+type ZipfSampler struct {
+	n int
+	// logHi is math.Log(n+1), used when s == 1.
+	logHi float64
+	// scale is math.Pow(n+1, 1-s)-1 and inv is 1/(1-s), used otherwise.
+	scale, inv float64
+	one        bool // s == 1
+}
+
+// NewZipfSampler precomputes Zipf(n, s). n must be positive.
+func NewZipfSampler(n int, s float64) ZipfSampler {
 	if n <= 0 {
 		panic("sim: Zipf with non-positive n")
 	}
-	if n == 1 {
+	hi := float64(n + 1)
+	if s == 1 {
+		return ZipfSampler{n: n, logHi: math.Log(hi), one: true}
+	}
+	return ZipfSampler{n: n, scale: math.Pow(hi, 1-s) - 1, inv: 1 / (1 - s)}
+}
+
+// Draw returns the next variate from r. A sampler over one value returns
+// 0 without consuming randomness.
+func (z ZipfSampler) Draw(r *RNG) int {
+	if z.n == 1 {
 		return 0
 	}
 	u := r.Float64()
-	hi := float64(n + 1)
 	var x float64
-	if s == 1 {
-		x = math.Exp(u * math.Log(hi))
+	if z.one {
+		x = math.Exp(u * z.logHi)
 	} else {
-		x = math.Pow(u*(math.Pow(hi, 1-s)-1)+1, 1/(1-s))
+		x = math.Pow(u*z.scale+1, z.inv)
 	}
 	k := int(x) - 1
 	if k < 0 {
 		k = 0
 	}
-	if k >= n {
-		k = n - 1
+	if k >= z.n {
+		k = z.n - 1
 	}
 	return k
 }

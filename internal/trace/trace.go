@@ -99,17 +99,23 @@ func ByName(name string) (Workload, error) {
 type Generator struct {
 	w      Workload
 	rng    *sim.RNG
-	lines  int64  // working-set size in lines
-	base   uint64 // this core's address-space base
-	cursor int64  // sequential stream position (line index)
-	dwell  int    // remaining touches on the current stream line
-	count  int    // accesses generated (for phase boundaries)
+	lines  int64 // working-set size in lines
+	cursor int64 // sequential stream position (line index)
+	dwell  int   // remaining touches on the current stream line
+	count  int   // accesses generated (for phase boundaries)
+
+	// The workload's distributions, with their constants computed once.
+	hot     sim.ZipfSampler      // hot-region line rank
+	gapDist sim.GeometricSampler // compute gap; unused when GapMean <= 0
 }
 
 // streamDwell is the mean number of touches a streaming access pattern
 // makes within one cache line before advancing (sub-line spatial locality:
 // ~8-byte elements in a 64-byte line).
 const streamDwell = 6
+
+// dwellDist draws the touches a stream makes on its next line.
+var dwellDist = sim.NewGeometricSampler(1.0 / streamDwell)
 
 // NewGenerator builds a generator for the given core.
 func NewGenerator(w Workload, core int, seed uint64) *Generator {
@@ -120,6 +126,10 @@ func NewGenerator(w Workload, core int, seed uint64) *Generator {
 		w:     w,
 		rng:   sim.NewRNG(seed ^ uint64(core)*0x9e3779b97f4a7c15 ^ hashName(w.Name)),
 		lines: w.WorkingSetB / LineBytes,
+	}
+	g.hot = sim.NewZipfSampler(int(g.lines), w.ZipfS)
+	if w.GapMean > 0 {
+		g.gapDist = sim.NewGeometricSampler(1 / (1 + w.GapMean))
 	}
 	// Cores share the working set (threads of one program) but start
 	// their streams at different phases.
@@ -146,18 +156,18 @@ func (g *Generator) Next() Access {
 			g.dwell--
 		} else {
 			g.cursor = (g.cursor + 1) % g.lines
-			g.dwell = g.rng.Geometric(1.0 / streamDwell)
+			g.dwell = dwellDist.Draw(g.rng)
 		}
 		line = g.cursor
 	} else {
-		line = int64(g.rng.Zipf(int(g.lines), g.w.ZipfS))
+		line = int64(g.hot.Draw(g.rng))
 		// Scatter hot lines across the set-index space so zipf rank 0..k
 		// doesn't collapse into a few cache sets.
 		line = scatter(line, g.lines)
 	}
 	gap := 0
 	if g.w.GapMean > 0 {
-		gap = g.rng.Geometric(1 / (1 + g.w.GapMean))
+		gap = g.gapDist.Draw(g.rng)
 	}
 	g.count++
 	if g.w.PhasePeriod > 0 && g.count%g.w.PhasePeriod == 0 {
@@ -166,7 +176,7 @@ func (g *Generator) Next() Access {
 		gap += int(g.rng.Exponential(1 / g.w.PhaseGapMean))
 	}
 	return Access{
-		Addr:  g.base + uint64(line)*LineBytes,
+		Addr:  uint64(line) * LineBytes,
 		Write: g.rng.Bool(g.w.WriteFrac),
 		Gap:   gap,
 	}
