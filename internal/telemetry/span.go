@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"io"
 	"sort"
+	"strconv"
 	"strings"
 	"sync"
 	"time"
@@ -24,7 +25,7 @@ type Attr struct {
 func A(key, value string) Attr { return Attr{Key: key, Value: value} }
 
 // AInt builds an integer attribute.
-func AInt(key string, v int64) Attr { return Attr{Key: key, Value: fmt.Sprintf("%d", v)} }
+func AInt(key string, v int64) Attr { return Attr{Key: key, Value: strconv.FormatInt(v, 10)} }
 
 // AFloat builds a float attribute in shortest form.
 func AFloat(key string, v float64) Attr { return Attr{Key: key, Value: fmt.Sprintf("%g", v)} }
