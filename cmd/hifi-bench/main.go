@@ -23,9 +23,11 @@ import (
 	"encoding/json"
 	"flag"
 	"fmt"
+	"io"
 	"net/http"
 	"net/http/httptest"
 	"os"
+	"sort"
 	"strings"
 	"testing"
 	"time"
@@ -103,7 +105,7 @@ func main() {
 		log.Fatalf("hifi-bench: %v", err)
 	}
 	log.Infof("wrote %s (%d benchmarks)", path, len(snap.Results))
-	printSnapshot(snap)
+	printSnapshot(os.Stdout, snap)
 	finish()
 }
 
@@ -226,13 +228,19 @@ func runSuite(quick bool) *bench.Snapshot {
 	return snap
 }
 
-func printSnapshot(s *bench.Snapshot) {
+// printSnapshot writes one line per benchmark, its rates in name order.
+func printSnapshot(w io.Writer, s *bench.Snapshot) {
 	for _, r := range s.Results {
-		fmt.Printf("%-24s %12.0f ns/op %8d B/op %6d allocs/op", r.Name, r.NsPerOp, r.BytesPerOp, r.AllocsPerOp)
-		for k, v := range r.Rates {
-			fmt.Printf("  %s=%.3g", k, v)
+		fmt.Fprintf(w, "%-24s %12.0f ns/op %8d B/op %6d allocs/op", r.Name, r.NsPerOp, r.BytesPerOp, r.AllocsPerOp)
+		names := make([]string, 0, len(r.Rates))
+		for k := range r.Rates {
+			names = append(names, k)
 		}
-		fmt.Println()
+		sort.Strings(names)
+		for _, k := range names {
+			fmt.Fprintf(w, "  %s=%.3g", k, r.Rates[k])
+		}
+		fmt.Fprintln(w)
 	}
 }
 
