@@ -1,7 +1,7 @@
 # Verification tiers and convenience targets. Plain `make` runs tier-1.
 #
 #   make tier1           build + unit tests (the seed gate)
-#   make ci              tier-1 plus vet and the race detector
+#   make ci              tier-1 plus vet, the race detector and the perfbench module
 #   make bench           full benchmark sweep (go test -bench)
 #   make bench-snapshot  pinned hifi-bench suite -> BENCH_<utc-date>.json
 #   make bench-smoke     quick suite + self-compare (CI regression gate dry run)
@@ -29,7 +29,11 @@ build:
 test:
 	$(GO) test ./...
 
+# perfbench is a module of its own (perfbench/go.mod) that ./... never
+# reaches; ci vets and tests it against this checkout.
 ci: build vet race
+	$(GO) -C perfbench vet ./...
+	$(GO) -C perfbench test ./...
 
 # vet runs go vet plus the repo's own checkers: errvet (no Close/Flush
 # error silently dropped; no select on ctx.Done() returning nil without
