@@ -4,19 +4,11 @@ package engine
 // job, flushed entry by entry. A sweep interrupted mid-run leaves a
 // journal whose entries name exactly the jobs that finished; reopening
 // it with resume=true lets the engine skip those jobs (provided their
-// payloads are still in the cache).
-//
-// Two damage modes are tolerated on load:
-//
-//   - A torn *final* line with no trailing newline — the signature of a
-//     kill mid-write — is silently ignored; everything before it is
-//     intact by construction.
-//   - A malformed line in the *middle* (or a complete-but-garbled final
-//     line) means the file itself was damaged after the fact. Each such
-//     record is skipped and logged, counted in Skipped() and the
-//     hifi_engine_journal_skipped_total metric; the jobs it named are
-//     simply re-resolved from the cache or re-executed. Resume degrades,
-//     correctness does not.
+// payloads are still in the cache). Loading follows ReplayLines, the
+// damage rule hifi-serve's job index shares: a torn final line is
+// ignored, and a damaged record anywhere else is skipped, logged, and
+// counted in Skipped() and hifi_engine_journal_skipped_total — the jobs
+// it named are simply re-resolved from the cache or re-executed.
 //
 // This journal tracks *job-level* sweep progress. It is deliberately
 // separate from the device-level checkpointing in the repository root's
@@ -95,35 +87,43 @@ func (j *Journal) load() error {
 		}
 		return fmt.Errorf("engine: load journal: %w", err)
 	}
-	// Only a line terminated by '\n' was fully written; an unterminated
-	// final line is the torn tail of a killed write, not corruption.
-	torn := len(content) > 0 && content[len(content)-1] != '\n'
+	j.skipped = ReplayLines("engine: journal "+j.path, content, func(line []byte) error {
+		var e Entry
+		if err := json.Unmarshal(line, &e); err != nil {
+			return err
+		}
+		if e.Hash == "" {
+			return errors.New("record has no hash")
+		}
+		j.done[e.Hash] = e
+		j.seq = max(j.seq, e.Seq)
+		return nil
+	})
+	return nil
+}
+
+// ReplayLines feeds each line of an append-only NDJSON log to apply, in
+// order, and returns how many lines it skipped. Only a line terminated
+// by '\n' was fully written, so an unterminated final line that apply
+// rejects is the torn tail of a killed append and is dropped silently.
+// Any other rejected line means the file was damaged after the fact: it
+// is logged under name, counted, and skipped, and replay carries on
+// with the next line. Empty lines are ignored.
+func ReplayLines(name string, content []byte, apply func(line []byte) error) (skipped int) {
 	lines := bytes.Split(content, []byte{'\n'})
-	// Split leaves a trailing empty element after the final '\n' (or the
-	// torn tail when there is one); drop the empty, keep the tail marked.
-	if n := len(lines); n > 0 && len(lines[n-1]) == 0 {
-		lines = lines[:n-1]
-		torn = false
-	}
+	// Split leaves whatever follows the final '\n' as the last element:
+	// empty for a clean log, the torn tail otherwise.
+	last := len(lines) - 1
 	for i, line := range lines {
 		if len(line) == 0 {
 			continue
 		}
-		var e Entry
-		if err := json.Unmarshal(line, &e); err != nil || e.Hash == "" {
-			if torn && i == len(lines)-1 {
-				break // torn tail: expected damage, not worth a log line
-			}
-			j.skipped++
-			log.Errorf("engine: journal %s: skipping corrupt record at line %d: %v", j.path, i+1, err)
-			continue
-		}
-		j.done[e.Hash] = e
-		if e.Seq > j.seq {
-			j.seq = e.Seq
+		if err := apply(line); err != nil && i < last {
+			skipped++
+			log.Errorf("%s: skipping corrupt record at line %d: %v", name, i+1, err)
 		}
 	}
-	return nil
+	return skipped
 }
 
 // Len returns the number of distinct completed jobs loaded or appended.

@@ -7,15 +7,20 @@ package engine
 // graph acyclic.
 
 import (
+	"bytes"
 	"context"
+	"encoding/json"
 	"errors"
 	"fmt"
 	"io/fs"
 	"os"
 	"path/filepath"
+	"slices"
 	"sync/atomic"
 	"testing"
 	"time"
+
+	"racetrack/hifi/internal/telemetry/log"
 )
 
 func TestCacheGetVerifiesChecksum(t *testing.T) {
@@ -128,18 +133,18 @@ func TestEngineRecomputesCorruptObject(t *testing.T) {
 	}
 }
 
+// damagedJournal holds two intact records around two damaged middle
+// records, then a torn tail.
+const damagedJournal = `{"seq":1,"key":"k1","hash":"aaa","attempts":1,"dur_ms":1}
+{"seq":2,"key":"k2","ha
+not json at all
+{"seq":4,"key":"k4","hash":"ddd","attempts":1,"dur_ms":1}
+{"seq":9,"key":"torn`
+
 func TestJournalSkipsCorruptMiddleRecord(t *testing.T) {
 	dir := t.TempDir()
 	jpath := filepath.Join(dir, "journal.jsonl")
-	good := func(seq int, hash string) string {
-		return fmt.Sprintf(`{"seq":%d,"key":"k%d","hash":%q,"attempts":1,"dur_ms":1}`, seq, seq, hash)
-	}
-	content := good(1, "aaa") + "\n" +
-		`{"seq":2,"key":"k2","ha` + "\n" + // damaged middle record
-		"not json at all\n" + // a second damaged record
-		good(4, "ddd") + "\n" +
-		`{"seq":9,"key":"torn` // torn tail: tolerated, not counted
-	if err := os.WriteFile(jpath, []byte(content), 0o644); err != nil {
+	if err := os.WriteFile(jpath, []byte(damagedJournal), 0o644); err != nil {
 		t.Fatal(err)
 	}
 	j, err := OpenJournal(jpath, true)
@@ -163,6 +168,66 @@ func TestJournalSkipsCorruptMiddleRecord(t *testing.T) {
 	if !j.Done("eee") {
 		t.Error("append after damaged load not recorded")
 	}
+}
+
+// FuzzReplayLines checks ReplayLines against a line-by-line model of its
+// rule: no input panics it, every newline-terminated line apply accepts
+// is delivered once and in order, and the skip count is exactly the
+// number of terminated lines apply rejects (a rejected unterminated
+// tail is torn, not corrupt). The seeds are the damaged logs of
+// TestJournalSkipsCorruptMiddleRecord and serve's
+// TestIndexReplayTornTailAndGarbage.
+func FuzzReplayLines(f *testing.F) {
+	f.Add([]byte(damagedJournal))
+	f.Add([]byte(`{"schema":"hifi_serve_index_v1"}
+{"op":"admitted","id":"j0001","fingerprint":"f1","spec":{"run":["fig14"],"scaled":true,"accesses":300},"t_ms":100}
+{"op":"started","id":"j0001","t_ms":110}
+{"op":"done","id":"j0001","t_ms":200}
+this line is not JSON at all
+{"op":"admitted","id":"j0002","fingerprint":"f2","spec":{"run":["fig14"],"scaled":true,"accesses":300},"t_ms":300}
+{"op":"started","id":"j0002","t_m`))
+	prev := log.GetLevel()
+	log.SetLevel(log.Quiet) // every rejected line would log
+	f.Cleanup(func() { log.SetLevel(prev) })
+	f.Fuzz(func(t *testing.T, content []byte) {
+		accept := func(line []byte) bool { return json.Valid(line) }
+		var got []string
+		skipped := ReplayLines("fuzz", content, func(line []byte) error {
+			if !accept(line) {
+				return errors.New("rejected")
+			}
+			got = append(got, string(line))
+			return nil
+		})
+
+		var want []string
+		wantSkipped := 0
+		rest := content
+		for {
+			i := bytes.IndexByte(rest, '\n')
+			if i < 0 {
+				break
+			}
+			line := rest[:i]
+			rest = rest[i+1:]
+			switch {
+			case len(line) == 0:
+			case accept(line):
+				want = append(want, string(line))
+			default:
+				wantSkipped++
+			}
+		}
+		if len(rest) > 0 && accept(rest) {
+			want = append(want, string(rest))
+		}
+		if skipped != wantSkipped {
+			t.Fatalf("skipped %d, want %d", skipped, wantSkipped)
+		}
+		if !slices.Equal(got, want) {
+			t.Fatalf("delivered %q, want %q", got, want)
+		}
+	})
 }
 
 func TestJobTimeoutAbandonsHungAttempt(t *testing.T) {
