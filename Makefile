@@ -1,7 +1,8 @@
 # Verification tiers and convenience targets. Plain `make` runs tier-1.
 #
 #   make tier1           build + unit tests (the seed gate)
-#   make ci              tier-1 plus vet, the race detector and the perfbench module
+#   make ci              tier-1 plus vet, the race detector, the perfbench module and fuzzing
+#   make fuzz            10s of each fuzz target (the seeds alone run in tier-1)
 #   make bench           full benchmark sweep (go test -bench)
 #   make bench-snapshot  pinned hifi-bench suite -> BENCH_<utc-date>.json
 #   make bench-smoke     quick suite + self-compare (CI regression gate dry run)
@@ -9,7 +10,7 @@
 #   make engine-smoke    parallel-sweep determinism + cache-reuse check
 #   make watch-smoke     event stream end-to-end: -events-out log + hifi-watch -once
 #   make serve-smoke     hifi-serve daemon end-to-end: submit, stream, drain
-#   make serve-crash-smoke  kill -9 mid-job, restart -resume, recovery checks
+#   make serve-crash-smoke  kill -9 / SIGTERM mid-job, restart -resume, recovery checks
 #   make chaos           fault-injection tests + seeded campaign + off==nominal
 #   make fidelity        scaled sweep scored against the paper anchors
 #   make report          render the evaluation report (scaled)
@@ -17,7 +18,7 @@
 GO ?= go
 DATE := $(shell date -u +%F)
 
-.PHONY: all tier1 ci vet race test build bench bench-snapshot bench-smoke perf-smoke engine-smoke watch-smoke serve-smoke serve-crash-smoke chaos fidelity report fmt clean
+.PHONY: all tier1 ci vet race fuzz test build bench bench-snapshot bench-smoke perf-smoke engine-smoke watch-smoke serve-smoke serve-crash-smoke chaos fidelity report fmt clean
 
 all: tier1
 
@@ -31,7 +32,7 @@ test:
 
 # perfbench is a module of its own (perfbench/go.mod) that ./... never
 # reaches; ci vets and tests it against this checkout.
-ci: build vet race
+ci: build vet race fuzz
 	$(GO) -C perfbench vet ./...
 	$(GO) -C perfbench test ./...
 
@@ -48,6 +49,14 @@ vet:
 
 race:
 	$(GO) test -race ./...
+
+# fuzz runs each fuzz target for 10s beyond its seed corpus: the NDJSON
+# replay the engine journal and the serve job index share, and the job
+# index replay itself. A failing input lands in the package's
+# testdata/fuzz/ directory, where tier-1 then replays it.
+fuzz:
+	$(GO) test -run '^$$' -fuzz '^FuzzReplayLines$$' -fuzztime 10s ./internal/engine
+	$(GO) test -run '^$$' -fuzz '^FuzzIndexReplay$$' -fuzztime 10s ./internal/serve
 
 bench:
 	$(GO) test -bench . -benchtime=1x -run '^$$' .
@@ -132,12 +141,14 @@ watch-smoke:
 serve-smoke:
 	bash scripts/serve_smoke.sh
 
-# serve-crash-smoke is the kill -9 story (docs/serve.md, "Restart
-# recovery & the job index"): boot a daemon, SIGKILL it mid-job, restart
-# with -resume against the same cache dir, and assert the completed
-# job's status and byte-identical tables survive (executed=0) while the
-# interrupted job re-queues under its original id. The choreography
-# lives in scripts/serve_crash_smoke.sh.
+# serve-crash-smoke is the restart-recovery story (docs/serve.md,
+# "Restart recovery & the job index"): boot a daemon, SIGKILL it mid-job,
+# restart with -resume against the same cache dir, and assert the
+# completed job's status and byte-identical tables survive (executed=0)
+# while the interrupted job re-queues under its original id; then
+# SIGTERM a daemon mid-job with a second job queued and require both to
+# re-run under their original ids after -resume. The choreography lives
+# in scripts/serve_crash_smoke.sh.
 serve-crash-smoke:
 	bash scripts/serve_crash_smoke.sh
 

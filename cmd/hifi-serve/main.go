@@ -14,9 +14,10 @@
 // nothing. Admission control is a bounded queue (429 + Retry-After)
 // plus optional per-client token buckets (-rate/-burst, keyed by
 // Authorization: Bearer / X-API-Key / remote address). On SIGINT or
-// SIGTERM the daemon drains: it stops admitting, journals still-queued
-// specs for -resume, and lets running jobs finish (bounded by
-// -drain-timeout). See docs/serve.md.
+// SIGTERM the daemon drains: it stops admitting and lets running jobs
+// finish (bounded by -drain-timeout). Jobs still queued, and jobs the
+// deadline interrupts, stay queued in the crash-safe job index, which
+// -resume replays, as it does after a kill -9. See docs/serve.md.
 package main
 
 import (
@@ -47,7 +48,7 @@ func main() {
 		maxAccesses  = flag.Int("max-accesses", 0, "reject specs asking for more than this many accesses per core (0 = unbounded)")
 		retries      = flag.Int("retries", 0, "engine retries per failed experiment job")
 		jobTimeout   = flag.Duration("job-timeout", 0, "engine per-job timeout (0 = none)")
-		resume       = flag.Bool("resume", false, "recover jobs from the crash-safe index (completed jobs restored, interrupted jobs re-queued) and re-admit drain-journaled specs before serving")
+		resume       = flag.Bool("resume", false, "recover jobs from the crash-safe job index before serving (completed jobs restored; jobs a crash or drain interrupted re-queued under their original IDs)")
 		drainTO      = flag.Duration("drain-timeout", time.Minute, "how long a shutdown waits for running jobs before canceling them")
 		accessLog    = flag.String("access-log", "-", "hifi_access_v1 NDJSON access-log destination: \"-\" = stderr, \"\" disables, else a file path (appended)")
 		traceSeed    = flag.Uint64("trace-seed", 0, "seed for minted trace IDs (0 = unpredictable; fixed seeds make correlation IDs reproducible)")
@@ -91,11 +92,7 @@ func main() {
 		TraceSeed:     *traceSeed,
 	})
 	if *resume {
-		n, err := srv.Resume()
-		if err != nil {
-			log.Fatalf("hifi-serve: -resume: %v", err)
-		}
-		if n > 0 {
+		if n := srv.Resume(); n > 0 {
 			log.Infof("hifi-serve: %d recovered job(s) re-queued for execution", n)
 		}
 	}
@@ -114,21 +111,21 @@ func main() {
 	case <-ctx.Done():
 	}
 
-	// Graceful drain: stop admitting and journal the queue first (new
-	// submissions get 503 while in-flight jobs finish), then close the
-	// HTTP server outright — SSE streams never go idle, so a polite
-	// Shutdown would always ride out the full timeout.
+	// Graceful drain: stop admitting first (new submissions get 503
+	// while in-flight jobs finish), then close the HTTP server outright
+	// — SSE streams never go idle, so a polite Shutdown would always
+	// ride out the full timeout.
 	shCtx, shCancel := context.WithTimeout(context.Background(), *drainTO)
 	defer shCancel()
-	journaled, err := srv.Drain(shCtx)
+	left, err := srv.Drain(shCtx)
 	if err != nil {
 		log.Errorf("hifi-serve: drain: %v", err)
 	}
 	if err := httpSrv.Close(); err != nil {
 		log.Errorf("hifi-serve: http close: %v", err)
 	}
-	if journaled > 0 {
-		log.Infof("hifi-serve: %d spec(s) journaled; restart with -resume to run them", journaled)
+	if left > 0 && err == nil {
+		log.Infof("hifi-serve: %d job(s) left queued in the job index; restart with -resume to run them", left)
 	}
 	if err := obs.Finish(); err != nil {
 		log.Fatalf("hifi-serve: %v", err)

@@ -2,23 +2,23 @@ package serve
 
 // The crash-safe job index: an append-only NDJSON write-ahead log
 // (hifi_serve_index_v1) under the cache directory that records every
-// admission, start, and terminal transition the daemon performs. A
-// graceful drain already journals still-queued specs; the index is the
-// stronger property — after a kill -9, a restart with -resume can
+// admission, start, and terminal transition the daemon performs. It is
+// the daemon's only recovery record: after a kill -9, or a SIGTERM
+// drain that left jobs queued in it, a restart with -resume can
 //
 //   - restore every completed job's status (GET /v1/jobs/{id} keeps
 //     answering across restarts; tables re-materialize lazily through
 //     the shared content-addressed cache with executed=0), and
 //   - re-queue every job that was queued or running when the process
-//     died, under its original ID and trace.
+//     stopped, under its original ID and trace.
 //
 // The file format mirrors the engine's sweep journal: a schema header
 // line, then one self-delimiting JSON record per line, flushed per
-// append. Replay tolerates the two damage modes a crash can leave:
-// a torn final line (ignored silently — everything before it is intact
-// by construction) and garbled middle records (skipped and counted in
-// hifi_serve_index_skipped_total; the jobs they describe degrade to
-// "not recovered", never to wrong state).
+// append. Replay shares the journal's damage rule (engine.ReplayLines):
+// a torn final line is ignored silently — everything before it is
+// intact by construction — and garbled middle records are skipped and
+// counted in hifi_serve_index_skipped_total; the jobs they describe
+// degrade to "not recovered", never to wrong state.
 //
 // All I/O goes through engine.FS so the faultfs chaos tests can
 // exercise torn appends and EIO. A write failure (ENOSPC, EIO, a
@@ -34,6 +34,7 @@ import (
 	"bytes"
 	"encoding/json"
 	"errors"
+	"fmt"
 	"io"
 	"io/fs"
 	"sort"
@@ -174,47 +175,39 @@ func isNotExist(err error) bool {
 	return errors.Is(err, fs.ErrNotExist)
 }
 
-// replay folds the WAL's lines into per-job state, torn-tail tolerant.
+// replay folds the WAL's lines into per-job state.
 func (ix *jobIndex) replay(content []byte) []restoredJob {
 	byID := map[string]*restoredJob{}
 	var order []string
-	skip := 0
-	torn := len(content) > 0 && content[len(content)-1] != '\n'
-	lines := bytes.Split(content, []byte{'\n'})
-	if n := len(lines); n > 0 && len(lines[n-1]) == 0 {
-		lines = lines[:n-1]
-		torn = false
-	}
-	for i, line := range lines {
-		if len(line) == 0 {
-			continue
+	foreign := false // a header with another schema: ignore the rest
+	skip := engine.ReplayLines("serve: index "+ix.path, content, func(line []byte) error {
+		if foreign {
+			return nil
 		}
 		var rec indexRecord
 		if err := json.Unmarshal(line, &rec); err != nil {
-			if torn && i == len(lines)-1 {
-				break // the torn tail of a killed append: expected damage
-			}
-			skip++
-			log.Errorf("serve: index %s: skipping corrupt record at line %d: %v", ix.path, i+1, err)
-			continue
+			return err
 		}
 		if rec.Schema != "" {
 			if rec.Schema != IndexSchemaV1 {
 				log.Errorf("serve: index %s: unknown schema %q; ignoring the rest", ix.path, rec.Schema)
-				break
+				foreign = true
 			}
-			continue
+			return nil
 		}
 		if rec.ID == "" {
-			skip++
-			continue
+			return errors.New("record has no job id")
 		}
 		r := byID[rec.ID]
+		if r == nil && rec.Op != opAdmitted && rec.Op != opSnapshot {
+			// An orphan (its admitted/snapshot record is gone) or an
+			// unknown op.
+			return fmt.Errorf("%q record for unknown job %s", rec.Op, rec.ID)
+		}
 		switch rec.Op {
 		case opAdmitted, opSnapshot:
 			if rec.Spec == nil {
-				skip++
-				continue
+				return errors.New("record has no spec")
 			}
 			if r == nil {
 				r = &restoredJob{id: rec.ID}
@@ -235,33 +228,21 @@ func (ix *jobIndex) replay(content []byte) []restoredJob {
 				r.createdTMS = rec.TMS
 			}
 		case opRequeued:
-			if r == nil {
-				skip++ // orphan: the admitted/snapshot record is gone
-				continue
-			}
 			r.state = StateQueued
 			r.detail = ""
 			r.startedTMS, r.finishedTMS = 0, 0
 		case opStarted:
-			if r == nil {
-				skip++
-				continue
-			}
 			r.state = StateRunning
 			r.startedTMS = rec.TMS
 		case string(StateDone), string(StateFailed), string(StateCanceled):
-			if r == nil {
-				skip++
-				continue
-			}
 			r.state = State(rec.Op)
 			r.detail = rec.Detail
 			r.finishedTMS = rec.TMS
 		default:
-			skip++
-			log.Errorf("serve: index %s: skipping record with unknown op %q at line %d", ix.path, rec.Op, i+1)
+			return fmt.Errorf("unknown op %q", rec.Op)
 		}
-	}
+		return nil
+	})
 	out := make([]restoredJob, 0, len(order))
 	for _, id := range order {
 		r := byID[id]
@@ -360,15 +341,16 @@ func (ix *jobIndex) shouldCompact() bool {
 // the snapshot can never miss a transition, only duplicate one (the
 // blocked append lands in the new file, where replay treats it as a
 // no-op update). A successful compaction clears degraded: the rewrite
-// re-persisted everything appends lost.
-func (ix *jobIndex) compactWith(gather func() []indexRecord) {
+// re-persisted everything appends lost. Returns the error that kept the
+// rewrite off disk (nil once it is renamed into place).
+func (ix *jobIndex) compactWith(gather func() []indexRecord) error {
 	if ix == nil {
-		return
+		return nil
 	}
 	ix.mu.Lock()
 	defer ix.mu.Unlock()
 	if ix.sealed {
-		return
+		return nil
 	}
 	recs := gather()
 	var buf bytes.Buffer
@@ -385,16 +367,15 @@ func (ix *jobIndex) compactWith(gather func() []indexRecord) {
 		buf.WriteByte('\n')
 	}
 	tmp := ix.path + ".compact"
-	if err := ix.fsys.WriteFile(tmp, buf.Bytes()); err != nil {
-		log.Errorf("serve: index compact: %v (keeping the append-only file)", err)
-		ix.appends = 0 // don't retry every transition on a sick disk
-		return
+	err := ix.fsys.WriteFile(tmp, buf.Bytes())
+	if err == nil {
+		err = ix.fsys.Rename(tmp, ix.path)
 	}
-	if err := ix.fsys.Rename(tmp, ix.path); err != nil {
+	if err != nil {
 		log.Errorf("serve: index compact: %v (keeping the append-only file)", err)
 		_ = ix.fsys.Remove(tmp)
-		ix.appends = 0
-		return
+		ix.appends = 0 // don't retry every transition on a sick disk
+		return err
 	}
 	if ix.w != nil {
 		_ = ix.w.Close()
@@ -406,7 +387,7 @@ func (ix *jobIndex) compactWith(gather func() []indexRecord) {
 		ix.degraded = true
 		ix.tel.writeErrors.Inc()
 		log.Errorf("serve: index %s: reopen after compaction: %v; continuing in-memory only", ix.path, err)
-		return
+		return nil
 	}
 	ix.w = w
 	ix.appends = 0
@@ -415,6 +396,7 @@ func (ix *jobIndex) compactWith(gather func() []indexRecord) {
 	}
 	ix.degraded = false
 	ix.tel.compactions.Inc()
+	return nil
 }
 
 // writeHeaderLocked stamps a fresh WAL. Caller holds no lock during

@@ -1,10 +1,10 @@
 package serve
 
 // Crash-safety tests for the job index: a hard-stopped daemon (no
-// drain, no journal) must come back with every completed job queryable
-// and every interrupted job re-queued, torn WAL tails must replay
-// cleanly, and a disk that refuses writes must degrade the index — not
-// submissions. All run under -race in CI.
+// drain) must come back with every completed job queryable and every
+// interrupted job re-queued, torn WAL tails must replay cleanly, and a
+// disk that refuses writes must degrade the index — not submissions.
+// All run under -race in CI.
 
 import (
 	"errors"
@@ -14,12 +14,13 @@ import (
 	"testing"
 
 	"racetrack/hifi/internal/engine/faultfs"
+	"racetrack/hifi/internal/telemetry/log"
 )
 
 // crashStop emulates kill -9 as closely as an in-process test can: the
 // index stops writing first (the WAL on disk stays exactly as the crash
 // would leave it), then the runners are torn down without any of the
-// drain protocol — no queued-spec journal, no compaction, no terminal
+// drain protocol — no requeued records, no compaction, no terminal
 // records for whatever was in flight.
 func (s *Server) crashStop() {
 	s.index.seal()
@@ -82,11 +83,7 @@ func TestCrashRecoveryRestoresAndRequeues(t *testing.T) {
 	opts2 := testOptions(t)
 	opts2.CacheDir = opts.CacheDir
 	srv2 := newTestServer(t, opts2)
-	n, err := srv2.Resume()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if n != 2 {
+	if n := srv2.Resume(); n != 2 {
 		t.Fatalf("resume re-queued %d job(s), want 2", n)
 	}
 
@@ -145,20 +142,22 @@ func TestCrashRecoveryRestoresAndRequeues(t *testing.T) {
 	}
 }
 
+// damagedIndex is a WAL with a garbled middle record and a torn final
+// append (no newline, no close brace).
+const damagedIndex = `{"schema":"hifi_serve_index_v1"}
+{"op":"admitted","id":"j0001","fingerprint":"f1","spec":{"run":["fig14"],"scaled":true,"accesses":300},"t_ms":100}
+{"op":"started","id":"j0001","t_ms":110}
+{"op":"done","id":"j0001","t_ms":200}
+this line is not JSON at all
+{"op":"admitted","id":"j0002","fingerprint":"f2","spec":{"run":["fig14"],"scaled":true,"accesses":300},"t_ms":300}
+{"op":"started","id":"j0002","t_m`
+
 // A torn final line (the killed append) replays silently; a garbled
 // middle record is skipped without poisoning its neighbors.
 func TestIndexReplayTornTailAndGarbage(t *testing.T) {
 	dir := t.TempDir()
 	path := filepath.Join(dir, "serve.index.ndjson")
-	spec := `{"run":["fig14"],"scaled":true,"accesses":300}`
-	wal := `{"schema":"hifi_serve_index_v1"}
-{"op":"admitted","id":"j0001","fingerprint":"f1","spec":` + spec + `,"t_ms":100}
-{"op":"started","id":"j0001","t_ms":110}
-{"op":"done","id":"j0001","t_ms":200}
-this line is not JSON at all
-{"op":"admitted","id":"j0002","fingerprint":"f2","spec":` + spec + `,"t_ms":300}
-{"op":"started","id":"j0002","t_m` // torn mid-append: no newline, no close brace
-	if err := os.WriteFile(path, []byte(wal), 0o644); err != nil {
+	if err := os.WriteFile(path, []byte(damagedIndex), 0o644); err != nil {
 		t.Fatal(err)
 	}
 
@@ -177,6 +176,39 @@ this line is not JSON at all
 	if restored[1].id != "j0002" || restored[1].state != StateQueued {
 		t.Fatalf("j0002 replayed wrong: %+v", restored[1])
 	}
+}
+
+// FuzzIndexReplay: no WAL content panics the replay, and whatever it
+// restores is well formed — a non-empty ID, one of the five states, and
+// sorted by numeric job ID. The seeds are the damaged logs of
+// TestIndexReplayTornTailAndGarbage and engine's
+// TestJournalSkipsCorruptMiddleRecord.
+func FuzzIndexReplay(f *testing.F) {
+	f.Add([]byte(damagedIndex))
+	f.Add([]byte(`{"seq":1,"key":"k1","hash":"aaa","attempts":1,"dur_ms":1}
+{"seq":2,"key":"k2","ha
+not json at all
+{"seq":4,"key":"k4","hash":"ddd","attempts":1,"dur_ms":1}
+{"seq":9,"key":"torn`))
+	prev := log.GetLevel()
+	log.SetLevel(log.Quiet) // every skipped record would log
+	f.Cleanup(func() { log.SetLevel(prev) })
+	f.Fuzz(func(t *testing.T, content []byte) {
+		restored := (&jobIndex{path: "fuzz"}).replay(content)
+		for i, r := range restored {
+			if r.id == "" {
+				t.Fatalf("restored job %d has no ID: %+v", i, r)
+			}
+			switch r.state {
+			case StateQueued, StateRunning, StateDone, StateFailed, StateCanceled:
+			default:
+				t.Fatalf("restored job %s has state %q", r.id, r.state)
+			}
+			if i > 0 && jobIDNum(restored[i-1].id) > jobIDNum(r.id) {
+				t.Fatalf("restored jobs out of order: %s before %s", restored[i-1].id, r.id)
+			}
+		}
+	})
 }
 
 // An unwritable index degrades to in-memory-only and must never fail a

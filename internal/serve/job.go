@@ -43,7 +43,7 @@ type Job struct {
 	// TraceID is the 32-hex W3C trace ID of the submission that created
 	// the job: the correlation key across the access log, the event
 	// streams (the job bus stamps it on every event), the span export,
-	// and the drain journal. Unlike Fingerprint it is per-request, not
+	// and the job index. Unlike Fingerprint it is per-request, not
 	// per-content — a deduped submission keeps the original job's trace.
 	TraceID string
 	// Spec is the normalized spec the job runs.

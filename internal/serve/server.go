@@ -2,12 +2,9 @@ package serve
 
 import (
 	"context"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
-	"io/fs"
-	"os"
 	"path/filepath"
 	"sort"
 	"sync"
@@ -28,8 +25,10 @@ type Options struct {
 	// (<= 0 means runtime.NumCPU via the engine default).
 	Workers int
 	// CacheDir roots the shared content-addressed result cache — the
-	// cross-client dedup substrate. Empty disables caching (every job
-	// recomputes), which defeats the daemon's main value; the CLI
+	// cross-client dedup substrate — and the crash-safe job index
+	// (serve.index.ndjson, index.go). Empty disables both: every job
+	// recomputes, job state is in memory only, and a drain loses the
+	// jobs it interrupts. That defeats the daemon's main value; the CLI
 	// defaults it on.
 	CacheDir string
 	// Version overrides the cache code-version ("" = engine.CodeVersion).
@@ -62,15 +61,6 @@ type Options struct {
 	// RingCap sizes each job bus's SSE replay ring (0 = events default).
 	// Tests shrink it to force replay gaps.
 	RingCap int
-	// JournalPath is where a drain journals its not-yet-started specs
-	// for -resume ("" = <CacheDir>/serve.journal.json; no cache dir and
-	// no explicit path means drained queue entries are lost).
-	JournalPath string
-	// IndexPath overrides where the crash-safe job index WAL lives
-	// ("" = <CacheDir>/serve.index.ndjson; no cache dir and no explicit
-	// path disables the index — job state is in-memory only, as before
-	// the index existed). See index.go and docs/serve.md.
-	IndexPath string
 	// Metrics receives the hifi_serve_* admission/lifecycle series and
 	// every job's engine/sim series. Nil disables instrumentation.
 	Metrics *telemetry.Registry
@@ -117,6 +107,13 @@ var (
 	ErrTokenRequired = errors.New("serve: client token required (Authorization: Bearer or X-API-Key)")
 )
 
+// Cancel causes of a running job's context. The cause, not the error the
+// engine unwinds with, tells a client's cancel from a drain deadline.
+var (
+	errClientCancel  = errors.New("serve: canceled by client")
+	errDrainDeadline = errors.New("serve: drain deadline")
+)
+
 // QuotaError rejects a submission that exhausted its client's token
 // bucket (429); RetryAfter is when the next token lands.
 type QuotaError struct{ RetryAfter time.Duration }
@@ -141,10 +138,12 @@ type Server struct {
 	accessLog *accessLog
 	slo       *slo.Set
 
-	// Durability plane (index.go): the crash-safe job-index WAL, plus
-	// the jobs replayed from it, held until Resume applies them.
+	// Durability plane (index.go): the crash-safe job-index WAL, the
+	// jobs replayed from it (held until Resume applies them), and the
+	// jobs a drain left for -resume, which compaction records as queued.
 	index     *jobIndex
 	recovered []restoredJob
+	requeue   map[string]bool
 
 	baseCtx    context.Context
 	baseCancel context.CancelCauseFunc
@@ -413,7 +412,7 @@ func (s *Server) Cancel(id string) bool {
 		return true
 	}
 	if j.State() == StateRunning {
-		j.cancel(errors.New("serve: canceled by client"))
+		j.cancel(errClientCancel)
 		return true
 	}
 	return false
@@ -501,9 +500,10 @@ func (s *Server) runJob(j *Job) {
 			}, s.tel.completed)
 		}
 	case j.ctx.Err() != nil:
-		if j.markCanceled(&st, err.Error()) {
+		reason := cancelReason(j.ctx)
+		if j.markCanceled(&st, reason) {
 			s.finalize(j, events.Event{
-				Type: events.ServeJobCanceled, Name: j.ID, Detail: err.Error(), MS: wall,
+				Type: events.ServeJobCanceled, Name: j.ID, Detail: reason, MS: wall,
 			}, s.tel.canceled)
 		}
 	default:
@@ -552,6 +552,15 @@ func (s *Server) finalize(j *Job, terminal events.Event, ctr *telemetry.Counter)
 	}
 }
 
+// cancelReason names who canceled a running job: "drain" when the drain
+// deadline interrupted it, "client" otherwise.
+func cancelReason(ctx context.Context) string {
+	if errors.Is(context.Cause(ctx), errDrainDeadline) {
+		return "drain"
+	}
+	return "client"
+}
+
 func (s *Server) setRunning(delta int) {
 	s.mu.Lock()
 	s.running += delta
@@ -559,26 +568,13 @@ func (s *Server) setRunning(delta int) {
 	s.tel.running.Add(float64(delta))
 }
 
-// journalPath resolves where drained specs are journaled.
-func (s *Server) journalPath() string {
-	if s.opts.JournalPath != "" {
-		return s.opts.JournalPath
-	}
-	if s.opts.CacheDir != "" {
-		return filepath.Join(s.opts.CacheDir, "serve.journal.json")
-	}
-	return ""
-}
-
-// indexPath resolves where the crash-safe job index lives.
+// indexPath is where the crash-safe job index lives ("" without a cache
+// dir: no index).
 func (s *Server) indexPath() string {
-	if s.opts.IndexPath != "" {
-		return s.opts.IndexPath
+	if s.opts.CacheDir == "" {
+		return ""
 	}
-	if s.opts.CacheDir != "" {
-		return filepath.Join(s.opts.CacheDir, "serve.index.ndjson")
-	}
-	return ""
+	return filepath.Join(s.opts.CacheDir, "serve.index.ndjson")
 }
 
 // maybeCompactIndex compacts the WAL once enough records accumulated.
@@ -593,20 +589,27 @@ func (s *Server) maybeCompactIndex() {
 // the job's mutex before its record is appended (which would block on
 // that same index lock), so the snapshot always reflects at least
 // every state whose record made it to the WAL — compaction can
-// duplicate a transition, never lose one.
-func (s *Server) compactIndex() {
-	s.index.compactWith(func() []indexRecord {
+// duplicate a transition, never lose one. Returns the error that kept
+// the rewrite off disk.
+func (s *Server) compactIndex() error {
+	return s.index.compactWith(func() []indexRecord {
+		s.mu.Lock()
+		recovered, requeue := s.recovered, s.requeue
+		s.mu.Unlock()
 		var recs []indexRecord
 		seen := map[string]bool{}
 		for _, j := range s.Jobs() {
-			recs = append(recs, j.indexSnapshot())
+			rec := j.indexSnapshot()
+			if requeue[j.ID] {
+				// A drain canceled it, but it is resumable work: record
+				// the queued state its requeued record replays to.
+				rec.State, rec.Detail, rec.StartedTMS, rec.FinishedTMS = StateQueued, "", 0, 0
+			}
+			recs = append(recs, rec)
 			seen[j.ID] = true
 		}
 		// Jobs replayed but not yet applied by Resume (or never applied,
 		// when the operator skipped -resume) must survive the rewrite.
-		s.mu.Lock()
-		recovered := s.recovered
-		s.mu.Unlock()
 		for _, r := range recovered {
 			if seen[r.id] {
 				continue
@@ -675,13 +678,15 @@ func (s *Server) materialize(j *Job) error {
 	return nil
 }
 
-// Drain is the graceful-shutdown protocol: stop admitting, cancel and
-// journal every job still queued (for a later -resume), let running
-// jobs finish, and — if ctx expires first — cancel them and wait for
-// the unwind. Jobs that were running when the drain began and did NOT
-// finish (the deadline canceled them) are journaled too, marked
-// interrupted, so a drain during execution is resumable rather than
-// only a quiet-queue drain. Returns how many specs were journaled.
+// Drain is the graceful-shutdown protocol: stop admitting, cancel every
+// job still queued, let running jobs finish, and — if ctx expires first
+// — cancel them and wait for the unwind. Each queued job it cancels and
+// each running job its deadline interrupts is resumable work: Drain
+// leaves it queued in the job index, so a -resume successor re-runs it
+// under its original ID and trace, exactly as after a crash. A running
+// job a client cancels meanwhile stays canceled. Returns how many jobs
+// it left for -resume, and an error naming them when there is no index
+// to hold them or the index could not be written.
 func (s *Server) Drain(ctx context.Context) (int, error) {
 	s.mu.Lock()
 	if s.draining {
@@ -700,8 +705,8 @@ drain:
 		}
 	}
 	close(s.queue)
-	// Snapshot what is running right now: if the deadline cancels any
-	// of these, their specs join the journal as interrupted.
+	// Snapshot what is running right now: the deadline may interrupt
+	// any of these.
 	var runningAtDrain []*Job
 	for _, id := range s.order {
 		if j := s.jobs[id]; j != nil && j.State() == StateRunning {
@@ -710,14 +715,14 @@ drain:
 	}
 	s.mu.Unlock()
 
-	specs := make([]journalEntry, 0, len(leftovers))
+	var resumable []*Job
 	for _, j := range leftovers {
 		// Drain popped these from the queue, so the runner's usual -1
 		// never happens; Drain owns the decrement for every popped job,
 		// including ones a client already canceled while queued.
 		s.tel.queueDepth.Add(-1)
 		if j.markCanceledIfQueued("drain") {
-			specs = append(specs, journalEntry{Spec: j.Spec, TraceID: j.TraceID})
+			resumable = append(resumable, j)
 			s.finalize(j, events.Event{Type: events.ServeJobCanceled, Name: j.ID, Detail: "drain"}, s.tel.canceled)
 		}
 	}
@@ -732,94 +737,51 @@ drain:
 	case <-ctx.Done():
 		// Deadline: abort in-flight jobs and wait for the unwind — the
 		// engine honors cancellation, so this is bounded.
-		s.baseCancel(fmt.Errorf("serve: drain deadline: %w", context.Cause(ctx)))
+		s.baseCancel(fmt.Errorf("%w: %w", errDrainDeadline, context.Cause(ctx)))
 		<-finished
 	}
 
-	// Now the runners are quiet: any running-at-drain job that ended
-	// canceled was interrupted by the deadline, not by a client, and
-	// its spec is resumable work.
-	interrupted := 0
+	// Now the runners are quiet: a running-at-drain job that ended
+	// canceled by the deadline, not by a client, is resumable too.
 	for _, j := range runningAtDrain {
-		if j.State() == StateCanceled {
-			specs = append(specs, journalEntry{Spec: j.Spec, TraceID: j.TraceID, Interrupted: true})
-			interrupted++
+		if j.State() == StateCanceled && cancelReason(j.ctx) == "drain" {
+			resumable = append(resumable, j)
 		}
 	}
-
-	var journalErr error
-	if len(specs) > 0 {
-		if path := s.journalPath(); path != "" {
-			journalErr = writeJournal(path, specs)
-			if journalErr == nil {
-				log.Infof("serve: journaled %d spec(s) (%d interrupted mid-run) to %s (submit with -resume)",
-					len(specs), interrupted, path)
-			}
-		} else {
-			journalErr = fmt.Errorf("serve: %d spec(s) dropped (%d interrupted mid-run): no journal path (set -cache-dir)",
-				len(specs), interrupted)
-		}
+	// Record each resumable job as requeued, then compact: the rewrite
+	// snapshots them as queued and leaves a tidy index — one record per
+	// job — for the next boot.
+	requeue := make(map[string]bool, len(resumable))
+	now := time.Now().UnixMilli()
+	for _, j := range resumable {
+		requeue[j.ID] = true
+		s.index.append(indexRecord{Op: opRequeued, ID: j.ID, TMS: now})
 	}
-
-	// Leave a tidy index behind: one snapshot per job, terminal states
-	// all recorded, so the next boot replays O(jobs) lines.
-	s.compactIndex()
-	return len(specs), journalErr
-}
-
-// Resume rebuilds state from the previous process: first the crash-safe
-// job index (terminal jobs become queryable restored jobs; jobs that
-// were queued or running at the crash are re-queued under their
-// original IDs), then the drain journal, if one exists, is re-admitted
-// as fresh jobs. Call before serving traffic. Returns how many jobs
-// were (re-)queued for execution.
-func (s *Server) Resume() (int, error) {
-	n := s.applyRecovered()
-	path := s.journalPath()
-	if path == "" {
-		return n, nil
-	}
-	specs, err := readJournal(path)
-	if err != nil {
-		if errors.Is(err, fs.ErrNotExist) {
-			return n, nil
-		}
-		return n, err
-	}
-	if err := os.Remove(path); err != nil {
-		return n, fmt.Errorf("serve: remove journal: %w", err)
-	}
-	for _, entry := range specs {
-		norm, err := entry.Normalize()
-		if err != nil {
-			log.Errorf("serve: resume: dropping journaled spec: %v", err)
-			continue
-		}
-		// Resume the original trace: the re-admitted job's events carry
-		// the trace ID of the submission the drain interrupted, through
-		// a fresh span of this process. A missing or mangled trace ID
-		// (an old-schema journal) just mints a new one.
-		tc := s.tgen.NewContext()
-		if tid, err := tracectx.ParseTraceID(entry.TraceID); err == nil {
-			tc.TraceID = tid
-		}
-		if _, _, err := s.admit(norm, tc); err != nil {
-			log.Errorf("serve: resume: dropping journaled spec: %v", err)
-			continue
-		}
-		n++
+	s.mu.Lock()
+	s.requeue = requeue
+	s.mu.Unlock()
+	err := s.compactIndex()
+	n := len(resumable)
+	switch {
+	case n == 0:
+		return 0, nil
+	case s.index == nil:
+		return n, fmt.Errorf("serve: drain: %d job(s) lost: no job index (set -cache-dir)", n)
+	case err != nil && s.index.Degraded():
+		return n, fmt.Errorf("serve: drain: %d job(s) lost: job index unwritable: %w", n, err)
 	}
 	return n, nil
 }
 
-// applyRecovered installs the jobs the index replay found. Terminal
-// jobs become restored entries in the job table — queryable across the
-// restart, results lazily re-materialized from the shared cache. Jobs
-// the index last saw queued or running were interrupted by the crash:
-// they are re-queued under their ORIGINAL IDs and traces, so a client
-// polling a pre-crash job handle watches it run again rather than
-// getting a 404. Returns how many jobs were re-queued.
-func (s *Server) applyRecovered() int {
+// Resume installs the jobs the index replay found; call it before
+// serving traffic. Terminal jobs become restored entries in the job
+// table — queryable across the restart, results lazily re-materialized
+// from the shared cache. Jobs the index last saw queued or running — a
+// crash or a drain interrupted them — are re-queued under their
+// ORIGINAL IDs and traces, so a client polling a pre-restart job handle
+// watches it run again rather than getting a 404. Returns how many jobs
+// were re-queued.
+func (s *Server) Resume() int {
 	s.mu.Lock()
 	recovered := s.recovered
 	s.recovered = nil
@@ -847,9 +809,10 @@ func (s *Server) applyRecovered() int {
 			restored++
 			continue
 		}
-		// Queued or running at the crash: re-run. The content-addressed
-		// cache makes the replay idempotent — finished experiments of a
-		// half-done sweep are served from disk, not recomputed.
+		// Queued or running when the process stopped: re-run. The
+		// content-addressed cache makes the replay idempotent — finished
+		// experiments of a half-done sweep are served from disk, not
+		// recomputed.
 		j := newJob(r.id, r.fingerprint, r.spec, s.baseCtx, s.opts.RingCap, tc)
 		j.Bus.Instrument(s.opts.Metrics)
 		select {
@@ -885,54 +848,4 @@ func (s *Server) applyRecovered() int {
 		s.compactIndex()
 	}
 	return requeued
-}
-
-// journalEntry is one drained job: its spec plus the correlation trace
-// ID the resume re-attaches. Spec embeds flat, so a v1 journal written
-// before trace IDs existed still parses (TraceID stays "").
-type journalEntry struct {
-	Spec
-	TraceID string `json:"trace_id,omitempty"`
-	// Interrupted marks a spec whose job was running when the drain
-	// deadline canceled it — resumable work, not a client cancellation.
-	Interrupted bool `json:"interrupted,omitempty"`
-}
-
-// journalFile is the on-disk drain journal (hifi_serve_journal_v1).
-type journalFile struct {
-	Schema string         `json:"schema"`
-	Jobs   []journalEntry `json:"jobs"`
-}
-
-// JournalSchemaV1 stamps the drain journal.
-const JournalSchemaV1 = "hifi_serve_journal_v1"
-
-func writeJournal(path string, specs []journalEntry) error {
-	b, err := json.MarshalIndent(journalFile{Schema: JournalSchemaV1, Jobs: specs}, "", "  ")
-	if err != nil {
-		return err
-	}
-	if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
-		return err
-	}
-	tmp := path + ".tmp"
-	if err := os.WriteFile(tmp, append(b, '\n'), 0o644); err != nil {
-		return err
-	}
-	return os.Rename(tmp, path)
-}
-
-func readJournal(path string) ([]journalEntry, error) {
-	b, err := os.ReadFile(path)
-	if err != nil {
-		return nil, err
-	}
-	var jf journalFile
-	if err := json.Unmarshal(b, &jf); err != nil {
-		return nil, fmt.Errorf("serve: journal %s: %w", path, err)
-	}
-	if jf.Schema != JournalSchemaV1 {
-		return nil, fmt.Errorf("serve: journal %s: unknown schema %q", path, jf.Schema)
-	}
-	return jf.Jobs, nil
 }

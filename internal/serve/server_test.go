@@ -2,16 +2,18 @@ package serve
 
 // The daemon's acceptance tests: byte-identity with the CLI, cross-client
 // dedup through the shared cache, admission control, cancellation, and
-// the drain/journal/resume protocol. All run under -race in CI. Tests
+// the drain/resume protocol. All run under -race in CI. Tests
 // that need jobs frozen in the queue set Options.hold — the runner gate
 // that precedes the dequeue — and release it by closing the channel.
 
 import (
 	"context"
 	"errors"
+	"strings"
 	"testing"
 	"time"
 
+	"racetrack/hifi/internal/engine/faultfs"
 	"racetrack/hifi/internal/experiments"
 	"racetrack/hifi/internal/telemetry"
 	"racetrack/hifi/internal/telemetry/events"
@@ -62,6 +64,17 @@ func closeOnce(t *testing.T, ch chan struct{}) func() {
 	}
 	t.Cleanup(release)
 	return release
+}
+
+func waitRunning(t *testing.T, j *Job) {
+	t.Helper()
+	deadline := time.Now().Add(30 * time.Second)
+	for j.State() != StateRunning {
+		if time.Now().After(deadline) {
+			t.Fatalf("job %s never started (state %s)", j.ID, j.State())
+		}
+		time.Sleep(5 * time.Millisecond)
+	}
 }
 
 func waitDone(t *testing.T, j *Job) {
@@ -321,13 +334,7 @@ func TestCancelRunning(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	deadline := time.Now().Add(30 * time.Second)
-	for j.State() != StateRunning {
-		if time.Now().After(deadline) {
-			t.Fatalf("job never started (state %s)", j.State())
-		}
-		time.Sleep(5 * time.Millisecond)
-	}
+	waitRunning(t, j)
 	if !srv.Cancel(j.ID) {
 		t.Fatalf("cancel of running job returned false")
 	}
@@ -341,9 +348,50 @@ func TestCancelRunning(t *testing.T) {
 	}
 }
 
-// Drain journals still-queued specs and a fresh server re-admits them
-// with -resume semantics.
-func TestDrainJournalsQueueAndResumeReplays(t *testing.T) {
+// drainResult is what a Drain run in the background returned.
+type drainResult struct {
+	n   int
+	err error
+}
+
+func drainAsync(srv *Server) <-chan drainResult {
+	resc := make(chan drainResult, 1)
+	go func() {
+		ctx, cancel := context.WithTimeout(context.Background(), 60*time.Second)
+		defer cancel()
+		n, err := srv.Drain(ctx)
+		resc <- drainResult{n, err}
+	}()
+	return resc
+}
+
+// untilDraining submits spec until the server refuses it with
+// ErrDraining. Drain sets draining, empties the queue, and closes it
+// inside one critical section, so once a submit sees ErrDraining all of
+// that has happened, and releasing held runners cannot race the
+// leftover collection. spec must coalesce onto a live job, or the
+// probes would queue jobs of their own.
+func untilDraining(srv *Server, spec Spec) {
+	for {
+		if _, _, err := srv.Submit(spec, "late"); errors.Is(err, ErrDraining) {
+			return
+		}
+		time.Sleep(2 * time.Millisecond)
+	}
+}
+
+// successor starts a server on the same cache dir (the same job index)
+// as opts, the way hifi-serve restarts with -resume.
+func successor(t *testing.T, opts Options) *Server {
+	t.Helper()
+	opts2 := testOptions(t)
+	opts2.CacheDir = opts.CacheDir
+	return newTestServer(t, opts2)
+}
+
+// Drain leaves still-queued jobs queued in the job index, and a -resume
+// successor re-runs each of them once, under its original ID and trace.
+func TestDrainRequeuesQueueUnderOriginalIDs(t *testing.T) {
 	opts := testOptions(t)
 	hold := make(chan struct{})
 	opts.hold = hold
@@ -362,78 +410,160 @@ func TestDrainJournalsQueueAndResumeReplays(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	type drainRes struct {
-		n   int
-		err error
-	}
-	resc := make(chan drainRes, 1)
-	go func() {
-		ctx, cancel := context.WithTimeout(context.Background(), 60*time.Second)
-		defer cancel()
-		n, err := srv.Drain(ctx)
-		resc <- drainRes{n, err}
-	}()
-	// Drain sets draining, empties the queue, and closes it inside one
-	// critical section; once a submit sees ErrDraining all of that has
-	// happened, so releasing the held runners afterwards cannot race the
-	// leftover collection.
-	for {
-		if _, _, err := srv.Submit(quickSpec(), "late"); errors.Is(err, ErrDraining) {
-			break
-		}
-		time.Sleep(2 * time.Millisecond)
-	}
+	resc := drainAsync(srv)
+	untilDraining(srv, a)
 	release()
 	res := <-resc
 	if res.err != nil {
 		t.Fatalf("drain: %v", res.err)
 	}
 	if res.n != 2 {
-		t.Fatalf("drain journaled %d spec(s), want 2", res.n)
+		t.Fatalf("drain left %d job(s) resumable, want 2", res.n)
 	}
 	if ja.State() != StateCanceled || jb.State() != StateCanceled {
 		t.Fatalf("drained jobs not canceled: %s %s", ja.State(), jb.State())
 	}
 
-	// Same cache dir → same journal path; the successor re-admits both.
-	// The crash-safe index ALSO restores the two drain-canceled jobs as
-	// queryable terminal entries, so the successor's table holds four:
-	// the restored shells plus the re-admitted live jobs.
-	opts2 := testOptions(t)
-	opts2.CacheDir = opts.CacheDir
-	srv2 := newTestServer(t, opts2)
-	n, err := srv2.Resume()
-	if err != nil {
-		t.Fatal(err)
+	srv2 := successor(t, opts)
+	if n := srv2.Resume(); n != 2 {
+		t.Fatalf("resume re-queued %d job(s), want 2", n)
 	}
-	if n != 2 {
-		t.Fatalf("resume re-admitted %d spec(s), want 2", n)
+	if jobs := srv2.Jobs(); len(jobs) != 2 {
+		t.Fatalf("successor has %d job(s), want 2", len(jobs))
 	}
-	jobs := srv2.Jobs()
-	if len(jobs) != 4 {
-		t.Fatalf("successor has %d job(s), want 4 (2 restored canceled + 2 re-admitted)", len(jobs))
-	}
-	restored, live := 0, 0
-	for _, j := range jobs {
-		if j.Status().Restored {
-			restored++
-			if st := j.State(); st != StateCanceled {
-				t.Fatalf("restored job %s is %s, want canceled", j.ID, st)
-			}
-			continue
+	for _, orig := range []*Job{ja, jb} {
+		j, ok := srv2.Job(orig.ID)
+		if !ok {
+			t.Fatalf("drained job %s not re-queued under its ID", orig.ID)
 		}
-		live++
+		if j.TraceID != orig.TraceID {
+			t.Fatalf("job %s trace %s, want the original %s", j.ID, j.TraceID, orig.TraceID)
+		}
+		if j.Status().Restored {
+			t.Fatalf("re-queued job %s marked restored", j.ID)
+		}
 		waitDone(t, j)
 		if st := j.State(); st != StateDone {
 			t.Fatalf("resumed job %s ended %s (%s)", j.ID, st, j.Status().Error)
 		}
 	}
-	if restored != 2 || live != 2 {
-		t.Fatalf("successor split restored=%d live=%d, want 2/2", restored, live)
+}
+
+// A running job the drain deadline interrupts is resumable: the
+// successor re-queues it under its original ID and trace.
+func TestDrainDeadlineRequeuesRunningJob(t *testing.T) {
+	opts := testOptions(t)
+	opts.Runners = 1
+	srv := New(opts) // drives Drain itself
+
+	long := quickSpec()
+	long.Accesses = 50_000 // seconds of simulation: the deadline lands mid-run
+	j, _, err := srv.Submit(long, "c")
+	if err != nil {
+		t.Fatal(err)
 	}
-	// The journal is consumed: a second resume finds nothing.
-	if n, err := srv2.Resume(); err != nil || n != 0 {
-		t.Fatalf("second resume: n=%d err=%v, want 0,nil", n, err)
+	waitRunning(t, j)
+	ctx, cancel := context.WithTimeout(context.Background(), 50*time.Millisecond)
+	defer cancel()
+	n, err := srv.Drain(ctx)
+	if err != nil {
+		t.Fatalf("drain: %v", err)
+	}
+	if n != 1 {
+		t.Fatalf("drain left %d job(s) resumable, want 1", n)
+	}
+	if st := j.Status(); st.State != StateCanceled || st.Error != "drain" {
+		t.Fatalf("interrupted job is %s (%q), want canceled (\"drain\")", st.State, st.Error)
+	}
+
+	srv2 := successor(t, opts)
+	if n := srv2.Resume(); n != 1 {
+		t.Fatalf("resume re-queued %d job(s), want 1", n)
+	}
+	rj, ok := srv2.Job(j.ID)
+	if !ok {
+		t.Fatalf("interrupted job %s not re-queued under its ID", j.ID)
+	}
+	if rj.TraceID != j.TraceID || rj.Status().Restored {
+		t.Fatalf("re-queued job trace %s restored=%v, want trace %s, not restored",
+			rj.TraceID, rj.Status().Restored, j.TraceID)
+	}
+	// Cancel rather than wait out the whole sweep again.
+	if !srv2.Cancel(rj.ID) {
+		t.Fatalf("re-queued job %s already terminal (%s)", rj.ID, rj.State())
+	}
+	waitDone(t, rj)
+}
+
+// DELETE /v1/jobs/{id} still works while the daemon drains. A running
+// job a client cancels then is the client's decision, not drain
+// leftovers: it is recorded as canceled by "client" and never re-run.
+func TestClientCancelDuringDrainIsNotResumed(t *testing.T) {
+	opts := testOptions(t)
+	opts.Runners = 1
+	srv := New(opts) // drives Drain itself
+
+	long := quickSpec()
+	long.Accesses = 30_000
+	j, _, err := srv.Submit(long, "c")
+	if err != nil {
+		t.Fatal(err)
+	}
+	waitRunning(t, j)
+	resc := drainAsync(srv)
+	untilDraining(srv, long)
+	if !srv.Cancel(j.ID) {
+		t.Fatalf("cancel of running job %s returned false (state %s)", j.ID, j.State())
+	}
+	res := <-resc
+	if res.err != nil {
+		t.Fatalf("drain: %v", res.err)
+	}
+	if res.n != 0 {
+		t.Fatalf("drain left %d job(s) resumable, want 0", res.n)
+	}
+	if st := j.Status(); st.State != StateCanceled || st.Error != "client" {
+		t.Fatalf("canceled job is %s (%q), want canceled (\"client\")", st.State, st.Error)
+	}
+
+	srv2 := successor(t, opts)
+	if n := srv2.Resume(); n != 0 {
+		t.Fatalf("resume re-queued %d job(s), want 0", n)
+	}
+	jobs := srv2.Jobs()
+	if len(jobs) != 1 || jobs[0].ID != j.ID {
+		t.Fatalf("successor holds %d job(s), want only %s", len(jobs), j.ID)
+	}
+	if st := jobs[0].Status(); !st.Restored || st.State != StateCanceled {
+		t.Fatalf("successor's %s is %s restored=%v, want a restored canceled job", st.ID, st.State, st.Restored)
+	}
+}
+
+// With no index to hold them, or one that cannot be written, the jobs a
+// drain interrupts are lost, and Drain's error says how many.
+func TestDrainReportsLostJobs(t *testing.T) {
+	for name, noIndex := range map[string]func(*Options){
+		"no-cache-dir": func(o *Options) { o.CacheDir = "" },
+		"read-only":    func(o *Options) { o.indexFS = faultfs.New(nil, faultfs.Options{ReadOnly: true}) },
+	} {
+		t.Run(name, func(t *testing.T) {
+			opts := testOptions(t)
+			noIndex(&opts)
+			hold := make(chan struct{})
+			opts.hold = hold
+			release := closeOnce(t, hold)
+			srv := New(opts) // drives Drain itself
+			if _, _, err := srv.Submit(quickSpec(), "c"); err != nil {
+				t.Fatal(err)
+			}
+			resc := drainAsync(srv)
+			untilDraining(srv, quickSpec())
+			release()
+			res := <-resc
+			if res.n != 1 || res.err == nil || !strings.Contains(res.err.Error(), "1 job(s) lost") {
+				t.Fatalf("drain = %d, %v; want 1 and an error naming 1 lost job", res.n, res.err)
+			}
+		})
 	}
 }
 
@@ -531,7 +661,7 @@ func TestDrainAccountsCanceledQueuedJobs(t *testing.T) {
 	}
 	release()
 	if n := <-resc; n != 1 {
-		t.Fatalf("drain journaled %d spec(s), want 1 (the corpse is not journaled)", n)
+		t.Fatalf("drain left %d job(s) resumable, want 1 (the corpse is not resumable)", n)
 	}
 	if got, _ := opts.Metrics.Snapshot().Lookup(telemetry.MetricServeQueueDepth); got != 0 {
 		t.Fatalf("%s = %v after drain, want 0", telemetry.MetricServeQueueDepth, got)

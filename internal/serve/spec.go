@@ -11,9 +11,10 @@
 // equal one is queued or running coalesces onto that job, and a spec
 // resubmitted after completion re-runs through the shared cache and
 // executes nothing. Admission control (a bounded queue and per-client
-// token buckets) and graceful drain (journal the queue, finish what is
-// running) make the daemon safe to put in front of more clients than
-// the machine could serve naively. See docs/serve.md.
+// token buckets) and graceful drain (finish what is running, leave the
+// rest queued in the job index for -resume) make the daemon safe to put
+// in front of more clients than the machine could serve naively. See
+// docs/serve.md.
 package serve
 
 import (

@@ -1,12 +1,13 @@
 #!/usr/bin/env bash
-# serve_crash_smoke.sh — crash-recovery smoke for hifi-serve's job index
+# serve_crash_smoke.sh — restart-recovery smoke for hifi-serve's job index
 # (docs/serve.md, "Restart recovery & the job index").
 #
-# Proves the kill -9 story end to end with real processes:
+# Proves with real processes that the job index alone brings work back
+# after both a kill -9 and a SIGTERM drain:
 #
 #   1. Boot a daemon on a scratch cache, run one sweep to completion,
 #      then submit a second (bigger) sweep and SIGKILL the daemon while
-#      it is mid-job — no drain, no journal, no terminal index record.
+#      it is mid-job — no drain, no terminal index record.
 #   2. Restart against the same cache dir with -resume. The completed
 #      job must answer GET /v1/jobs/{id} with state=done and
 #      restored=true, and its tables must re-serve byte-identical to a
@@ -16,6 +17,13 @@
 #      re-queued, and run to completion.
 #   4. /metrics must show the index replay/append counters, and the
 #      index file itself must start with the hifi_serve_index_v1 header.
+#   5. On a fresh cache, boot with -runners 1 -drain-timeout 1s, start a
+#      30000-access sweep, queue a second spec behind it, and SIGTERM.
+#      The drain must exit 0 and leave no drain-journal file behind: the
+#      index is the only recovery record. The deadline interrupts the
+#      sweep.
+#   6. Restart with -resume: both jobs must re-run under their original
+#      ids and traces and reach done.
 #
 # Used by `make serve-crash-smoke` and CI's serve job. Needs curl.
 set -euo pipefail
@@ -48,6 +56,18 @@ wait_healthy() {
 	done
 	echo "daemon never became healthy" >&2
 	cat "$WORK/serve.log" >&2
+	return 1
+}
+
+# wait_running JOB FILE — poll until the job is running. A kill that
+# lands before the runner has the job would test a different path.
+wait_running() {
+	for i in $(seq 1 100); do
+		curl -fsS "$BASE/v1/jobs/$1" >"$2"
+		if [[ "$(jget "$2" state)" == "running" ]]; then return 0; fi
+		sleep 0.1
+	done
+	echo "job $1 never reached running (state: $(jget "$2" state))" >&2
 	return 1
 }
 
@@ -95,18 +115,9 @@ curl -fsS -X POST -H 'Content-Type: application/json' -d "$SPEC2" \
 JOB2=$(jget "$WORK/submit2.json" id)
 test -n "$JOB2"
 # Wait until the runner has the job (the index has its started record),
-# then kill -9 while it is mid-sweep: no drain, no journal — only the
-# index survives. The kill MUST land while running, or the test would
-# silently degrade to the restored-done path.
-for i in $(seq 1 100); do
-	curl -fsS "$BASE/v1/jobs/$JOB2" >"$WORK/job2.json"
-	if [[ "$(jget "$WORK/job2.json" state)" == "running" ]]; then break; fi
-	sleep 0.1
-done
-if [[ "$(jget "$WORK/job2.json" state)" != "running" ]]; then
-	echo "job $JOB2 never reached running (state: $(jget "$WORK/job2.json" state)); cannot test a mid-job kill" >&2
-	exit 1
-fi
+# then kill -9 while it is mid-sweep: no drain — only the index
+# survives.
+wait_running "$JOB2" "$WORK/job2.json"
 kill -KILL "$SERVE_PID"
 wait "$SERVE_PID" 2>/dev/null || true
 SERVE_PID=""
@@ -142,6 +153,45 @@ grep -qE '^hifi_serve_index_replayed_total [1-9]' "$WORK/metrics.txt"
 grep -qE '^hifi_serve_index_records_total [1-9]' "$WORK/metrics.txt"
 
 echo "== clean shutdown of the successor"
+kill -TERM "$SERVE_PID"
+wait "$SERVE_PID"
+SERVE_PID=""
+
+echo "== SIGTERM mid-job on a fresh cache"
+# One runner keeps the second spec queued; one worker makes the 30k
+# sweep outlast the 1s drain deadline, which then interrupts it.
+"$WORK/hifi-serve" -listen "$ADDR" -cache-dir "$WORK/drain-cache" -runners 1 -workers 1 \
+	-drain-timeout 1s -access-log "" >"$WORK/serve3.log" 2>&1 &
+SERVE_PID=$!
+wait_healthy
+curl -fsS -X POST -H 'Content-Type: application/json' -d "$SPEC2" \
+	"$BASE/v1/jobs" >"$WORK/submit3.json"
+JOB3=$(jget "$WORK/submit3.json" id)
+test -n "$JOB3"
+wait_running "$JOB3" "$WORK/job3.json"
+curl -fsS -X POST -H 'Content-Type: application/json' -d "$SPEC1" \
+	"$BASE/v1/jobs" >"$WORK/submit4.json"
+test "$(jget "$WORK/submit4.json" state)" = "queued"
+kill -TERM "$SERVE_PID"
+wait "$SERVE_PID" # set -e: the drain must exit 0
+SERVE_PID=""
+test ! -e "$WORK/drain-cache/serve.journal.json"
+
+echo "== restart with -resume: both jobs re-run under their original ids"
+"$WORK/hifi-serve" -listen "$ADDR" -cache-dir "$WORK/drain-cache" -runners 1 \
+	-resume -access-log "" >"$WORK/serve4.log" 2>&1 &
+SERVE_PID=$!
+wait_healthy
+for n in 3 4; do
+	JOB=$(jget "$WORK/submit$n.json" id)
+	wait_done "$JOB"
+	if grep -q '"restored": true' "$WORK/job.json"; then
+		echo "job $JOB was restored, not re-run: the drain did not leave it queued" >&2
+		exit 1
+	fi
+	test "$(jget "$WORK/job.json" trace_id)" = "$(jget "$WORK/submit$n.json" trace_id)"
+done
+
 kill -TERM "$SERVE_PID"
 wait "$SERVE_PID"
 SERVE_PID=""
