@@ -153,24 +153,9 @@ func parseSchemes(s string) ([]shiftctrl.Scheme, error) {
 		if f == "" {
 			continue
 		}
-		var sc shiftctrl.Scheme
-		switch f {
-		case "baseline", "none":
-			sc = shiftctrl.Baseline
-		case "sts":
-			sc = shiftctrl.STSOnly
-		case "sed":
-			sc = shiftctrl.SED
-		case "secded", "pecc":
-			sc = shiftctrl.SECDED
-		case "pecco", "pecc-o":
-			sc = shiftctrl.PECCO
-		case "worst", "pecc-s-worst":
-			sc = shiftctrl.PECCSWorst
-		case "adaptive", "pecc-s-adaptive":
-			sc = shiftctrl.PECCSAdaptive
-		default:
-			return nil, fmt.Errorf("unknown scheme %q", f)
+		sc, err := shiftctrl.ParseScheme(f)
+		if err != nil {
+			return nil, err
 		}
 		out = append(out, sc)
 	}

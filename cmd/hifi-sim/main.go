@@ -111,7 +111,7 @@ func main() {
 	if err != nil {
 		log.Fatalf("hifi-sim: %v", err)
 	}
-	s, err := parseScheme(*scheme)
+	s, err := shiftctrl.ParseScheme(*scheme)
 	if err != nil {
 		log.Fatalf("hifi-sim: %v", err)
 	}
@@ -266,27 +266,6 @@ func parseTech(s string) (energy.Tech, error) {
 		return energy.Racetrack, nil
 	default:
 		return 0, fmt.Errorf("unknown technology %q", s)
-	}
-}
-
-func parseScheme(s string) (shiftctrl.Scheme, error) {
-	switch s {
-	case "baseline", "none":
-		return shiftctrl.Baseline, nil
-	case "sts":
-		return shiftctrl.STSOnly, nil
-	case "sed":
-		return shiftctrl.SED, nil
-	case "secded", "pecc":
-		return shiftctrl.SECDED, nil
-	case "pecco", "pecc-o":
-		return shiftctrl.PECCO, nil
-	case "worst", "pecc-s-worst":
-		return shiftctrl.PECCSWorst, nil
-	case "adaptive", "pecc-s-adaptive":
-		return shiftctrl.PECCSAdaptive, nil
-	default:
-		return 0, fmt.Errorf("unknown scheme %q", s)
 	}
 }
 

@@ -4,7 +4,6 @@ import (
 	"testing"
 
 	"racetrack/hifi/internal/energy"
-	"racetrack/hifi/internal/shiftctrl"
 )
 
 func TestParseTech(t *testing.T) {
@@ -21,29 +20,6 @@ func TestParseTech(t *testing.T) {
 	}
 	if _, err := parseTech("flash"); err == nil {
 		t.Error("parseTech accepted unknown technology")
-	}
-}
-
-func TestParseScheme(t *testing.T) {
-	cases := map[string]shiftctrl.Scheme{
-		"baseline": shiftctrl.Baseline,
-		"none":     shiftctrl.Baseline,
-		"sts":      shiftctrl.STSOnly,
-		"sed":      shiftctrl.SED,
-		"secded":   shiftctrl.SECDED,
-		"pecc":     shiftctrl.SECDED,
-		"pecco":    shiftctrl.PECCO,
-		"worst":    shiftctrl.PECCSWorst,
-		"adaptive": shiftctrl.PECCSAdaptive,
-	}
-	for in, want := range cases {
-		got, err := parseScheme(in)
-		if err != nil || got != want {
-			t.Errorf("parseScheme(%q) = %v, %v", in, got, err)
-		}
-	}
-	if _, err := parseScheme("magic"); err == nil {
-		t.Error("parseScheme accepted unknown scheme")
 	}
 }
 

@@ -5,7 +5,11 @@
 // tape controller for end-to-end protection of a single stripe.
 package shiftctrl
 
-import "racetrack/hifi/internal/errmodel"
+import (
+	"fmt"
+
+	"racetrack/hifi/internal/errmodel"
+)
 
 // Scheme is one of the protection configurations evaluated in the paper.
 type Scheme int
@@ -52,6 +56,30 @@ func (s Scheme) String() string {
 		return "secded-pecc-s-adaptive"
 	default:
 		return "unknown-scheme"
+	}
+}
+
+// ParseScheme maps a command-line scheme name to its Scheme. Most schemes
+// take a short and a long alias: baseline|none, sts, sed, secded|pecc,
+// pecco|pecc-o, worst|pecc-s-worst, adaptive|pecc-s-adaptive.
+func ParseScheme(name string) (Scheme, error) {
+	switch name {
+	case "baseline", "none":
+		return Baseline, nil
+	case "sts":
+		return STSOnly, nil
+	case "sed":
+		return SED, nil
+	case "secded", "pecc":
+		return SECDED, nil
+	case "pecco", "pecc-o":
+		return PECCO, nil
+	case "worst", "pecc-s-worst":
+		return PECCSWorst, nil
+	case "adaptive", "pecc-s-adaptive":
+		return PECCSAdaptive, nil
+	default:
+		return 0, fmt.Errorf("unknown scheme %q", name)
 	}
 }
 
