@@ -5,11 +5,7 @@
 // line across its 64 data domains (8 segments of 8 by default).
 package cache
 
-import (
-	"fmt"
-
-	"racetrack/hifi/internal/telemetry"
-)
+import "fmt"
 
 // Stats counts cache events.
 type Stats struct {
@@ -44,22 +40,6 @@ type Cache struct {
 	dirty []bool
 	clock uint64
 	Stats Stats
-
-	// Telemetry handles; nil (the default) costs one branch per event.
-	// Several caches may share handles (memsim aggregates the per-core
-	// L1s into one labelled series).
-	mHits, mMisses, mEvictions, mWritebacks *telemetry.Counter
-}
-
-// Instrument attaches labelled event counters from reg; level tags the
-// series ("l1", "l2", "l3"). A nil registry detaches. Sibling caches
-// instrumented with the same level share the same series.
-func (c *Cache) Instrument(reg *telemetry.Registry, level string) {
-	tag := func(name string) string { return telemetry.Label(name, "level", level) }
-	c.mHits = reg.Counter(tag(telemetry.MetricCacheHits), "cache hits by level")
-	c.mMisses = reg.Counter(tag(telemetry.MetricCacheMisses), "cache misses by level")
-	c.mEvictions = reg.Counter(tag(telemetry.MetricCacheEvictions), "cache evictions by level")
-	c.mWritebacks = reg.Counter(tag(telemetry.MetricCacheWritebacks), "dirty cache evictions by level")
 }
 
 // New builds a cache of the given capacity. capacity must be divisible by
@@ -140,11 +120,9 @@ func (c *Cache) Access(addr uint64, write bool) Result {
 			c.dirty[base+w] = true
 		}
 		c.Stats.Hits++
-		c.mHits.Inc()
 		return Result{Hit: true, Way: w, Set: set}
 	}
 	c.Stats.Misses++
-	c.mMisses.Inc()
 	// Victim: invalid way first, else LRU.
 	victim := 0
 	oldest := ^uint64(0)
@@ -166,10 +144,8 @@ func (c *Cache) Access(addr uint64, write bool) Result {
 		res.Writeback = c.dirty[i]
 		if res.Writeback {
 			c.Stats.Writebacks++
-			c.mWritebacks.Inc()
 		}
 		c.Stats.Evictions++
-		c.mEvictions.Inc()
 		res.EvictedAddr = ((old-1)*uint64(c.sets) + uint64(set)) * uint64(c.lineBytes)
 	}
 	c.tags[i], c.ages[i], c.dirty[i] = tag, c.clock, write

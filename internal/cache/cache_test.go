@@ -2,6 +2,7 @@ package cache
 
 import (
 	"fmt"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -253,6 +254,9 @@ func TestRTMStats(t *testing.T) {
 	}
 	if a.ZeroShiftAccesses != 1 {
 		t.Errorf("zero-shift accesses = %d", a.ZeroShiftAccesses)
+	}
+	if want := []uint64{0, 0, 0, 2, 0, 0, 0, 0}; !slices.Equal(a.Distances, want) {
+		t.Errorf("distances = %v, want %v", a.Distances, want)
 	}
 	if a.AvgShiftDistance() != 1.5 {
 		t.Errorf("avg distance = %v", a.AvgShiftDistance())

@@ -1,10 +1,6 @@
 package cache
 
-import (
-	"fmt"
-
-	"racetrack/hifi/internal/telemetry"
-)
+import "fmt"
 
 // RTMGeometry describes the racetrack organization behind an LLC data
 // array, following the paper's default mapping: a 64-byte line occupies one
@@ -60,20 +56,8 @@ type RTMArray struct {
 	ShiftSteps uint64
 	// ZeroShiftAccesses counts accesses that needed no movement.
 	ZeroShiftAccesses uint64
-
-	// Telemetry handles; nil (the default) costs one branch per event.
-	mOps, mSteps, mZero *telemetry.Counter
-	mDistance           *telemetry.Histogram
-}
-
-// Instrument attaches shift counters and the fixed-layout distance
-// histogram from reg. A nil registry detaches.
-func (a *RTMArray) Instrument(reg *telemetry.Registry) {
-	a.mOps = reg.Counter(telemetry.MetricShiftOps, "shift operations issued")
-	a.mSteps = reg.Counter(telemetry.MetricShiftSteps, "total shift distance in steps")
-	a.mZero = reg.Counter(telemetry.MetricShiftZero, "accesses needing no head movement")
-	a.mDistance = reg.Histogram(telemetry.MetricShiftDistance,
-		"per-access shift distance in steps", telemetry.ShiftDistanceBuckets())
+	// Distances[d] counts the accesses that shifted d steps (d >= 1).
+	Distances []uint64
 }
 
 // NewRTMArray sizes the head-position state for an LLC of capacityB bytes.
@@ -86,9 +70,10 @@ func NewRTMArray(geom RTMGeometry, capacityB int64) *RTMArray {
 		panic(fmt.Sprintf("cache: capacity %d not divisible by group bytes %d", capacityB, gb))
 	}
 	return &RTMArray{
-		geom:   geom,
-		groups: int(capacityB / gb),
-		heads:  make([]int8, capacityB/gb),
+		geom:      geom,
+		groups:    int(capacityB / gb),
+		heads:     make([]int8, capacityB/gb),
+		Distances: make([]uint64, geom.SegLen),
 	}
 }
 
@@ -139,7 +124,6 @@ func (a *RTMArray) AccessDistance(set, way, ways int) (group, dist, dir int) {
 func (a *RTMArray) MoveHead(group, dist, dir, ops int) {
 	if dist == 0 {
 		a.ZeroShiftAccesses++
-		a.mZero.Inc()
 		return
 	}
 	h := int(a.heads[group]) + dir*dist
@@ -149,9 +133,7 @@ func (a *RTMArray) MoveHead(group, dist, dir, ops int) {
 	a.heads[group] = int8(h)
 	a.ShiftOps += uint64(ops)
 	a.ShiftSteps += uint64(dist)
-	a.mOps.Add(float64(ops))
-	a.mSteps.Add(float64(dist))
-	a.mDistance.Observe(float64(dist))
+	a.Distances[dist]++
 }
 
 // Head returns the current offset of a group (tests).

@@ -7,7 +7,6 @@ import (
 	"racetrack/hifi/internal/errmodel"
 	"racetrack/hifi/internal/mttf"
 	"racetrack/hifi/internal/sts"
-	"racetrack/hifi/internal/telemetry"
 )
 
 // Timing bundles the latency model for planned shift operations.
@@ -258,15 +257,9 @@ type Adapter struct {
 	// table[d] is sorted by MinInterval descending: the first entry whose
 	// MinInterval <= interval is the fastest safe sequence.
 	table [][]AdaptEntry
-	// stalls counts lookups where even the slowest row's MinInterval
+	// Stalls counts lookups where even the slowest row's MinInterval
 	// exceeded the observed interval (the architecture would stall).
-	stalls *telemetry.Counter
-}
-
-// Instrument attaches the stall counter from reg; nil detaches.
-func (a *Adapter) Instrument(reg *telemetry.Registry) {
-	a.stalls = reg.Counter(telemetry.MetricAdapterStalls,
-		"adapter lookups where even the all-1-step row needed a longer interval")
+	Stalls uint64
 }
 
 // AdaptEntry is one row of the adapter table (paper Table 3b).
@@ -321,7 +314,7 @@ func (a *Adapter) SequenceFor(d int, intervalCycles uint64) []int {
 			return e.Seq
 		}
 	}
-	a.stalls.Inc()
+	a.Stalls++
 	return rows[len(rows)-1].Seq
 }
 

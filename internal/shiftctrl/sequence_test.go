@@ -235,9 +235,16 @@ func TestAdapterSequenceFor(t *testing.T) {
 	if seq := a.SequenceFor(7, 1<<40); !reflect.DeepEqual(seq, []int{7}) {
 		t.Errorf("idle sequence = %v, want [7]", seq)
 	}
-	// Tiny interval: all 1-step.
+	if a.Stalls != 0 {
+		t.Errorf("stalls after an idle lookup = %d, want 0", a.Stalls)
+	}
+	// Tiny interval: all 1-step, and the slowest row still wanted a
+	// longer one, so the lookup counts a stall.
 	if seq := a.SequenceFor(7, 1); len(seq) != 7 {
 		t.Errorf("busy sequence = %v, want seven 1-steps", seq)
+	}
+	if a.Stalls != 1 {
+		t.Errorf("stalls after a too-early lookup = %d, want 1", a.Stalls)
 	}
 	// Zero distance.
 	if seq := a.SequenceFor(0, 100); seq != nil {

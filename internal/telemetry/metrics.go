@@ -101,17 +101,21 @@ type Histogram struct {
 func (h *Histogram) Name() string { return h.name }
 
 // Observe records one sample.
-func (h *Histogram) Observe(v float64) {
-	if h == nil {
+func (h *Histogram) Observe(v float64) { h.ObserveN(v, 1) }
+
+// ObserveN records n samples of value v in one update. For whole-number
+// samples it leaves the histogram exactly as n calls of Observe would.
+func (h *Histogram) ObserveN(v float64, n uint64) {
+	if h == nil || n == 0 {
 		return
 	}
 	i := 0
 	for i < len(h.bounds) && v > h.bounds[i] {
 		i++
 	}
-	h.counts[i].Add(1)
-	addFloat(&h.sum, v)
-	h.count.Add(1)
+	h.counts[i].Add(n)
+	addFloat(&h.sum, v*float64(n))
+	h.count.Add(n)
 }
 
 // Count returns the number of observations (0 for a nil handle).

@@ -2,6 +2,7 @@ package telemetry
 
 import (
 	"math"
+	"slices"
 	"sync"
 	"testing"
 )
@@ -74,6 +75,27 @@ func TestHistogramBucketPlacement(t *testing.T) {
 	if d.Count != 7 || d.Sum != 112 {
 		t.Fatalf("count/sum = %d/%v, want 7/112", d.Count, d.Sum)
 	}
+}
+
+// TestObserveNMatchesRepeatedObserve: a bulk update of whole-number
+// samples leaves the same buckets, count and sum as one Observe each.
+func TestObserveNMatchesRepeatedObserve(t *testing.T) {
+	r := NewRegistry()
+	bulk := r.Histogram("bulk", "", ShiftDistanceBuckets())
+	each := r.Histogram("each", "", ShiftDistanceBuckets())
+	for v, n := range []uint64{3, 0, 7, 1, 12, 0, 0, 0, 0, 5, 0, 0, 0, 0, 0, 0, 0, 2, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 4} {
+		bulk.ObserveN(float64(v), n)
+		for range n {
+			each.Observe(float64(v))
+		}
+	}
+	snap := r.Snapshot()
+	b, e := snap.Histograms[0], snap.Histograms[1]
+	if b.Count != e.Count || b.Sum != e.Sum || !slices.Equal(b.Counts, e.Counts) {
+		t.Fatalf("ObserveN gave %d/%v/%v, Observe %d/%v/%v", b.Count, b.Sum, b.Counts, e.Count, e.Sum, e.Counts)
+	}
+	var nilH *Histogram
+	nilH.ObserveN(1, 5) // nil-safe
 }
 
 // TestConcurrentUpdates exercises every metric type from many goroutines;

@@ -1,8 +1,8 @@
 package telemetry
 
 import (
-	"fmt"
 	"sort"
+	"strconv"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -86,9 +86,9 @@ func (r *Registry) Histogram(name, help string, bounds []float64) *Histogram {
 // further pairs in order: Label(Label(n, "level", "l1"), "op", "read").
 func Label(name, key, value string) string {
 	if i := strings.LastIndexByte(name, '}'); i >= 0 && strings.IndexByte(name, '{') >= 0 {
-		return fmt.Sprintf("%s,%s=%q}", name[:i], key, value)
+		return name[:i] + "," + key + "=" + strconv.Quote(value) + "}"
 	}
-	return fmt.Sprintf("%s{%s=%q}", name, key, value)
+	return name + "{" + key + "=" + strconv.Quote(value) + "}"
 }
 
 // splitName separates a series name into its metric name and label body

@@ -34,6 +34,7 @@ func TestLabel(t *testing.T) {
 	cases := []struct{ in, key, val, want string }{
 		{"m", "level", "l1", `m{level="l1"}`},
 		{`m{level="l1"}`, "op", "read", `m{level="l1",op="read"}`},
+		{"m", "path", "a\"b\n", `m{path="a\"b\n"}`},
 	}
 	for _, c := range cases {
 		if got := Label(c.in, c.key, c.val); got != c.want {

@@ -11,7 +11,9 @@
 //   - a nil *Sampler is a valid no-op handle; Tick on it is one branch,
 //     so instrumented code holds the field unconditionally.
 //   - the tick path is lock-free (one atomic add and a compare); the
-//     window-cut path takes a mutex, but runs once per N ticks.
+//     window-cut path takes a mutex, but runs once per N ticks. The
+//     simulator ticks in batches that end on window boundaries, so the
+//     tick path is off its per-access loop too.
 //   - exports are deterministic: series within a window are sorted by
 //     name, so identical tick sequences produce identical bytes.
 //
@@ -120,9 +122,11 @@ func (s *Sampler) Every() int {
 	return int(s.every)
 }
 
-// Tick advances the simulated clock by n ticks, cutting a window each
-// time a multiple of the window width is crossed. Nil-safe and
-// concurrency-safe: the hot path is one atomic add.
+// Tick advances the simulated clock by n ticks, cutting one window when
+// a multiple of the window width is crossed. Nil-safe and
+// concurrency-safe. memsim does not tick per access: it ticks once per
+// publish, by the accesses since the previous one, ending each batch on
+// a window boundary (see Every).
 func (s *Sampler) Tick(n int) {
 	if s == nil || n <= 0 {
 		return
