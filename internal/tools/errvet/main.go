@@ -6,7 +6,8 @@
 // disappears without a trace — a report writer that loses the tail of
 // fidelity.json but exits zero is worse than one that crashes.
 //
-// A call is flagged when it appears as a bare expression statement:
+// A call is flagged when it appears as a bare expression statement and
+// its results include an error:
 //
 //	f.Close()        // flagged: error dropped silently
 //
@@ -34,18 +35,32 @@
 //
 // Bare `return` in a void goroutine (a feeder loop) is not flagged.
 //
-// Usage: errvet [dir ...]   (default ".", recursing; _test.go files
-// and testdata/ are skipped). Exits 1 when any call is flagged, so it
-// slots into `make vet` and CI directly.
+// Usage: errvet [dir ...]   (default "."). Each dir is checked as the
+// packages `go list ./...` finds there, plus those of every module nested
+// below it (a directory with its own go.mod; testdata, vendor and hidden
+// directories are skipped). Packages are type-checked from source
+// against the export data `go list -export` builds, so pattern 1 flags a
+// call only when its results include an error: a Close that returns
+// nothing, like httptest.Server's, is not a finding. Only the files of
+// the current build configuration are checked; _test.go files never
+// are. Exits 1 when any call is flagged and 2 when a package fails to
+// list or type-check, so it slots into `make vet` and CI directly.
 package main
 
 import (
+	"bytes"
+	"encoding/json"
+	"errors"
 	"fmt"
 	"go/ast"
+	"go/importer"
 	"go/parser"
 	"go/token"
+	"go/types"
+	"io"
 	"io/fs"
 	"os"
+	"os/exec"
 	"path/filepath"
 	"strings"
 )
@@ -58,21 +73,10 @@ func main() {
 	if len(roots) == 0 {
 		roots = []string{"."}
 	}
-	bad := 0
-	for _, root := range roots {
-		files, err := goFiles(root)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "errvet: %v\n", err)
-			os.Exit(2)
-		}
-		for _, path := range files {
-			n, err := checkFile(path)
-			if err != nil {
-				fmt.Fprintf(os.Stderr, "errvet: %v\n", err)
-				os.Exit(2)
-			}
-			bad += n
-		}
+	bad, err := run(roots)
+	if err != nil {
+		fmt.Fprintf(os.Stderr, "errvet: %v\n", err)
+		os.Exit(2)
 	}
 	if bad > 0 {
 		fmt.Fprintf(os.Stderr, "errvet: %d finding(s); handle the error (or write `_ = x.Close()` / return x.Err())\n", bad)
@@ -80,37 +84,128 @@ func main() {
 	}
 }
 
-// goFiles walks root collecting non-test .go files, skipping vendor,
-// testdata, and hidden directories.
-func goFiles(root string) ([]string, error) {
-	var out []string
-	err := filepath.WalkDir(root, func(path string, d fs.DirEntry, err error) error {
+// run checks every package under roots and returns the finding count.
+func run(roots []string) (int, error) {
+	bad := 0
+	for _, root := range roots {
+		dirs, err := moduleDirs(root)
 		if err != nil {
+			return bad, err
+		}
+		for _, dir := range dirs {
+			n, err := checkModule(dir)
+			bad += n
+			if err != nil {
+				return bad, err
+			}
+		}
+	}
+	return bad, nil
+}
+
+// moduleDirs returns root plus the root of every module nested below it:
+// `go list ./...` stops at a nested go.mod, so each is listed from its
+// own root.
+func moduleDirs(root string) ([]string, error) {
+	dirs := []string{root}
+	err := filepath.WalkDir(root, func(path string, d fs.DirEntry, err error) error {
+		if err != nil || !d.IsDir() || path == root {
 			return err
 		}
-		name := d.Name()
-		if d.IsDir() {
-			if name != "." && (strings.HasPrefix(name, ".") || name == "vendor" || name == "testdata") {
-				return filepath.SkipDir
-			}
-			return nil
+		if name := d.Name(); strings.HasPrefix(name, ".") || strings.HasPrefix(name, "_") ||
+			name == "vendor" || name == "testdata" {
+			return filepath.SkipDir
 		}
-		if strings.HasSuffix(name, ".go") && !strings.HasSuffix(name, "_test.go") {
-			out = append(out, path)
+		if _, err := os.Stat(filepath.Join(path, "go.mod")); err == nil {
+			dirs = append(dirs, path)
 		}
 		return nil
 	})
-	return out, err
+	return dirs, err
 }
 
-// checkFile parses one file and reports every bare Close/Flush
-// expression statement.
-func checkFile(path string) (int, error) {
-	fset := token.NewFileSet()
-	f, err := parser.ParseFile(fset, path, nil, 0)
+// listedPackage is the part of `go list -json` output errvet reads.
+type listedPackage struct {
+	ImportPath string
+	Dir        string
+	GoFiles    []string
+	Export     string
+	DepOnly    bool
+	Error      *struct{ Err string }
+}
+
+// checkModule lists the packages under dir with their dependencies'
+// export data, type-checks each listed package and reports its findings.
+func checkModule(dir string) (int, error) {
+	cmd := exec.Command("go", "list", "-e", "-export", "-deps", "-json", "./...")
+	cmd.Dir = dir
+	var stderr bytes.Buffer
+	cmd.Stderr = &stderr
+	out, err := cmd.Output()
 	if err != nil {
-		return 0, err
+		return 0, fmt.Errorf("go list in %s: %v\n%s", dir, err, stderr.Bytes())
 	}
+	exports := map[string]string{}
+	var targets []listedPackage
+	for dec := json.NewDecoder(bytes.NewReader(out)); ; {
+		var p listedPackage
+		if err := dec.Decode(&p); errors.Is(err, io.EOF) {
+			break
+		} else if err != nil {
+			return 0, fmt.Errorf("go list in %s: %v", dir, err)
+		}
+		if p.Error != nil {
+			return 0, fmt.Errorf("%s: %s", p.ImportPath, p.Error.Err)
+		}
+		exports[p.ImportPath] = p.Export
+		if !p.DepOnly {
+			targets = append(targets, p)
+		}
+	}
+	fset := token.NewFileSet()
+	imp := importer.ForCompiler(fset, "gc", func(path string) (io.ReadCloser, error) {
+		if f := exports[path]; f != "" {
+			return os.Open(f)
+		}
+		return nil, fmt.Errorf("no export data for %q", path)
+	})
+	bad := 0
+	for _, p := range targets {
+		var files []*ast.File
+		for _, name := range p.GoFiles {
+			f, err := parser.ParseFile(fset, filepath.Join(p.Dir, name), nil, 0)
+			if err != nil {
+				return bad, err
+			}
+			files = append(files, f)
+		}
+		n, err := checkPackage(fset, p.ImportPath, files, imp)
+		bad += n
+		if err != nil {
+			return bad, err
+		}
+	}
+	return bad, nil
+}
+
+// checkPackage type-checks one package's files and reports every
+// finding in them. A package that does not type-check is an error.
+func checkPackage(fset *token.FileSet, path string, files []*ast.File, imp types.Importer) (int, error) {
+	info := &types.Info{Types: map[ast.Expr]types.TypeAndValue{}}
+	conf := types.Config{Importer: imp}
+	if _, err := conf.Check(path, fset, files, info); err != nil {
+		return 0, fmt.Errorf("type-checking %s: %v", path, err)
+	}
+	bad := 0
+	for _, f := range files {
+		bad += checkFile(fset, f, info)
+	}
+	return bad, nil
+}
+
+// checkFile reports every bare Close/Flush expression statement whose
+// results include an error, and every swallowed cancellation.
+func checkFile(fset *token.FileSet, f *ast.File, info *types.Info) int {
 	bad := 0
 	ast.Inspect(f, func(n ast.Node) bool {
 		switch v := n.(type) {
@@ -120,7 +215,7 @@ func checkFile(path string) (int, error) {
 				return true
 			}
 			sel, ok := call.Fun.(*ast.SelectorExpr)
-			if !ok || !flagged[sel.Sel.Name] || len(call.Args) > 0 {
+			if !ok || !flagged[sel.Sel.Name] || len(call.Args) > 0 || !returnsError(info.Types[call].Type) {
 				return true
 			}
 			pos := fset.Position(v.Pos())
@@ -132,7 +227,23 @@ func checkFile(path string) (int, error) {
 		}
 		return true
 	})
-	return bad, nil
+	return bad
+}
+
+var errorType = types.Universe.Lookup("error").Type()
+
+// returnsError reports whether a call of result type t returns an error
+// among its results.
+func returnsError(t types.Type) bool {
+	if tup, ok := t.(*types.Tuple); ok {
+		for i := 0; i < tup.Len(); i++ {
+			if types.Identical(tup.At(i).Type(), errorType) {
+				return true
+			}
+		}
+		return false
+	}
+	return t != nil && types.Identical(t, errorType)
 }
 
 // checkDoneClause flags a `case <-x.Done():` whose body returns an
