@@ -33,6 +33,19 @@ func (g RTMGeometry) Validate() error {
 	return nil
 }
 
+// CheckCapacity reports whether NewRTMArray can build the head state of
+// an LLC of capacityB bytes: a valid geometry and a whole number of
+// stripe groups.
+func (g RTMGeometry) CheckCapacity(capacityB int64) error {
+	if err := g.Validate(); err != nil {
+		return err
+	}
+	if gb := g.GroupBytes(); capacityB%gb != 0 {
+		return fmt.Errorf("cache: capacity %d not divisible by group bytes %d", capacityB, gb)
+	}
+	return nil
+}
+
 // LinesPerGroup returns how many cache lines one stripe group stores: one
 // line per domain index (each stripe contributes LineBytes*8 /
 // StripesPerGroup bits per line; with the default 512 stripes and 64-byte
@@ -61,18 +74,16 @@ type RTMArray struct {
 }
 
 // NewRTMArray sizes the head-position state for an LLC of capacityB bytes.
+// It panics unless geom.CheckCapacity accepts the capacity.
 func NewRTMArray(geom RTMGeometry, capacityB int64) *RTMArray {
-	if err := geom.Validate(); err != nil {
+	if err := geom.CheckCapacity(capacityB); err != nil {
 		panic(err)
 	}
-	gb := geom.GroupBytes()
-	if capacityB%gb != 0 {
-		panic(fmt.Sprintf("cache: capacity %d not divisible by group bytes %d", capacityB, gb))
-	}
+	groups := capacityB / geom.GroupBytes()
 	return &RTMArray{
 		geom:      geom,
-		groups:    int(capacityB / gb),
-		heads:     make([]int8, capacityB/gb),
+		groups:    int(groups),
+		heads:     make([]int8, groups),
 		Distances: make([]uint64, geom.SegLen),
 	}
 }

@@ -1,6 +1,8 @@
 package memsim
 
 import (
+	"context"
+	"strings"
 	"testing"
 
 	"racetrack/hifi/internal/cache"
@@ -86,5 +88,37 @@ func TestGeometrySegLen2Baseline(t *testing.T) {
 	}
 	if r.AvgShiftDistance > 1 {
 		t.Errorf("SegLen 2 distances must be 0 or 1, avg %v", r.AvgShiftDistance)
+	}
+}
+
+// A hierarchy the cache model cannot build is a configuration error:
+// RunCtx reports it before building anything, where cache.New and
+// cache.NewRTMArray would panic.
+func TestRunCtxRejectsBadGeometry(t *testing.T) {
+	for _, c := range []struct {
+		name string
+		edit func(*Config)
+		want string
+	}{
+		{"L3 capacity not a whole number of sets", func(c *Config) { c.L3Capacity = 1<<20 + 64 }, "L3: cache: capacity"},
+		{"SegLen not dividing DataBits", func(c *Config) { c.Geometry.SegLen = 7 }, "SegLen 7"},
+		{"more ways than a recency order holds", func(c *Config) { c.L3Ways = 32 }, "L3: cache: 32 ways"},
+		{"set count not a power of two", func(c *Config) { c.L3Capacity = 3 << 20 }, "L3: cache: 3072 sets"},
+		{"negative L1 associativity", func(c *Config) { c.L1Ways = -1 }, "L1: cache: non-positive"},
+		{"L2 capacity not a whole number of sets", func(c *Config) { c.L2Capacity = 1000 }, "L2: cache: capacity"},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			cfg := smallConfig(energy.Racetrack, shiftctrl.PECCSAdaptive)
+			c.edit(&cfg)
+			defer func() {
+				if p := recover(); p != nil {
+					t.Fatalf("RunCtx panicked: %v", p)
+				}
+			}()
+			_, err := RunCtx(context.Background(), smallWorkload("ferret", 64<<10), cfg)
+			if err == nil || !strings.Contains(err.Error(), c.want) {
+				t.Fatalf("RunCtx error = %v, want one containing %q", err, c.want)
+			}
+		})
 	}
 }

@@ -177,6 +177,24 @@ func (c *Config) fillDefaults() {
 	}
 }
 
+// checkHierarchy reports a cache level, or a racetrack array, that the
+// cache package cannot build.
+func (c *Config) checkHierarchy() error {
+	for _, l := range [...]struct {
+		name     string
+		capacity int64
+		ways     int
+	}{{"L1", c.L1Capacity, c.L1Ways}, {"L2", c.L2Capacity, c.L2Ways}, {"L3", c.L3Capacity, c.L3Ways}} {
+		if err := cache.CheckGeometry(l.capacity, l.ways, trace.LineBytes); err != nil {
+			return fmt.Errorf("%s: %w", l.name, err)
+		}
+	}
+	if c.Tech == energy.Racetrack {
+		return c.Geometry.CheckCapacity(c.L3Capacity)
+	}
+	return nil
+}
+
 // Result reports one simulation run.
 type Result struct {
 	Workload string
@@ -227,6 +245,9 @@ func RunCtx(ctx context.Context, w trace.Workload, cfg Config) (Result, error) {
 			w, cfg.AccessesPerCore)
 	}
 	if err := cfg.FaultPlan.Validate(); err != nil {
+		return Result{}, fmt.Errorf("memsim: %w", err)
+	}
+	if err := cfg.checkHierarchy(); err != nil {
 		return Result{}, fmt.Errorf("memsim: %w", err)
 	}
 	ctx, sp := telemetry.StartSpan(ctx, "memsim:"+w.Name,
