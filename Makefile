@@ -4,7 +4,7 @@
 #   make ci              tier-1 plus vet, the race detector, the perfbench module and fuzzing
 #   make fuzz            10s of each fuzz target (the seeds alone run in tier-1)
 #   make bench           full benchmark sweep (go test -bench)
-#   make bench-snapshot  pinned hifi-bench suite -> BENCH_<utc-date>.json
+#   make bench-snapshot  pinned hifi-bench suite -> BENCH_<utc-date>[_<n>].json
 #   make bench-smoke     quick suite + self-compare (CI regression gate dry run)
 #   make perf-smoke      profile capture + self-time export + trajectory check
 #   make engine-smoke    parallel-sweep determinism + cache-reuse check
@@ -16,7 +16,6 @@
 #   make report          render the evaluation report (scaled)
 
 GO ?= go
-DATE := $(shell date -u +%F)
 
 .PHONY: all tier1 ci vet race fuzz test build bench bench-snapshot bench-smoke perf-smoke engine-smoke watch-smoke serve-smoke serve-crash-smoke chaos fidelity report fmt clean
 
@@ -51,28 +50,30 @@ race:
 	$(GO) test -race ./...
 
 # fuzz runs each fuzz target for 10s beyond its seed corpus: the NDJSON
-# replay the engine journal and the serve job index share, and the job
-# index replay itself. A failing input lands in the package's
-# testdata/fuzz/ directory, where tier-1 then replays it.
+# replay the engine journal and the serve job index share, the job index
+# replay itself, and the binary trace reader. A failing input lands in
+# the package's testdata/fuzz/ directory, where tier-1 then replays it.
 fuzz:
 	$(GO) test -run '^$$' -fuzz '^FuzzReplayLines$$' -fuzztime 10s ./internal/engine
 	$(GO) test -run '^$$' -fuzz '^FuzzIndexReplay$$' -fuzztime 10s ./internal/serve
+	$(GO) test -run '^$$' -fuzz '^FuzzReadTrace$$' -fuzztime 10s ./internal/trace
 
 bench:
 	$(GO) test -bench . -benchtime=1x -run '^$$' .
 
 # bench-snapshot runs the pinned micro+macro suite (hifi-bench) and
 # archives the ns/op + domain-rate snapshot for the performance
-# trajectory. Snapshots are date-stamped (BENCH_<utc-date>.json) so a
-# sorted directory listing IS the trajectory; commit the file to extend
-# it. Compare two with:
+# trajectory. Snapshots are date-stamped (BENCH_<utc-date>.json; a later
+# one on the same date takes BENCH_<utc-date>_2.json and so on, never
+# replacing the first) so a sorted directory listing IS the trajectory;
+# commit the file to extend it. Compare two with:
 #   go run ./cmd/hifi-bench -compare BENCH_old.json BENCH_new.json
 # and render the whole history with:
 #   go run ./cmd/hifi-bench -trajectory BENCH_*.json
 # HIFI_GIT_SHA backfills the manifest's git_sha: `go run` binaries carry
 # no VCS build stamp, so without it committed snapshots say "unknown".
 bench-snapshot:
-	HIFI_GIT_SHA=$$(git rev-parse HEAD 2>/dev/null) $(GO) run ./cmd/hifi-bench -out BENCH_$(DATE).json
+	HIFI_GIT_SHA=$$(git rev-parse HEAD 2>/dev/null) $(GO) run ./cmd/hifi-bench
 
 # bench-smoke is the CI shape: quick suite, then a self-compare to prove
 # the gate machinery works (always passes; the regression gate proper runs

@@ -8,7 +8,7 @@
 //
 // Usage:
 //
-//	hifi-bench                                  # run, write BENCH_<date>.json
+//	hifi-bench                                  # run, write BENCH_<date>.json (BENCH_<date>_2.json, ... once taken)
 //	hifi-bench -quick -out BENCH_ci.json        # smaller workloads (CI smoke)
 //	hifi-bench -compare BENCH_old.json          # run now, compare, exit 1 on >10% slowdown
 //	hifi-bench -compare BENCH_old.json BENCH_new.json   # compare two files
@@ -50,7 +50,7 @@ import (
 
 func main() {
 	var (
-		out        = flag.String("out", "", "snapshot output path (default BENCH_<date>.json)")
+		out        = flag.String("out", "", "snapshot output path (default BENCH_<date>.json, or BENCH_<date>_<n>.json when taken)")
 		quick      = flag.Bool("quick", false, "smaller workloads for CI smoke runs")
 		compare    = flag.Bool("compare", false, "compare mode: hifi-bench -compare OLD [NEW]")
 		threshold  = flag.Float64("threshold", bench.DefaultThreshold, "relative ns/op slowdown treated as a regression")
@@ -99,9 +99,11 @@ func main() {
 	snap := runSuite(*quick)
 	path := *out
 	if path == "" {
-		path = "BENCH_" + time.Now().UTC().Format("2006-01-02") + ".json"
+		path, err = snap.WriteNew("BENCH_" + time.Now().UTC().Format("2006-01-02") + ".json")
+	} else {
+		err = snap.WriteFile(path)
 	}
-	if err := snap.WriteFile(path); err != nil {
+	if err != nil {
 		log.Fatalf("hifi-bench: %v", err)
 	}
 	log.Infof("wrote %s (%d benchmarks)", path, len(snap.Results))

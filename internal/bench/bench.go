@@ -8,9 +8,14 @@ package bench
 
 import (
 	"encoding/json"
+	"errors"
 	"fmt"
+	"io/fs"
 	"os"
+	"path/filepath"
 	"sort"
+	"strconv"
+	"strings"
 )
 
 // SchemaVersion identifies the snapshot layout; bump on breaking change.
@@ -57,6 +62,31 @@ func (s *Snapshot) WriteFile(path string) error {
 	if err != nil {
 		return err
 	}
+	return s.write(f)
+}
+
+// WriteNew writes the snapshot like WriteFile, but never over an existing
+// file: when path is taken it writes the first free one of
+// <stem>_2<ext>, <stem>_3<ext>, ..., so a second snapshot on one date
+// keeps its BENCH_<date> prefix. It returns the path written.
+func (s *Snapshot) WriteNew(path string) (string, error) {
+	ext := filepath.Ext(path)
+	stem := strings.TrimSuffix(path, ext)
+	for n := 2; ; n++ {
+		f, err := os.OpenFile(path, os.O_WRONLY|os.O_CREATE|os.O_EXCL, 0o644)
+		if errors.Is(err, fs.ErrExist) {
+			path = stem + "_" + strconv.Itoa(n) + ext
+			continue
+		}
+		if err != nil {
+			return "", err
+		}
+		return path, s.write(f)
+	}
+}
+
+// write encodes the snapshot into f and closes it.
+func (s *Snapshot) write(f *os.File) error {
 	enc := json.NewEncoder(f)
 	enc.SetIndent("", "  ")
 	if err := enc.Encode(s); err != nil {

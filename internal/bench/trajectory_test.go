@@ -51,6 +51,44 @@ func TestLoadTrajectoryOrdersAndFolds(t *testing.T) {
 	}
 }
 
+// A second snapshot on one date must not replace the first: WriteNew
+// picks a fresh name the committed-snapshot glob still matches, and the
+// trajectory places the two by date_utc, then path.
+func TestWriteNewKeepsSameDaySnapshots(t *testing.T) {
+	dir := t.TempDir()
+	path := filepath.Join(dir, "BENCH_2026-10-17.json")
+	var paths []string
+	for _, sha := range []string{"first", "second", "third"} {
+		s := snap(Result{Name: "a", NsPerOp: 100})
+		s.DateUTC, s.GitSHA = "2026-10-17T05:15:25Z", sha
+		p, err := s.WriteNew(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		paths = append(paths, p)
+	}
+	if paths[0] != path || paths[1] == path || paths[2] == paths[1] {
+		t.Fatalf("paths = %q", paths)
+	}
+	matched, err := filepath.Glob(filepath.Join(dir, "BENCH_2*.json"))
+	if err != nil || len(matched) != 3 {
+		t.Fatalf("BENCH_2*.json matches %q (%v)", matched, err)
+	}
+	first, err := ReadFile(path)
+	if err != nil || first.GitSHA != "first" {
+		t.Fatalf("first snapshot replaced: %+v (%v)", first, err)
+	}
+	tr, err := LoadTrajectory([]string{paths[2], paths[0], paths[1]})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, want := range []string{"first", "second", "third"} {
+		if got := tr.Snapshots[i].GitSHA; got != want {
+			t.Fatalf("trajectory point %d is %q, want %q: %+v", i, got, want, tr.Snapshots)
+		}
+	}
+}
+
 func TestTrajectoryDeltasFirstVsLast(t *testing.T) {
 	dir := t.TempDir()
 	paths := []string{

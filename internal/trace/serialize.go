@@ -6,6 +6,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"math"
 )
 
 // Trace serialization: a compact varint-delta binary format so generated
@@ -64,6 +65,10 @@ func WriteTrace(w io.Writer, accesses []Access) error {
 	return bw.Flush()
 }
 
+// preallocMax is the most records ReadTrace allocates for before they
+// arrive (1.5 MiB).
+const preallocMax = 1 << 16
+
 // ErrBadTrace reports a malformed trace stream.
 var ErrBadTrace = errors.New("trace: malformed trace stream")
 
@@ -93,7 +98,10 @@ func ReadTrace(r io.Reader) ([]Access, error) {
 	if count > sanityMax {
 		return nil, fmt.Errorf("%w: implausible record count %d", ErrBadTrace, count)
 	}
-	out := make([]Access, 0, count)
+	// The count is the header's claim, not what the stream holds: a
+	// 13-byte file may claim 2^32 records. Preallocate no more than
+	// preallocMax and let append grow the slice as records arrive.
+	out := make([]Access, 0, min(count, preallocMax))
 	prev := int64(0)
 	for i := uint64(0); i < count; i++ {
 		flags, err := br.ReadByte()
@@ -111,6 +119,9 @@ func ReadTrace(r io.Reader) ([]Access, error) {
 		line := prev + delta
 		if line < 0 {
 			return nil, fmt.Errorf("%w: record %d negative address", ErrBadTrace, i)
+		}
+		if uint64(line) > math.MaxUint64/LineBytes {
+			return nil, fmt.Errorf("%w: record %d address beyond 64 bits", ErrBadTrace, i)
 		}
 		prev = line
 		out = append(out, Access{

@@ -2,6 +2,10 @@ package trace
 
 import (
 	"bytes"
+	"encoding/binary"
+	"errors"
+	"runtime"
+	"slices"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -57,6 +61,7 @@ func TestReadTraceRejectsGarbage(t *testing.T) {
 		"HFTR",                              // truncated after magic
 		"HFTR\x02" + strings.Repeat("0", 8), // bad version
 		"HFTR\x01\x05\x00\x00\x00\x00\x00\x00\x00", // count 5, no records
+		string(lineOverflow),                       // line 2^58: address 2^64 wraps to 0
 	}
 	for i, c := range cases {
 		if _, err := ReadTrace(strings.NewReader(c)); err == nil {
@@ -65,11 +70,64 @@ func TestReadTraceRejectsGarbage(t *testing.T) {
 	}
 }
 
+// lineOverflow is one record whose line, 2^58, has no 64-bit address.
+var lineOverflow = binary.AppendVarint([]byte("HFTR\x01\x01\x00\x00\x00\x00\x00\x00\x00\x00\x00"), 1<<58)
+
+// countClaim is a 13-byte trace whose header claims 2^32 records.
+const countClaim = "HFTR\x01\x00\x00\x00\x00\x01\x00\x00\x00"
+
 func TestReadTraceRejectsHugeCount(t *testing.T) {
 	hdr := "HFTR\x01\xff\xff\xff\xff\xff\xff\xff\xff"
 	if _, err := ReadTrace(strings.NewReader(hdr)); err == nil {
 		t.Fatal("implausible count accepted")
 	}
+	// A count the header may claim but the stream does not hold is an
+	// error, not a 96 GiB preallocation.
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	if _, err := ReadTrace(strings.NewReader(countClaim)); !errors.Is(err, ErrBadTrace) {
+		t.Fatalf("truncated 2^32-record trace: err = %v", err)
+	}
+	runtime.ReadMemStats(&after)
+	if n := after.TotalAlloc - before.TotalAlloc; n > 8<<20 {
+		t.Fatalf("reading a 13-byte trace allocated %d bytes", n)
+	}
+}
+
+// FuzzReadTrace feeds ReadTrace arbitrary bytes: it must never panic, and
+// any trace it accepts must survive WriteTrace and ReadTrace unchanged.
+// The seeds are a short recorded trace and the inputs of
+// TestReadTraceRejectsHugeCount and TestReadTraceRejectsGarbage that once
+// crashed the reader or read back a wrong address.
+func FuzzReadTrace(f *testing.F) {
+	w, _ := ByName("ferret")
+	var rec bytes.Buffer
+	if err := WriteTrace(&rec, NewGenerator(w, 0, 1).Take(16)); err != nil {
+		f.Fatal(err)
+	}
+	f.Add(rec.Bytes())
+	f.Add([]byte(countClaim))
+	f.Add(lineOverflow)
+	f.Fuzz(func(t *testing.T, in []byte) {
+		recs, err := ReadTrace(bytes.NewReader(in))
+		if err != nil {
+			if !errors.Is(err, ErrBadTrace) {
+				t.Fatalf("error %v is not ErrBadTrace", err)
+			}
+			return
+		}
+		var buf bytes.Buffer
+		if err := WriteTrace(&buf, recs); err != nil {
+			t.Fatalf("accepted trace does not write back: %v", err)
+		}
+		back, err := ReadTrace(&buf)
+		if err != nil {
+			t.Fatalf("written trace does not read back: %v", err)
+		}
+		if !slices.Equal(back, recs) {
+			t.Fatalf("round trip changed the trace: %v, then %v", recs, back)
+		}
+	})
 }
 
 func TestQuickTraceRoundTrip(t *testing.T) {
