@@ -7,11 +7,14 @@ package serve
 // All run under -race in CI.
 
 import (
+	"bytes"
+	"encoding/json"
 	"errors"
 	"os"
 	"path/filepath"
 	"strings"
 	"testing"
+	"time"
 
 	"racetrack/hifi/internal/engine/faultfs"
 	"racetrack/hifi/internal/telemetry/log"
@@ -32,6 +35,30 @@ func (s *Server) crashStop() {
 	s.mu.Unlock()
 	s.baseCancel(errors.New("test: simulated crash"))
 	s.wg.Wait()
+}
+
+// waitIndexed waits until the job index on disk holds j's terminal
+// record.
+func waitIndexed(t *testing.T, s *Server, j *Job) {
+	t.Helper()
+	want := indexRecord{Op: string(j.State()), ID: j.ID}
+	deadline := time.Now().Add(30 * time.Second)
+	for {
+		content, err := s.index.fsys.ReadFile(s.indexPath())
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, line := range bytes.Split(content, []byte("\n")) {
+			var rec indexRecord
+			if json.Unmarshal(line, &rec) == nil && rec.Op == want.Op && rec.ID == want.ID {
+				return
+			}
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("job %s's %q record never reached the index", j.ID, want.Op)
+		}
+		time.Sleep(time.Millisecond)
+	}
 }
 
 // The tentpole property: submit jobs, hard-stop the daemon mid-queue,
@@ -59,6 +86,9 @@ func TestCrashRecoveryRestoresAndRequeues(t *testing.T) {
 	if st := jA.State(); st != StateDone {
 		t.Fatalf("job A ended %s (%s)", st, jA.Status().Error)
 	}
+	// finalize closes Done() before it appends A's terminal record, so
+	// the seal below must wait for the record or resume re-queues A too.
+	waitIndexed(t, srv, jA)
 	wantText := jA.Text()
 
 	jB, _, err := srv.Submit(specB, "c")
