@@ -41,7 +41,7 @@ func AddEngineFlags(fs *flag.FlagSet) *EngineFlags {
 	ef.jobs = fs.Int("jobs", runtime.NumCPU(),
 		"parallel simulation jobs (worker pool size)")
 	ef.cacheDir = fs.String("cache-dir", "",
-		"content-addressed result cache directory (empty disables caching)")
+		"content-addressed result cache directory (empty keeps the cache in memory for this run)")
 	ef.cacheMaxBytes = fs.Int64("cache-max-bytes", 0,
 		"size budget for the result cache; least-recently-accessed objects are evicted above it (0 = unlimited)")
 	ef.resume = fs.Bool("resume", false,
@@ -60,10 +60,12 @@ func AddEngineFlags(fs *flag.FlagSet) *EngineFlags {
 // and — when the Obs status server is up — the /engine route. Call
 // after Obs.Start so the registry and mux exist.
 //
-// An unusable cache directory (unwritable disk, bad permissions) is a
-// degradation, not a failure: Build warns once and returns a cache-less
-// engine, so a sweep on a sick machine still completes — it just
-// cannot reuse or journal its results.
+// Without -cache-dir the cache lives in memory for this one run, so a
+// result shared by several experiments is still computed once. An
+// unusable cache directory (unwritable disk, bad permissions) is a
+// degradation, not a failure: Build warns once and falls back to the
+// same in-memory cache, so a sweep on a sick machine still completes —
+// it just cannot keep or journal its results past the run.
 func (ef *EngineFlags) Build(o *Obs) (*engine.Engine, error) {
 	opts := engine.Options{
 		Workers:      *ef.jobs,
@@ -82,7 +84,7 @@ func (ef *EngineFlags) Build(o *Obs) (*engine.Engine, error) {
 	if *ef.cacheDir != "" {
 		cache, err := engine.OpenCache(*ef.cacheDir, "")
 		if err != nil {
-			log.Errorf("engine: %v; continuing without cache or journal (results will not be reused)", err)
+			log.Errorf("engine: %v; continuing with an in-memory cache and no journal (results will not outlive this run)", err)
 		} else {
 			opts.Cache = cache
 			if o != nil {
@@ -110,6 +112,13 @@ func (ef *EngineFlags) Build(o *Obs) (*engine.Engine, error) {
 				}
 			}
 		}
+	}
+	if opts.Cache == nil {
+		cache, err := engine.OpenCacheFS("", "", engine.MemFS())
+		if err != nil {
+			return nil, err
+		}
+		opts.Cache = cache
 	}
 	eng := engine.New(opts)
 	if o != nil && o.Mux != nil {

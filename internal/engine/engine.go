@@ -146,6 +146,10 @@ type Engine struct {
 	inFlite      map[int]runningJob // worker slot -> job
 	maxJobWallMS int64
 	maxJobLabel  string
+	// memo holds the payload of every hash this engine resolved, when it
+	// has a cache: a repeat within its lifetime (one sweep) is served
+	// from memory instead of a second cache read.
+	memo map[string][]byte
 
 	tel engineTelemetry
 }
@@ -197,7 +201,7 @@ func New(opts Options) *Engine {
 	if opts.Retries < 0 {
 		opts.Retries = 0
 	}
-	e := &Engine{opts: opts, inFlite: map[int]runningJob{}}
+	e := &Engine{opts: opts, inFlite: map[int]runningJob{}, memo: map[string][]byte{}}
 	if reg := opts.Metrics; reg != nil {
 		e.tel = engineTelemetry{
 			jobs:     reg.Counter(telemetry.MetricEngineJobs, "jobs submitted to the engine"),
@@ -231,6 +235,8 @@ func (e *Engine) InFlight() int { return int(e.running.Load()) }
 
 // Report summarizes one Run call. Payloads holds the canonical JSON
 // result of each job in submission order; decode with Decode/DecodeAll.
+// A payload may share its bytes with other reports of the same engine,
+// so callers must not modify it.
 type Report struct {
 	Payloads  [][]byte
 	Executed  int
@@ -246,6 +252,12 @@ type Report struct {
 // failure cancels the jobs still queued (in-flight jobs finish) and is
 // returned after the pool drains. Run may be called repeatedly on one
 // engine; the cache, journal, and counters carry across calls.
+//
+// An engine with a cache resolves each hash at most once per lifetime:
+// it remembers every payload it resolved (by journal, cache read or
+// execution) and serves a repeat from memory, counted, journaled and
+// emitted as the cache hit it would have been. An engine without a
+// cache executes every job on every Run.
 func (e *Engine) Run(ctx context.Context, jobs []Job) (*Report, error) {
 	start := time.Now()
 	rep := &Report{Payloads: make([][]byte, len(jobs))}
@@ -496,15 +508,23 @@ func firstLine(err error) string {
 	return s
 }
 
-// cacheGet resolves hash from the cache, mapping every failure to "not
-// cached". Corruption is counted and logged (the object has already
-// been quarantined by Cache.Get); unexpected read errors are logged so
-// a dying disk is visible, but neither ever fails the job — the engine
+// cacheGet resolves hash from the memo, else from the cache, whose
+// payload it then remembers. Every cache failure maps to "not cached".
+// Corruption is counted and logged (the object has already been
+// quarantined by Cache.Get); unexpected read errors are logged so a
+// dying disk is visible, but neither ever fails the job — the engine
 // recomputes instead.
 func (e *Engine) cacheGet(j Job, hash string) []byte {
+	e.mu.Lock()
+	p, ok := e.memo[hash]
+	e.mu.Unlock()
+	if ok {
+		return p
+	}
 	p, err := e.opts.Cache.Get(hash)
 	switch {
 	case err == nil:
+		e.remember(hash, p)
 		return p
 	case errors.Is(err, fs.ErrNotExist):
 	case errors.Is(err, ErrCorrupt):
@@ -517,18 +537,26 @@ func (e *Engine) cacheGet(j Job, hash string) []byte {
 	return nil
 }
 
-// cachePut stores a fresh payload, degrading to cache-less operation on
-// failure: the first error warns, later ones are dropped so an
-// unwritable cache directory does not flood a long sweep's log.
+// cachePut remembers a fresh payload and stores it in the cache,
+// degrading to memo-only operation on failure: the first error warns,
+// later ones are dropped so an unwritable cache directory does not
+// flood a long sweep's log.
 func (e *Engine) cachePut(j Job, hash string, payload []byte) {
 	if e.opts.Cache == nil {
 		return
 	}
+	e.remember(hash, payload)
 	if err := e.opts.Cache.Put(hash, payload); err != nil {
 		if e.putWarned.CompareAndSwap(false, true) {
 			log.Errorf("engine: cache put %s: %v (continuing without cache writes)", label(j), err)
 		}
 	}
+}
+
+func (e *Engine) remember(hash string, payload []byte) {
+	e.mu.Lock()
+	e.memo[hash] = payload
+	e.mu.Unlock()
 }
 
 // backoff sleeps before a retry: exponential in the attempt number from

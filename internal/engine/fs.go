@@ -4,11 +4,16 @@ package engine
 // narrow FS interface instead of the os package directly, so the fault
 // tests in engine/faultfs can interpose torn writes, read errors,
 // corruption, and stalls without touching the real filesystem code
-// paths. Production always uses OS(), the trivial passthrough.
+// paths. A cache on disk uses OS(), the trivial passthrough; a CLI run
+// without a cache directory keeps its cache in MemFS().
 
 import (
+	"bytes"
+	"errors"
 	"io"
+	"io/fs"
 	"os"
+	"sync"
 	"time"
 )
 
@@ -66,3 +71,78 @@ func (osFS) OpenAppend(path string, truncate bool) (io.WriteCloser, error) {
 
 // OS returns the real-filesystem implementation of FS.
 func OS() FS { return osFS{} }
+
+// MemFS returns an empty in-memory FS: a map from path to contents that
+// lives as long as the value. Directories are implicit, so MkdirAll
+// always succeeds; OpenAppend is unsupported, since nothing journals to
+// memory.
+func MemFS() FS { return &memFS{files: map[string][]byte{}} }
+
+type memFS struct {
+	mu    sync.Mutex
+	files map[string][]byte
+}
+
+func (m *memFS) MkdirAll(string) error { return nil }
+
+func (m *memFS) ReadFile(path string) ([]byte, error) {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	b, ok := m.files[path]
+	if !ok {
+		return nil, &fs.PathError{Op: "read", Path: path, Err: fs.ErrNotExist}
+	}
+	return bytes.Clone(b), nil
+}
+
+func (m *memFS) WriteFile(path string, data []byte) error {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	m.files[path] = bytes.Clone(data)
+	return nil
+}
+
+func (m *memFS) WriteFileExcl(path string, data []byte) error {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	if _, ok := m.files[path]; ok {
+		return &fs.PathError{Op: "open", Path: path, Err: fs.ErrExist}
+	}
+	m.files[path] = bytes.Clone(data)
+	return nil
+}
+
+func (m *memFS) Rename(oldpath, newpath string) error {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	b, ok := m.files[oldpath]
+	if !ok {
+		return &os.LinkError{Op: "rename", Old: oldpath, New: newpath, Err: fs.ErrNotExist}
+	}
+	delete(m.files, oldpath)
+	m.files[newpath] = b
+	return nil
+}
+
+func (m *memFS) Remove(path string) error {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	if _, ok := m.files[path]; !ok {
+		return &fs.PathError{Op: "remove", Path: path, Err: fs.ErrNotExist}
+	}
+	delete(m.files, path)
+	return nil
+}
+
+func (m *memFS) Chtimes(path string, _ time.Time) error {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	if _, ok := m.files[path]; !ok {
+		return &fs.PathError{Op: "chtimes", Path: path, Err: fs.ErrNotExist}
+	}
+	return nil
+}
+
+func (m *memFS) OpenAppend(path string, _ bool) (io.WriteCloser, error) {
+	return nil, &fs.PathError{Op: "open", Path: path, Err: errors.ErrUnsupported}
+}

@@ -6,8 +6,8 @@ import (
 	"racetrack/hifi/internal/area"
 	"racetrack/hifi/internal/becc"
 	"racetrack/hifi/internal/energy"
+	"racetrack/hifi/internal/engine"
 	"racetrack/hifi/internal/errmodel"
-	"racetrack/hifi/internal/memsim"
 	"racetrack/hifi/internal/mttf"
 	"racetrack/hifi/internal/pecc"
 	"racetrack/hifi/internal/physics"
@@ -20,8 +20,6 @@ const (
 	energyRacetrack = energy.Racetrack
 	schemeAdaptive  = shiftctrl.PECCSAdaptive
 )
-
-var memsimRun = memsim.Run
 
 // This file holds ablation studies of design choices the paper calls out
 // but does not plot: p-ECC protection strength, the drive-current operating
@@ -244,19 +242,19 @@ func AblationPromo(opts RunOpts) Table {
 			w = cand
 		}
 	}
-	var baseOps, baseCycles float64
-	for _, entries := range []int{0, 8, 16, 32, 64} {
+	// Entries = 0 is the figures' own p-ECC-S adaptive run on vips: the
+	// same fingerprint, so one cached result serves both.
+	sizes := []int{0, 8, 16, 32, 64}
+	jobs := make([]engine.Job, len(sizes))
+	for i, entries := range sizes {
 		cfg := opts.config(energyRacetrack, schemeAdaptive)
 		cfg.PromoEntries = entries
-		r, err := memsimRun(w, cfg)
-		if err != nil {
-			panic(err)
-		}
-		if entries == 0 {
-			baseOps = float64(r.ShiftOps)
-			baseCycles = float64(r.Cycles)
-		}
-		t.AddRow(entries, r.ShiftOps,
+		jobs[i] = opts.simJob(w, cfg, fmt.Sprintf("%v/%v/promo%d", energyRacetrack, schemeAdaptive, entries))
+	}
+	rs := opts.runSims(jobs)
+	baseOps, baseCycles := float64(rs[0].ShiftOps), float64(rs[0].Cycles)
+	for i, r := range rs {
+		t.AddRow(sizes[i], r.ShiftOps,
 			float64(r.ShiftOps)/baseOps,
 			float64(r.Cycles)/baseCycles)
 	}

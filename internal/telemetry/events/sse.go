@@ -40,6 +40,12 @@ func Handler(b *Bus) http.Handler {
 		h.Set("Connection", "keep-alive")
 		w.WriteHeader(http.StatusOK)
 
+		// Subscribe before the handshake: a client that has read the
+		// handshake is subscribed, so every event emitted after that
+		// reaches its stream (or counts as a drop). Nil-safe.
+		replay, ch, cancel := b.Subscribe(lastEventID(r), 256)
+		defer cancel()
+
 		// Handshake comment: names the schema and confirms the stream is
 		// open before any event arrives.
 		fmt.Fprintf(w, ": %s\n\n", SchemaV1)
@@ -54,9 +60,6 @@ func Handler(b *Bus) http.Handler {
 			return
 		}
 
-		after := lastEventID(r)
-		replay, ch, cancel := b.Subscribe(after, 256)
-		defer cancel()
 		for _, e := range replay {
 			if err := writeSSE(w, e); err != nil {
 				return
