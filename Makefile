@@ -102,8 +102,10 @@ perf-smoke:
 	test -s /tmp/hifi-perf/trend.svg
 
 # engine-smoke is the local version of CI's engine job: tables must be
-# byte-identical at any -jobs, and a repeated cached sweep must execute
-# nothing (see docs/engine.md).
+# byte-identical at any -jobs, a repeated cached sweep must execute
+# nothing and record no simulation metrics (abl-promo included), and a
+# run without -cache-dir must compute each shared result once (see
+# docs/engine.md).
 engine-smoke:
 	$(GO) run ./cmd/hifi-experiments -run fig10,fig14 -scaled -accesses 1000 -q -jobs 1 > /tmp/hifi-serial.txt
 	$(GO) run ./cmd/hifi-experiments -run fig10,fig14 -scaled -accesses 1000 -q -jobs 8 > /tmp/hifi-parallel.txt
@@ -112,6 +114,12 @@ engine-smoke:
 	$(GO) run ./cmd/hifi-experiments -run fig14 -scaled -accesses 1000 -jobs 8 -cache-dir /tmp/hifi-engine-cache >/dev/null
 	$(GO) run ./cmd/hifi-experiments -run fig14 -scaled -accesses 1000 -jobs 8 -cache-dir /tmp/hifi-engine-cache 2>&1 >/dev/null \
 		| grep -E 'engine: [0-9]+ jobs, 0 executed, [1-9][0-9]* cache hits'
+	$(GO) run ./cmd/hifi-experiments -run fig14,abl-promo -scaled -accesses 1000 -jobs 8 -cache-dir /tmp/hifi-engine-cache -q >/dev/null
+	$(GO) run ./cmd/hifi-experiments -run fig14,abl-promo -scaled -accesses 1000 -jobs 8 -cache-dir /tmp/hifi-engine-cache \
+		-metrics-out /tmp/hifi-engine-warm 2>&1 >/dev/null | grep -E 'engine: [0-9]+ jobs, 0 executed, [1-9][0-9]* cache hits'
+	! grep -q '"hifi_shift_ops_total"' /tmp/hifi-engine-warm.json
+	$(GO) run ./cmd/hifi-experiments -run fig10,fig14 -scaled -accesses 1000 -jobs 8 2>&1 >/dev/null \
+		| grep -E 'engine: 84 jobs, 72 executed, 12 cache hits'
 
 # watch-smoke is the local version of CI's events job (docs/events.md):
 # a scaled sweep writes the NDJSON event log, the run/job lifecycle

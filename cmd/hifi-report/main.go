@@ -19,6 +19,7 @@ package main
 import (
 	"bufio"
 	"bytes"
+	"context"
 	"flag"
 	"fmt"
 	"os"
@@ -57,6 +58,10 @@ func main() {
 		obs.EnableSpans()
 	}
 	ctx := obs.Start()
+	// SIGINT/SIGTERM cancels the run context: the engine drains, the
+	// sweep stops, and the observability artifacts still flush.
+	ctx, stopSignals := cliutil.SignalContext(ctx, "hifi-report")
+	defer stopSignals()
 	eng, err := engFlags.Build(obs)
 	if err != nil {
 		log.Fatalf("hifi-report: %v", err)
@@ -76,19 +81,18 @@ func main() {
 	opts.Eng = eng
 
 	order := experiments.Order()
-	tables := make(map[string]experiments.Table, len(order))
-	for i, k := range order {
-		log.Infof("running %s (%d/%d)", k, i+1, len(order))
-		obs.Phase(k)
-		kctx, ksp := telemetry.StartSpan(ctx, "experiment:"+k)
-		opts.Ctx = kctx
-		tables[k] = experiments.All(opts)[k]()
-		ksp.End()
-		if el := ksp.Duration(); el > 0 {
-			log.Debugf("finished %s in %v", k, el)
-		}
-	}
+	tables, err := runTables(ctx, obs, opts, order)
 	engFlags.Finish(eng)
+	if err != nil {
+		log.Errorf("hifi-report: %v", err)
+		if ferr := obs.Finish(); ferr != nil {
+			log.Errorf("hifi-report: %v", ferr)
+		}
+		if ctx.Err() != nil {
+			os.Exit(130)
+		}
+		os.Exit(1)
+	}
 
 	// The scorecard derives from the tables alone, so it inherits the
 	// engine's determinism: byte-identical at any -jobs setting and
@@ -134,6 +138,32 @@ func main() {
 			os.Exit(1)
 		}
 	}
+}
+
+// runTables runs the experiments in order, one phase and span each,
+// and stops at the first that fails or when ctx is cancelled.
+func runTables(ctx context.Context, obs *cliutil.Obs, opts experiments.RunOpts,
+	order []string) (map[string]experiments.Table, error) {
+	tables := make(map[string]experiments.Table, len(order))
+	for i, k := range order {
+		if err := ctx.Err(); err != nil {
+			return nil, fmt.Errorf("interrupted before %s: %w", k, err)
+		}
+		log.Infof("running %s (%d/%d)", k, i+1, len(order))
+		obs.Phase(k)
+		kctx, ksp := telemetry.StartSpan(ctx, "experiment:"+k)
+		opts.Ctx = kctx
+		tab, err := experiments.Run(k, opts)
+		ksp.End()
+		if err != nil {
+			return nil, err
+		}
+		tables[k] = tab
+		if el := ksp.Duration(); el > 0 {
+			log.Debugf("finished %s in %v", k, el)
+		}
+	}
+	return tables, nil
 }
 
 // buildHTML assembles the report.Data from everything the run

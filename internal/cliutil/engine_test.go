@@ -1,10 +1,14 @@
 package cliutil
 
 import (
+	"context"
 	"flag"
 	"os"
 	"path/filepath"
+	"sync/atomic"
 	"testing"
+
+	"racetrack/hifi/internal/engine"
 )
 
 // parse registers the engine flags on a private flag set and parses
@@ -21,8 +25,8 @@ func parse(t *testing.T, args ...string) *EngineFlags {
 
 func TestBuildDegradesWhenCacheDirUnusable(t *testing.T) {
 	// A regular file where the cache directory should be: MkdirAll can
-	// never succeed, so Build must warn and hand back a cache-less
-	// engine rather than failing the run.
+	// never succeed, so Build must warn and hand back an engine over an
+	// in-memory cache rather than failing the run.
 	blocker := filepath.Join(t.TempDir(), "not-a-dir")
 	if err := os.WriteFile(blocker, []byte("x"), 0o644); err != nil {
 		t.Fatal(err)
@@ -36,6 +40,36 @@ func TestBuildDegradesWhenCacheDirUnusable(t *testing.T) {
 		t.Fatal("no engine returned")
 	}
 	ef.Finish(eng)
+}
+
+// Without a usable -cache-dir the engine still has a cache, in memory:
+// a result it resolved once is not computed again in the same run.
+func TestBuildKeepsCacheInMemory(t *testing.T) {
+	blocker := filepath.Join(t.TempDir(), "not-a-dir")
+	if err := os.WriteFile(blocker, []byte("x"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	for _, args := range [][]string{nil, {"-cache-dir", blocker}} {
+		ef := parse(t, args...)
+		eng, err := ef.Build(nil)
+		if err != nil {
+			t.Fatalf("%v: %v", args, err)
+		}
+		var execs atomic.Int64
+		job := engine.Job{Key: "memo-job", Fn: func(context.Context) (any, error) {
+			execs.Add(1)
+			return 42, nil
+		}}
+		for i := 0; i < 2; i++ {
+			if _, err := eng.Run(context.Background(), []engine.Job{job}); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if st := eng.Status(); execs.Load() != 1 || st.Executed != 1 || st.CacheHits != 1 {
+			t.Errorf("%v: %d executions, status %+v; want 1 executed, 1 cache hit", args, execs.Load(), st)
+		}
+		ef.Finish(eng)
+	}
 }
 
 func TestBuildResumeStillRequiresCacheDir(t *testing.T) {

@@ -14,13 +14,20 @@ import (
 // make a reader observe a torn or mixed object: every Get sees either
 // "not there yet" or the exact checksummed payload — ErrCorrupt is a
 // protocol violation.
+// The in-memory FS a CLI run without -cache-dir uses is held to the
+// same contract, with both caches sharing one MemFS.
 func TestCacheConcurrentWriters(t *testing.T) {
+	t.Run("os", func(t *testing.T) { concurrentWriters(t, OS()) })
+	t.Run("mem", func(t *testing.T) { concurrentWriters(t, MemFS()) })
+}
+
+func concurrentWriters(t *testing.T, fsys FS) {
 	dir := t.TempDir()
-	c1, err := OpenCache(dir, "v-shared")
+	c1, err := OpenCacheFS(dir, "v-shared", fsys)
 	if err != nil {
 		t.Fatal(err)
 	}
-	c2, err := OpenCache(dir, "v-shared")
+	c2, err := OpenCacheFS(dir, "v-shared", fsys)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -108,17 +115,18 @@ func TestCacheConcurrentWriters(t *testing.T) {
 // sequence number instead of clobbering the other writer's file.
 func TestWriteFileExclRefusesExisting(t *testing.T) {
 	dir := t.TempDir()
-	fsys := OS()
-	path := dir + "/claim"
-	if err := fsys.WriteFileExcl(path, []byte("first")); err != nil {
-		t.Fatal(err)
-	}
-	err := fsys.WriteFileExcl(path, []byte("second"))
-	if !errors.Is(err, fs.ErrExist) {
-		t.Fatalf("second exclusive create: got %v, want fs.ErrExist", err)
-	}
-	b, err := fsys.ReadFile(path)
-	if err != nil || string(b) != "first" {
-		t.Fatalf("claimed file was disturbed: %q, %v", b, err)
+	for _, fsys := range []FS{OS(), MemFS()} {
+		path := dir + fmt.Sprintf("/claim-%T", fsys)
+		if err := fsys.WriteFileExcl(path, []byte("first")); err != nil {
+			t.Fatal(err)
+		}
+		err := fsys.WriteFileExcl(path, []byte("second"))
+		if !errors.Is(err, fs.ErrExist) {
+			t.Fatalf("%T: second exclusive create: got %v, want fs.ErrExist", fsys, err)
+		}
+		b, err := fsys.ReadFile(path)
+		if err != nil || string(b) != "first" {
+			t.Fatalf("%T: claimed file was disturbed: %q, %v", fsys, b, err)
+		}
 	}
 }

@@ -1,6 +1,7 @@
 package engine
 
 import (
+	"bytes"
 	"context"
 	"fmt"
 	"net/http/httptest"
@@ -499,5 +500,140 @@ func TestResourceAccounting(t *testing.T) {
 	// entries; reloaded state reflects the latest record per job.
 	if withRes+without != 4 {
 		t.Errorf("journal entries = %d, want 4", withRes+without)
+	}
+}
+
+// readCountingFS counts the reads that reach the filesystem.
+type readCountingFS struct {
+	FS
+	reads atomic.Int64
+}
+
+func (f *readCountingFS) ReadFile(path string) ([]byte, error) {
+	f.reads.Add(1)
+	return f.FS.ReadFile(path)
+}
+
+// An engine with a cache reads each distinct hash once in its lifetime:
+// jobs 0-3 are prefilled, 4-5 execute in the first Run, and the second
+// Run serves all six from memory. Every count, journal record and event
+// is the one a second cache read produced.
+func TestEngineReadsEachHashOnce(t *testing.T) {
+	for _, resume := range []bool{false, true} {
+		t.Run(fmt.Sprintf("resume=%v", resume), func(t *testing.T) {
+			ctx := context.Background()
+			dir := t.TempDir()
+			jpath := filepath.Join(dir, "journal.jsonl")
+			var execs atomic.Int64
+			jobs := testJobs(6, &execs)
+			prefill, err := OpenCache(dir, "v-test")
+			if err != nil {
+				t.Fatal(err)
+			}
+			j0, err := OpenJournal(jpath, false)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if _, err := New(Options{Workers: 2, Cache: prefill, Journal: j0}).Run(ctx, jobs[:4]); err != nil {
+				t.Fatal(err)
+			}
+			if err := j0.Close(); err != nil {
+				t.Fatal(err)
+			}
+
+			fsys := &readCountingFS{FS: OS()}
+			cache, err := OpenCacheFS(dir, "v-test", fsys)
+			if err != nil {
+				t.Fatal(err)
+			}
+			journal, err := OpenJournal(jpath, resume)
+			if err != nil {
+				t.Fatal(err)
+			}
+			reg := telemetry.NewRegistry()
+			bus := events.New(0)
+			e := New(Options{Workers: 3, Cache: cache, Journal: journal, Resume: resume, Metrics: reg, Events: bus})
+			r1, err := e.Run(ctx, jobs)
+			if err != nil {
+				t.Fatal(err)
+			}
+			r2, err := e.Run(ctx, jobs)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := journal.Close(); err != nil {
+				t.Fatal(err)
+			}
+
+			if got := fsys.reads.Load(); got != 6 {
+				t.Errorf("cache reads = %d, want 6 (one per distinct hash)", got)
+			}
+			if got := execs.Load(); got != 6 {
+				t.Errorf("executions = %d, want 6 (4 prefill + 2)", got)
+			}
+			resumed1, resumed2 := 0, 0
+			if resume {
+				resumed1, resumed2 = 4, 6
+			}
+			if r1.Executed != 2 || r1.CacheHits != 4 || r1.Resumed != resumed1 ||
+				r2.Executed != 0 || r2.CacheHits != 6 || r2.Resumed != resumed2 {
+				t.Errorf("reports: first %d executed %d hits %d resumed, second %d/%d/%d; want 2/4/%d, 0/6/%d",
+					r1.Executed, r1.CacheHits, r1.Resumed, r2.Executed, r2.CacheHits, r2.Resumed, resumed1, resumed2)
+			}
+			st := e.Status()
+			if st.Jobs != 12 || st.Executed != 2 || st.CacheHits != 10 || st.Resumed != uint64(resumed1+resumed2) {
+				t.Errorf("status = %+v", st)
+			}
+			if got := reg.Counter(telemetry.MetricEngineCacheMiss, "").Value(); got != 2 {
+				t.Errorf("misses counter = %v, want 2", got)
+			}
+			if got := reg.Counter(telemetry.MetricEngineCacheHits, "").Value(); got != 10 {
+				t.Errorf("hits counter = %v, want 10", got)
+			}
+			count := map[events.Type]int{}
+			for _, ev := range bus.ReplaySince(0) {
+				count[ev.Type]++
+			}
+			if count[events.JobCacheHit] != 10 || count[events.JobFinished] != 2 {
+				t.Errorf("event counts = %v, want 10 cache hits and 2 finished", count)
+			}
+			// Without resume the journal starts fresh and records every
+			// job; resumed hits are not journaled again.
+			b, err := os.ReadFile(jpath)
+			if err != nil {
+				t.Fatal(err)
+			}
+			wantLines := 12
+			if resume {
+				wantLines = 4 + 2
+			}
+			if got := bytes.Count(b, []byte{'\n'}); got != wantLines {
+				t.Errorf("journal records = %d, want %d", got, wantLines)
+			}
+			for i := range jobs {
+				if string(r1.Payloads[i]) != string(r2.Payloads[i]) {
+					t.Errorf("payload %d: %s then %s", i, r1.Payloads[i], r2.Payloads[i])
+				}
+			}
+		})
+	}
+}
+
+// An engine without a cache executes a repeated key on every Run.
+func TestUncachedEngineExecutesRepeats(t *testing.T) {
+	var execs atomic.Int64
+	jobs := testJobs(3, &execs)
+	e := New(Options{Workers: 2})
+	for i := 0; i < 2; i++ {
+		rep, err := e.Run(context.Background(), jobs)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if rep.Executed != 3 || rep.CacheHits != 0 {
+			t.Errorf("run %d: executed %d hits %d, want 3/0", i, rep.Executed, rep.CacheHits)
+		}
+	}
+	if got := execs.Load(); got != 6 {
+		t.Errorf("executions = %d, want 6", got)
 	}
 }

@@ -1,9 +1,12 @@
 package experiments
 
 import (
+	"strings"
+	"sync/atomic"
 	"testing"
 
 	"racetrack/hifi/internal/engine"
+	"racetrack/hifi/internal/telemetry"
 )
 
 // quick returns a small scaled configuration for the determinism tests:
@@ -86,5 +89,67 @@ func TestCacheSharedAcrossExperiments(t *testing.T) {
 	after11 := o2.Eng.Status()
 	if after11.CacheHits == 0 {
 		t.Errorf("Fig11 shares SED/SECDED runs with Fig10; expected cross-experiment cache hits, got %+v", after11)
+	}
+}
+
+// readCountingFS counts the reads that reach the cache's filesystem.
+type readCountingFS struct {
+	engine.FS
+	reads atomic.Int64
+}
+
+func (f *readCountingFS) ReadFile(path string) ([]byte, error) {
+	f.reads.Add(1)
+	return f.FS.ReadFile(path)
+}
+
+// TestWarmSweepSimulatesNothing resubmits the served warm sweep (the
+// six simulation-backed figures plus abl-promo) over the cache a first
+// pass filled. The second pass, on a fresh engine and registry, must
+// resolve all 401 jobs as cache hits, read each of the 112 distinct
+// results once, simulate nothing, and render the same bytes.
+func TestWarmSweepSimulatesNothing(t *testing.T) {
+	if testing.Short() {
+		t.Skip("simulation-backed experiment")
+	}
+	keys := []string{"fig10", "fig11", "fig14", "fig16", "fig17", "fig18", "abl-promo"}
+	dir := t.TempDir()
+	pass := func() (string, engine.Status, telemetry.Snapshot, int64) {
+		o := RunOpts{AccessesPerCore: 300, Seed: 1, Scaled: true, Metrics: telemetry.NewRegistry()}
+		fsys := &readCountingFS{FS: engine.OS()}
+		c, err := engine.OpenCacheFS(dir, "warm-test", fsys)
+		if err != nil {
+			t.Fatal(err)
+		}
+		o.Eng = engine.New(engine.Options{Workers: 2, Cache: c, Metrics: o.Metrics})
+		var b strings.Builder
+		for _, k := range keys {
+			tab, err := Run(k, o)
+			if err != nil {
+				t.Fatal(err)
+			}
+			b.WriteString(tab.String())
+		}
+		return b.String(), o.Eng.Status(), o.Metrics.Snapshot(), fsys.reads.Load()
+	}
+	cold, _, coldSnap, _ := pass()
+	if _, ok := coldSnap.Lookup(telemetry.MetricShiftOps); !ok {
+		t.Fatalf("cold pass recorded no %s", telemetry.MetricShiftOps)
+	}
+	warm, st, snap, reads := pass()
+	if warm != cold {
+		t.Errorf("warm tables differ from the cold pass:\ncold:\n%s\nwarm:\n%s", cold, warm)
+	}
+	if st.Jobs != 401 || st.Executed != 0 || st.CacheHits != 401 || reads != 112 {
+		t.Errorf("warm pass: %d jobs, %d executed, %d cache hits, %d cache reads; want 401, 0, 401, 112",
+			st.Jobs, st.Executed, st.CacheHits, reads)
+	}
+	if _, ok := snap.Lookup(telemetry.MetricShiftOps); ok {
+		t.Errorf("warm pass recorded %s: something simulated", telemetry.MetricShiftOps)
+	}
+	for _, c := range snap.Counters {
+		if c.Value != 0 && !strings.HasPrefix(c.Name, "hifi_engine_") {
+			t.Errorf("warm pass counted %s = %v", c.Name, c.Value)
+		}
 	}
 }
