@@ -50,13 +50,17 @@ race:
 	$(GO) test -race ./...
 
 # fuzz runs each fuzz target for 10s beyond its seed corpus: the NDJSON
-# replay the engine journal and the serve job index share, the job index
-# replay itself, and the binary trace reader. A failing input lands in
+# replay rule behind the serve job index (engine.ReplayLines), the job
+# index replay itself, spec normalization, the binary trace reader, the
+# event-log reader and the traceparent parser. A failing input lands in
 # the package's testdata/fuzz/ directory, where tier-1 then replays it.
 fuzz:
 	$(GO) test -run '^$$' -fuzz '^FuzzReplayLines$$' -fuzztime 10s ./internal/engine
 	$(GO) test -run '^$$' -fuzz '^FuzzIndexReplay$$' -fuzztime 10s ./internal/serve
+	$(GO) test -run '^$$' -fuzz '^FuzzSpecNormalize$$' -fuzztime 10s ./internal/serve
 	$(GO) test -run '^$$' -fuzz '^FuzzReadTrace$$' -fuzztime 10s ./internal/trace
+	$(GO) test -run '^$$' -fuzz '^FuzzReadLog$$' -fuzztime 10s ./internal/telemetry/events
+	$(GO) test -run '^$$' -fuzz '^FuzzParse$$' -fuzztime 10s ./internal/telemetry/tracectx
 
 bench:
 	$(GO) test -bench . -benchtime=1x -run '^$$' .
@@ -102,14 +106,21 @@ perf-smoke:
 	test -s /tmp/hifi-perf/trend.svg
 
 # engine-smoke is the local version of CI's engine job: tables must be
-# byte-identical at any -jobs, a repeated cached sweep must execute
-# nothing and record no simulation metrics (abl-promo included), and a
-# run without -cache-dir must compute each shared result once (see
-# docs/engine.md).
+# byte-identical at any -jobs, an interrupted sweep (here: one holding
+# only fig10) finishes from its cache with the uncached tables, a
+# repeated cached sweep must execute nothing and record no simulation
+# metrics (abl-promo included), and a run without -cache-dir must
+# compute each shared result once (see docs/engine.md).
 engine-smoke:
 	$(GO) run ./cmd/hifi-experiments -run fig10,fig14 -scaled -accesses 1000 -q -jobs 1 > /tmp/hifi-serial.txt
 	$(GO) run ./cmd/hifi-experiments -run fig10,fig14 -scaled -accesses 1000 -q -jobs 8 > /tmp/hifi-parallel.txt
 	diff -u /tmp/hifi-serial.txt /tmp/hifi-parallel.txt
+	rm -rf /tmp/hifi-partial-cache
+	$(GO) run ./cmd/hifi-experiments -run fig10 -scaled -accesses 1000 -q -jobs 8 -cache-dir /tmp/hifi-partial-cache >/dev/null
+	$(GO) run ./cmd/hifi-experiments -run fig10,fig14 -scaled -accesses 1000 -jobs 8 -cache-dir /tmp/hifi-partial-cache \
+		2>/tmp/hifi-partial.log >/tmp/hifi-partial.txt
+	grep -E 'engine: 84 jobs, 36 executed, 48 cache hits' /tmp/hifi-partial.log
+	diff -u /tmp/hifi-serial.txt /tmp/hifi-partial.txt
 	rm -rf /tmp/hifi-engine-cache
 	$(GO) run ./cmd/hifi-experiments -run fig14 -scaled -accesses 1000 -jobs 8 -cache-dir /tmp/hifi-engine-cache >/dev/null
 	$(GO) run ./cmd/hifi-experiments -run fig14 -scaled -accesses 1000 -jobs 8 -cache-dir /tmp/hifi-engine-cache 2>&1 >/dev/null \

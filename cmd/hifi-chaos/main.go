@@ -12,7 +12,7 @@
 //	hifi-chaos -scaled -cache-dir .hificache -jobs 8
 //
 // Each (scheme, intensity, workload) simulation is one engine job, so
-// -cache-dir/-resume/-jobs behave exactly as in hifi-experiments; the
+// -cache-dir and -jobs behave exactly as in hifi-experiments; the
 // fault plan is part of each job's fingerprint, so injected and nominal
 // results never share cache entries.
 package main

@@ -17,9 +17,11 @@
 //
 // Parallel sweeps (see docs/engine.md):
 //
-//	hifi-experiments -jobs 8                        # 8 simulation workers
-//	hifi-experiments -cache-dir .hificache          # content-addressed result reuse
-//	hifi-experiments -cache-dir .hificache -resume  # continue an interrupted sweep
+//	hifi-experiments -jobs 8                # 8 simulation workers
+//	hifi-experiments -cache-dir .hificache  # content-addressed result reuse
+//
+// Rerunning an interrupted sweep over the same -cache-dir finishes it:
+// only the jobs whose results never reached the cache execute.
 package main
 
 import (

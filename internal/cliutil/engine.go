@@ -1,20 +1,17 @@
 package cliutil
 
 // Shared flag surface for the parallel experiment engine: every binary
-// that runs sweeps registers -jobs, -cache-dir, and -resume through
+// that runs sweeps registers -jobs, -cache-dir, and the retry flags through
 // EngineFlags so the flags, their defaults, and the wiring to the
 // telemetry registry and the /engine status route stay uniform across
 // the CLI fleet. See docs/engine.md.
 
 import (
 	"flag"
-	"fmt"
-	"path/filepath"
 	"runtime"
 	"time"
 
 	"racetrack/hifi/internal/engine"
-	"racetrack/hifi/internal/telemetry"
 	"racetrack/hifi/internal/telemetry/log"
 )
 
@@ -23,12 +20,9 @@ type EngineFlags struct {
 	jobs          *int
 	cacheDir      *string
 	cacheMaxBytes *int64
-	resume        *bool
 	retries       *int
 	backoff       *time.Duration
 	jobTimeout    *time.Duration
-
-	journal *engine.Journal
 }
 
 // NewEngineFlags registers the engine flags on the default flag set.
@@ -44,8 +38,6 @@ func AddEngineFlags(fs *flag.FlagSet) *EngineFlags {
 		"content-addressed result cache directory (empty keeps the cache in memory for this run)")
 	ef.cacheMaxBytes = fs.Int64("cache-max-bytes", 0,
 		"size budget for the result cache; least-recently-accessed objects are evicted above it (0 = unlimited)")
-	ef.resume = fs.Bool("resume", false,
-		"resume an interrupted sweep from the journal in -cache-dir")
 	ef.retries = fs.Int("job-retries", 1,
 		"re-executions of a failed job before the failure is permanent")
 	ef.backoff = fs.Duration("retry-backoff", 250*time.Millisecond,
@@ -56,7 +48,7 @@ func AddEngineFlags(fs *flag.FlagSet) *EngineFlags {
 }
 
 // Build assembles the engine the parsed flags describe: worker pool
-// width, result cache, resume journal, metrics from the Obs registry,
+// width, result cache, metrics from the Obs registry,
 // and — when the Obs status server is up — the /engine route. Call
 // after Obs.Start so the registry and mux exist.
 //
@@ -65,12 +57,11 @@ func AddEngineFlags(fs *flag.FlagSet) *EngineFlags {
 // unusable cache directory (unwritable disk, bad permissions) is a
 // degradation, not a failure: Build warns once and falls back to the
 // same in-memory cache, so a sweep on a sick machine still completes —
-// it just cannot keep or journal its results past the run.
+// it just cannot keep its results past the run.
 func (ef *EngineFlags) Build(o *Obs) (*engine.Engine, error) {
 	opts := engine.Options{
 		Workers:      *ef.jobs,
 		Retries:      *ef.retries,
-		Resume:       *ef.resume,
 		RetryBackoff: *ef.backoff,
 		JobTimeout:   *ef.jobTimeout,
 	}
@@ -78,13 +69,10 @@ func (ef *EngineFlags) Build(o *Obs) (*engine.Engine, error) {
 		opts.Metrics = o.Reg
 		opts.Events = o.Events
 	}
-	if *ef.resume && *ef.cacheDir == "" {
-		return nil, fmt.Errorf("-resume requires -cache-dir (the journal lives in the cache directory)")
-	}
 	if *ef.cacheDir != "" {
 		cache, err := engine.OpenCache(*ef.cacheDir, "")
 		if err != nil {
-			log.Errorf("engine: %v; continuing with an in-memory cache and no journal (results will not outlive this run)", err)
+			log.Errorf("engine: %v; continuing with an in-memory cache (results will not outlive this run)", err)
 		} else {
 			opts.Cache = cache
 			if o != nil {
@@ -92,24 +80,6 @@ func (ef *EngineFlags) Build(o *Obs) (*engine.Engine, error) {
 			}
 			if *ef.cacheMaxBytes > 0 {
 				cache.SetMaxBytes(*ef.cacheMaxBytes)
-			}
-			journal, err := engine.OpenJournal(filepath.Join(*ef.cacheDir, "journal.jsonl"), *ef.resume)
-			if err != nil {
-				log.Errorf("engine: %v; continuing without journal (sweep will not be resumable)", err)
-				opts.Resume = false
-			} else {
-				opts.Journal = journal
-				ef.journal = journal
-				if *ef.resume {
-					log.Infof("engine: resuming, journal lists %d completed job(s)", journal.Len())
-				}
-				if skipped := journal.Skipped(); skipped > 0 {
-					log.Errorf("engine: journal had %d corrupt record(s); the jobs they named will re-resolve", skipped)
-					if o != nil && o.Reg != nil {
-						o.Reg.Counter(telemetry.MetricEngineJournalSkipped,
-							"journal records skipped as corrupt on resume").Add(float64(skipped))
-					}
-				}
 			}
 		}
 	}
@@ -131,16 +101,10 @@ func (ef *EngineFlags) Build(o *Obs) (*engine.Engine, error) {
 	return eng, nil
 }
 
-// Finish logs the engine's sweep-wide summary line and closes the
-// journal. Safe to call with a nil engine (flags registered, Build
-// never called).
+// Finish logs the engine's sweep-wide summary line. Safe to call with a
+// nil engine (flags registered, Build never called).
 func (ef *EngineFlags) Finish(eng *engine.Engine) {
 	if eng != nil {
 		log.Infof("%s", eng.Summary())
-	}
-	if ef.journal != nil {
-		if err := ef.journal.Close(); err != nil {
-			log.Errorf("engine: close journal: %v", err)
-		}
 	}
 }

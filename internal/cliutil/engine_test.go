@@ -72,13 +72,8 @@ func TestBuildKeepsCacheInMemory(t *testing.T) {
 	}
 }
 
-func TestBuildResumeStillRequiresCacheDir(t *testing.T) {
-	ef := parse(t, "-resume")
-	if _, err := ef.Build(nil); err == nil {
-		t.Fatal("-resume without -cache-dir must stay an error (explicit user intent)")
-	}
-}
-
+// The cache directory is a sweep's only record: Build and Finish leave
+// nothing in it but the object store.
 func TestBuildWiresRobustnessOptions(t *testing.T) {
 	dir := t.TempDir()
 	ef := parse(t, "-cache-dir", dir, "-retry-backoff", "1ms", "-job-timeout", "5s", "-job-retries", "3")
@@ -90,8 +85,15 @@ func TestBuildWiresRobustnessOptions(t *testing.T) {
 		t.Fatal("no engine returned")
 	}
 	ef.Finish(eng)
-	// The journal must exist: Build opened it for the writable dir.
-	if _, err := os.Stat(filepath.Join(dir, "journal.jsonl")); err != nil {
-		t.Errorf("journal not created: %v", err)
+	entries, err := os.ReadDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var names []string
+	for _, e := range entries {
+		names = append(names, e.Name())
+	}
+	if len(names) != 1 || names[0] != "objects" || !entries[0].IsDir() {
+		t.Errorf("cache dir holds %q, want only objects/", names)
 	}
 }

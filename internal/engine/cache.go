@@ -4,7 +4,7 @@ package engine
 // SHA-256 of (schema | code version | job key), laid out git-style as
 // <dir>/objects/<hh>/<hash>.json so one directory never holds millions
 // of entries. Writes are atomic (temp file + rename), so a killed sweep
-// can never leave a truncated payload behind for -resume to trust.
+// can never leave a truncated payload behind for its rerun to trust.
 //
 // Atomicity protects against torn writes, not against the disk itself:
 // a bit flip, an fsck truncation, or an operator editing an object by
@@ -127,9 +127,6 @@ func OpenCacheFS(dir, version string, fsys FS) (*Cache, error) {
 	return &Cache{dir: dir, version: version, fsys: fsys}, nil
 }
 
-// Dir returns the cache root.
-func (c *Cache) Dir() string { return c.dir }
-
 // Version returns the code version mixed into every hash.
 func (c *Cache) Version() string { return c.version }
 
@@ -246,27 +243,4 @@ func (c *Cache) Put(hash string, payload []byte) error {
 	}
 	c.accountPut(int64(len(obj)))
 	return nil
-}
-
-// Len counts stored payloads (a full directory walk; diagnostics only).
-// Quarantined objects are not counted.
-func (c *Cache) Len() int {
-	n := 0
-	qdir := c.QuarantineDir()
-	filepath.WalkDir(filepath.Join(c.dir, "objects"), func(path string, d fs.DirEntry, err error) error {
-		if err != nil {
-			return nil
-		}
-		if d.IsDir() {
-			if path == qdir {
-				return filepath.SkipDir
-			}
-			return nil
-		}
-		if filepath.Ext(path) == ".json" {
-			n++
-		}
-		return nil
-	})
-	return n
 }

@@ -171,18 +171,18 @@ func (f *FS) Chtimes(path string, t time.Time) error {
 	return f.base.Chtimes(path, t)
 }
 
-func (f *FS) OpenAppend(path string, truncate bool) (io.WriteCloser, error) {
+func (f *FS) OpenAppend(path string) (io.WriteCloser, error) {
 	if f.opts.ReadOnly {
 		return nil, fmt.Errorf("faultfs: append %s: %w", path, fs.ErrPermission)
 	}
-	w, err := f.base.OpenAppend(path, truncate)
+	w, err := f.base.OpenAppend(path)
 	if err != nil {
 		return nil, err
 	}
 	return &tornWriter{f: f, w: w}, nil
 }
 
-// tornWriter applies the torn-write schedule to journal appends: a
+// tornWriter applies the torn-write schedule to job-index appends: a
 // scheduled fault writes only half the record (with no trailing
 // newline) and reports an error — exactly the damage a power cut
 // leaves in an append-only log.

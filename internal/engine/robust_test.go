@@ -1,8 +1,8 @@
 package engine
 
 // Robustness tests: checksum verification and quarantine on cache
-// reads, skip-and-log for corrupt journal records, per-job timeouts,
-// and retry backoff. The end-to-end chaos sweep (filesystem faults via
+// reads, skip-and-log for corrupt log records, per-job timeouts, and
+// retry backoff. The end-to-end chaos sweep (filesystem faults via
 // engine/faultfs) lives in faultfs's own tests to keep the import
 // graph acyclic.
 
@@ -16,6 +16,7 @@ import (
 	"os"
 	"path/filepath"
 	"slices"
+	"strings"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -133,40 +134,39 @@ func TestEngineRecomputesCorruptObject(t *testing.T) {
 	}
 }
 
-// damagedJournal holds two intact records around two damaged middle
+// damagedLog holds two intact records around two damaged middle
 // records, then a torn tail.
-const damagedJournal = `{"seq":1,"key":"k1","hash":"aaa","attempts":1,"dur_ms":1}
+const damagedLog = `{"seq":1,"key":"k1","hash":"aaa","attempts":1,"dur_ms":1}
 {"seq":2,"key":"k2","ha
 not json at all
 {"seq":4,"key":"k4","hash":"ddd","attempts":1,"dur_ms":1}
 {"seq":9,"key":"torn`
 
-func TestJournalSkipsCorruptMiddleRecord(t *testing.T) {
-	dir := t.TempDir()
-	jpath := filepath.Join(dir, "journal.jsonl")
-	if err := os.WriteFile(jpath, []byte(damagedJournal), 0o644); err != nil {
-		t.Fatal(err)
+func TestReplayLinesSkipsCorruptMiddleRecord(t *testing.T) {
+	var logged bytes.Buffer
+	log.SetOutput(&logged)
+	defer log.SetOutput(os.Stderr)
+	prev := log.GetLevel()
+	log.SetLevel(log.Info)
+	defer log.SetLevel(prev)
+
+	var applied []string
+	skipped := ReplayLines("damaged", []byte(damagedLog), func(line []byte) error {
+		var r struct{ Hash string }
+		if err := json.Unmarshal(line, &r); err != nil {
+			return err
+		}
+		applied = append(applied, r.Hash)
+		return nil
+	})
+	if want := []string{"aaa", "ddd"}; !slices.Equal(applied, want) {
+		t.Errorf("applied %q, want %q in order", applied, want)
 	}
-	j, err := OpenJournal(jpath, true)
-	if err != nil {
-		t.Fatalf("resume must survive middle corruption: %v", err)
+	if skipped != 2 {
+		t.Errorf("skipped = %d, want 2 (the torn tail is not corruption)", skipped)
 	}
-	defer j.Close()
-	if j.Len() != 2 {
-		t.Errorf("loaded %d entries, want 2", j.Len())
-	}
-	if !j.Done("aaa") || !j.Done("ddd") {
-		t.Error("intact records around the damage were lost")
-	}
-	if j.Skipped() != 2 {
-		t.Errorf("skipped = %d, want 2 (the torn tail is not corruption)", j.Skipped())
-	}
-	// Appends continue past the highest surviving sequence number.
-	if err := j.Append(Entry{Key: "k5", Hash: "eee"}); err != nil {
-		t.Fatal(err)
-	}
-	if !j.Done("eee") {
-		t.Error("append after damaged load not recorded")
+	if out := logged.String(); strings.Count(out, "skipping corrupt record") != 2 || strings.Contains(out, "line 5") {
+		t.Errorf("log = %q, want reports for lines 2 and 3 only", out)
 	}
 }
 
@@ -175,10 +175,10 @@ func TestJournalSkipsCorruptMiddleRecord(t *testing.T) {
 // is delivered once and in order, and the skip count is exactly the
 // number of terminated lines apply rejects (a rejected unterminated
 // tail is torn, not corrupt). The seeds are the damaged logs of
-// TestJournalSkipsCorruptMiddleRecord and serve's
+// TestReplayLinesSkipsCorruptMiddleRecord and serve's
 // TestIndexReplayTornTailAndGarbage.
 func FuzzReplayLines(f *testing.F) {
-	f.Add([]byte(damagedJournal))
+	f.Add([]byte(damagedLog))
 	f.Add([]byte(`{"schema":"hifi_serve_index_v1"}
 {"op":"admitted","id":"j0001","fingerprint":"f1","spec":{"run":["fig14"],"scaled":true,"accesses":300},"t_ms":100}
 {"op":"started","id":"j0001","t_ms":110}

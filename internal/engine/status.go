@@ -29,7 +29,6 @@ type Status struct {
 	Jobs      uint64       `json:"jobs"`
 	Executed  uint64       `json:"executed"`
 	CacheHits uint64       `json:"cache_hits"`
-	Resumed   uint64       `json:"resumed"`
 	Retries   uint64       `json:"retries"`
 	Failures  uint64       `json:"failures"`
 	Corrupt   uint64       `json:"corrupt"`
@@ -44,7 +43,6 @@ func (e *Engine) Status() Status {
 		Jobs:      e.total.Load(),
 		Executed:  e.executed.Load(),
 		CacheHits: e.hits.Load(),
-		Resumed:   e.resumed.Load(),
 		Retries:   e.retries.Load(),
 		Failures:  e.failures.Load(),
 		Corrupt:   e.corrupt.Load(),
@@ -119,9 +117,9 @@ func (e *Engine) StatusHandler() http.Handler {
 // that CI greps to assert cache reuse — greps match a prefix, so new
 // fields append at the end):
 //
-//	engine: 84 jobs, 0 executed, 84 cache hits, 84 resumed, 0 retries, 0 failures, 0 corrupt, 0 timeouts
+//	engine: 84 jobs, 0 executed, 84 cache hits, 0 retries, 0 failures, 0 corrupt, 0 timeouts
 func (e *Engine) Summary() string {
 	s := e.Status()
-	return fmt.Sprintf("engine: %d jobs, %d executed, %d cache hits, %d resumed, %d retries, %d failures, %d corrupt, %d timeouts",
-		s.Jobs, s.Executed, s.CacheHits, s.Resumed, s.Retries, s.Failures, s.Corrupt, s.Timeouts)
+	return fmt.Sprintf("engine: %d jobs, %d executed, %d cache hits, %d retries, %d failures, %d corrupt, %d timeouts",
+		s.Jobs, s.Executed, s.CacheHits, s.Retries, s.Failures, s.Corrupt, s.Timeouts)
 }

@@ -12,13 +12,13 @@ package serve
 //   - re-queue every job that was queued or running when the process
 //     stopped, under its original ID and trace.
 //
-// The file format mirrors the engine's sweep journal: a schema header
-// line, then one self-delimiting JSON record per line, flushed per
-// append. Replay shares the journal's damage rule (engine.ReplayLines):
-// a torn final line is ignored silently — everything before it is
-// intact by construction — and garbled middle records are skipped and
-// counted in hifi_serve_index_skipped_total; the jobs they describe
-// degrade to "not recovered", never to wrong state.
+// The file format is a schema header line, then one self-delimiting
+// JSON record per line, flushed per append. Replay follows the damage
+// rule of engine.ReplayLines: a torn final line is ignored silently —
+// everything before it is intact by construction — and garbled middle
+// records are skipped and counted in hifi_serve_index_skipped_total;
+// the jobs they describe degrade to "not recovered", never to wrong
+// state.
 //
 // All I/O goes through engine.FS so the faultfs chaos tests can
 // exercise torn appends and EIO. A write failure (ENOSPC, EIO, a
@@ -156,7 +156,7 @@ func openIndex(path string, fsys engine.FS, compactEvery int, tel indexTelemetry
 		log.Errorf("serve: job index %s unreadable: %v; starting without recovered jobs", path, err)
 	}
 
-	w, err := fsys.OpenAppend(path, false)
+	w, err := fsys.OpenAppend(path)
 	if err != nil {
 		ix.degraded = true
 		ix.tel.writeErrors.Inc()
@@ -380,7 +380,7 @@ func (ix *jobIndex) compactWith(gather func() []indexRecord) error {
 	if ix.w != nil {
 		_ = ix.w.Close()
 	}
-	w, err := ix.fsys.OpenAppend(ix.path, false)
+	w, err := ix.fsys.OpenAppend(ix.path)
 	if err != nil {
 		// The compacted file is intact on disk; only live appends stop.
 		ix.w = nil

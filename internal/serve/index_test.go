@@ -212,7 +212,7 @@ func TestIndexReplayTornTailAndGarbage(t *testing.T) {
 // restores is well formed — a non-empty ID, one of the five states, and
 // sorted by numeric job ID. The seeds are the damaged logs of
 // TestIndexReplayTornTailAndGarbage and engine's
-// TestJournalSkipsCorruptMiddleRecord.
+// TestReplayLinesSkipsCorruptMiddleRecord.
 func FuzzIndexReplay(f *testing.F) {
 	f.Add([]byte(damagedIndex))
 	f.Add([]byte(`{"seq":1,"key":"k1","hash":"aaa","attempts":1,"dur_ms":1}

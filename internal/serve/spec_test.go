@@ -2,6 +2,7 @@ package serve
 
 import (
 	"encoding/json"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -102,4 +103,53 @@ func TestRunOptsMirrorsCLI(t *testing.T) {
 	if got.FaultPlan != nil {
 		t.Fatalf("faults off resolved to a non-nil plan")
 	}
+}
+
+// FuzzSpecNormalize: no body that decodes into a Spec panics Normalize,
+// and a spec it accepts is a fixed point — normalizing it again, or
+// sending its JSON encoding through decode and Normalize, keeps its
+// Fingerprint, the server's dedup key.
+func FuzzSpecNormalize(f *testing.F) {
+	for _, body := range []string{
+		`{}`,
+		`{"run":["fig14"],"scaled":true,"accesses":300}`,
+		`{"run":[" FIG14 ","","Fig10"],"seed":7,"mc_trials":9,"faults":"temp","fault_intensity":2}`,
+		`{"run":["fig14"],"fault_plan":{ "seed": 3,   "injectors": [] }}`,
+		`{"run":["fig99"],"accesses":-1}`,
+		`{"run":["fig14"],"fault_plan":null,"fault_intensity":-0.5}`,
+	} {
+		f.Add([]byte(body))
+	}
+	f.Fuzz(func(t *testing.T, body []byte) {
+		var s Spec
+		if json.Unmarshal(body, &s) != nil {
+			return
+		}
+		n, err := s.Normalize()
+		if err != nil {
+			return
+		}
+		n2, err := n.Normalize()
+		if err != nil {
+			t.Fatalf("normalized spec %+v rejected: %v", n, err)
+		}
+		if !reflect.DeepEqual(n, n2) || n.Fingerprint() != n2.Fingerprint() {
+			t.Fatalf("renormalizing changed the spec: %+v -> %+v", n, n2)
+		}
+		enc, err := json.Marshal(n)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var d Spec
+		if err := json.Unmarshal(enc, &d); err != nil {
+			t.Fatalf("encoding %s does not decode: %v", enc, err)
+		}
+		nd, err := d.Normalize()
+		if err != nil {
+			t.Fatalf("encoding %s rejected: %v", enc, err)
+		}
+		if nd.Fingerprint() != n.Fingerprint() {
+			t.Fatalf("encoding %s changed the fingerprint: %+v -> %+v", enc, n, nd)
+		}
+	})
 }

@@ -59,7 +59,7 @@ const (
 	JobQueued   Type = "job.queued"    // N: batch size the job arrived in
 	JobStarted  Type = "job.started"   // Worker: pool slot
 	JobFinished Type = "job.finished"  // Worker, MS: wall ms, N: attempts
-	JobCacheHit Type = "job.cache_hit" // Detail: "resumed" when via the journal
+	JobCacheHit Type = "job.cache_hit" // served from the result cache
 	JobRetried  Type = "job.retry"     // N: attempt number, Detail: error
 	JobTimeout  Type = "job.timeout"   // MS: the deadline that fired
 	JobPanic    Type = "job.panic"     // Detail: first line of the panic value

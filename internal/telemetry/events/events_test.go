@@ -1,6 +1,7 @@
 package events
 
 import (
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -263,6 +264,47 @@ not json at all
 	if _, _, err := ReadLog(strings.NewReader(log)); err == nil {
 		t.Fatal("ReadLog accepted corruption followed by valid lines")
 	}
+}
+
+// FuzzReadLog: no input panics ReadLog, and a log it accepts, written
+// out again through WriteHeader and the sink's NDJSON writer, reads back
+// to the same tool and events.
+func FuzzReadLog(f *testing.F) {
+	f.Add(`{"schema":"hifi_events_v1","tool":"t"}
+{"seq":1,"t_ms":1,"type":"run.start","name":"t"}
+{"seq":2,"t_ms":2,"type":"run.fin`)
+	f.Add(`{"seq":1,"t_ms":1,"type":"run.start"}
+not json at all
+{"seq":3,"t_ms":3,"type":"run.finish"}`)
+	f.Add(`{"seq":4,"t_ms":9,"type":"job.finished","name":"w/x","trace_id":"0af7651916cd43dd8448eb211c80319c","worker":1,"n":2,"ms":3,"v":-0.5}
+
+{"seq":5,"t_ms":10,"type":"fault.open","detail":"\u00e9\n","v":1e-300}
+`)
+	f.Fuzz(func(t *testing.T, log string) {
+		hdr, evs, err := ReadLog(strings.NewReader(log))
+		if err != nil {
+			return
+		}
+		var sb strings.Builder
+		if err := WriteHeader(&sb, hdr.Tool); err != nil {
+			t.Fatal(err)
+		}
+		for _, e := range evs {
+			if err := writeNDJSON(&sb, e); err != nil {
+				t.Fatal(err)
+			}
+		}
+		hdr2, evs2, err := ReadLog(strings.NewReader(sb.String()))
+		if err != nil {
+			t.Fatalf("rewritten log rejected: %v\n%s", err, sb.String())
+		}
+		if hdr2.Schema != SchemaV1 || hdr2.Tool != hdr.Tool {
+			t.Fatalf("header %+v read back as %+v", hdr, hdr2)
+		}
+		if !slices.Equal(evs, evs2) {
+			t.Fatalf("events %+v read back as %+v", evs, evs2)
+		}
+	})
 }
 
 func TestCanonicalExcludesTimingFields(t *testing.T) {

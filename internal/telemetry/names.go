@@ -51,18 +51,16 @@ const (
 	MetricEngineExecuted  = "hifi_engine_jobs_executed_total"
 	MetricEngineCacheHits = "hifi_engine_cache_hits_total"
 	MetricEngineCacheMiss = "hifi_engine_cache_misses_total"
-	MetricEngineResumed   = "hifi_engine_jobs_resumed_total"
 	MetricEngineRetries   = "hifi_engine_retries_total"
 	MetricEngineFailures  = "hifi_engine_failures_total"
 	MetricEngineQueueLen  = "hifi_engine_queue_depth"
 	MetricEngineBusy      = "hifi_engine_workers_busy"
 	MetricEngineJobMS     = "hifi_engine_job_ms"
 	// Robustness counters: corrupt cache objects quarantined on read,
-	// journal records skipped on -resume, and job attempts abandoned at
-	// the per-job deadline. See docs/engine.md ("failure modes").
-	MetricEngineCacheCorrupt   = "hifi_engine_cache_corrupt_total"
-	MetricEngineJournalSkipped = "hifi_engine_journal_skipped_total"
-	MetricEngineJobTimeouts    = "hifi_engine_job_timeouts_total"
+	// and job attempts abandoned at the per-job deadline. See
+	// docs/engine.md ("failure modes").
+	MetricEngineCacheCorrupt = "hifi_engine_cache_corrupt_total"
+	MetricEngineJobTimeouts  = "hifi_engine_job_timeouts_total"
 	// Cache lifecycle under a -cache-max-bytes budget: objects evicted
 	// access-ordered, and the accounted size of the objects tree. See
 	// docs/engine.md ("cache size budgets & eviction").

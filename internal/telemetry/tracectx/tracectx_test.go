@@ -124,3 +124,33 @@ func TestFromRequest(t *testing.T) {
 		t.Fatal("malformed header accepted")
 	}
 }
+
+// FuzzParse: no header panics Parse, every header it accepts has
+// non-zero IDs, and an accepted version-00 header (exactly 55 chars)
+// renders back byte for byte.
+func FuzzParse(f *testing.F) {
+	for _, h := range []string{
+		"00-0af7651916cd43dd8448eb211c80319c-b7ad6b7169203331-01",
+		"01-0af7651916cd43dd8448eb211c80319c-b7ad6b7169203331-01-future-data",
+		"00-00000000000000000000000000000000-b7ad6b7169203331-01",
+		"00-0AF7651916CD43DD8448EB211C80319C-b7ad6b7169203331-01",
+		"ff-0af7651916cd43dd8448eb211c80319c-b7ad6b7169203331-01",
+		"",
+	} {
+		f.Add(h)
+	}
+	f.Fuzz(func(t *testing.T, header string) {
+		tc, err := Parse(header)
+		if err != nil {
+			return
+		}
+		if !tc.Valid() {
+			t.Fatalf("Parse(%q) accepted an invalid context %+v", header, tc)
+		}
+		if strings.HasPrefix(header, "00") {
+			if got := tc.Traceparent(); got != header {
+				t.Fatalf("Parse(%q).Traceparent() = %q", header, got)
+			}
+		}
+	})
+}
