@@ -9,8 +9,8 @@ package hifi
 // start fresh.
 //
 // This is device-level resume: the unit is one simulated memory's image.
-// Sweep-level resume — which (config, workload) jobs of a multi-
-// experiment sweep already have results — is the separate journal in
+// Sweep-level progress — which (config, workload) jobs of a multi-
+// experiment sweep already have results — is the result cache in
 // internal/engine; see docs/engine.md for why the two layers stay apart.
 
 import (

@@ -4,7 +4,7 @@ package engine
 // access-ordered eviction. A CLI sweep lives for minutes and can let
 // the content-addressed store grow monotonically; hifi-serve lives for
 // weeks, and without a budget the cache eventually fills the disk the
-// daemon also needs for its job index and journals.
+// daemon also needs for its job index and logs.
 //
 // The design constraints come from the cache's concurrency story:
 //

@@ -124,7 +124,7 @@ func Parse(header string) (Context, error) {
 }
 
 // ParseTraceID decodes a bare 32-char lowercase-hex trace ID (the form
-// logs and journals carry). The all-zero ID is rejected.
+// logs and the serve job index carry). The all-zero ID is rejected.
 func ParseTraceID(s string) (TraceID, error) {
 	var t TraceID
 	if len(s) != 32 {
