@@ -40,11 +40,14 @@ ci: build vet race fuzz
 # consulting ctx.Err()/context.Cause) and metriclint (every hifi_*
 # series literal must match a constant in internal/telemetry/names.go,
 # and every constant there must be used — names.go stays the single
-# naming authority; see internal/tools/metriclint).
+# naming authority; see internal/tools/metriclint) and scheme_policy.sh
+# (no scheme constant compared outside internal/shiftctrl, which owns
+# every per-scheme decision).
 vet:
 	$(GO) vet ./...
 	$(GO) run ./internal/tools/errvet .
 	$(GO) run ./internal/tools/metriclint .
+	bash scripts/scheme_policy.sh
 
 race:
 	$(GO) test -race ./...

@@ -155,13 +155,12 @@ func (s Stats) String() string {
 // Memory is not safe for concurrent use; callers serialize access, as a
 // cache controller would.
 type Memory struct {
-	cfg     Config
-	groups  []*group
-	planner *shiftctrl.Planner
-	adapter *shiftctrl.Adapter
-	timing  shiftctrl.Timing
-	em      errmodel.Model
-	stats   Stats
+	cfg    Config
+	groups []*group
+	plans  *shiftctrl.Plans
+	timing shiftctrl.Timing
+	em     errmodel.Model
+	stats  Stats
 	// lastShift tracks the global cycle of the previous shift for the
 	// adaptive scheme's interval counter.
 	lastShift uint64
@@ -191,28 +190,31 @@ func New(capacity int64, cfg Config) (*Memory, error) {
 	if capacity%groupBytes != 0 {
 		return nil, fmt.Errorf("hifi: capacity %d not a multiple of group size %d", capacity, groupBytes)
 	}
+	is := cfg.Scheme.internal()
+	checked := is.CheckMode() != shiftctrl.CheckNone
 	if cfg.Strength == 0 {
 		cfg.Strength = 1 // SECDED, the paper's configuration
 	}
 	if cfg.Strength < 0 || cfg.Strength >= cfg.SegLen-1 {
-		if cfg.Scheme != SchemeBaseline && cfg.Scheme != SchemeSTSOnly {
+		if checked {
 			return nil, fmt.Errorf("hifi: strength %d outside [1, %d) for SegLen %d",
 				cfg.Strength, cfg.SegLen-1, cfg.SegLen)
 		}
 		cfg.Strength = 0
 	}
-	if cfg.SegLen < 3 && cfg.Scheme != SchemeBaseline && cfg.Scheme != SchemeSTSOnly {
+	if cfg.SegLen < 3 && checked {
 		return nil, fmt.Errorf("hifi: SegLen %d too short for SECDED p-ECC (need >= 3)", cfg.SegLen)
 	}
 
 	m := &Memory{cfg: cfg, timing: shiftctrl.DefaultTiming()}
-	m.em = errmodel.Model{RateScale: cfg.ErrorScale}
+	m.em = errmodel.Model{DisableSTS: !is.UsesSTS(), RateScale: cfg.ErrorScale}
 	maxDist := cfg.SegLen - 1
 	if maxDist < 1 {
 		maxDist = 1
 	}
-	m.planner = shiftctrl.NewPlanner(m.em, m.timing, maxDist, maxDist)
-	m.adapter = shiftctrl.NewAdapter(m.planner, cfg.ClockHz, cfg.TargetDUE, 512)
+	// p-ECC-S worst plans for back-to-back accesses: one per 24-cycle
+	// array access.
+	m.plans = shiftctrl.NewPlans(is, m.em, maxDist, cfg.ClockHz, cfg.ClockHz/24, cfg.TargetDUE, 512)
 
 	rng := sim.NewRNG(cfg.Seed)
 	n := int(capacity / groupBytes)
@@ -228,21 +230,14 @@ func New(capacity int64, cfg Config) (*Memory, error) {
 		}
 	}
 	code := pecc.MustNew(strength, cfg.SegLen)
-	mode := shiftctrl.CheckCorrect
-	switch cfg.Scheme {
-	case SchemeBaseline, SchemeSTSOnly:
-		mode = shiftctrl.CheckNone
-	case SchemeSED:
-		mode = shiftctrl.CheckDetect
-	}
 	ocode := pecc.MustNewO(strength, cfg.SegLen)
 	for i := range m.groups {
 		var tape shiftctrl.TapeController
-		if cfg.Scheme == SchemePECCO {
+		if is.StepLimited() {
 			tape = shiftctrl.NewOTape(ocode, cfg.DomainsPerStripe, m.em, m.timing, rng.Split())
 		} else {
 			t := shiftctrl.NewTape(code, cfg.DomainsPerStripe, m.em, m.timing, rng.Split())
-			t.Mode = mode
+			t.Mode = is.CheckMode()
 			tape = t
 		}
 		g := &group{
@@ -292,7 +287,7 @@ func (m *Memory) align(g *group, domain int) error {
 		m.lastShift = m.now
 	}
 	seqFor := func(d int) []int {
-		return m.planSequence(d, interval)
+		return m.plans.Seq(d, interval)
 	}
 	before := g.tape.Counters()
 	if err := g.tape.Align(target, seqFor); err != nil {
@@ -316,27 +311,6 @@ func (m *Memory) align(g *group, domain int) error {
 		}
 	}
 	return nil
-}
-
-// planSequence mirrors the scheme dispatch of the system simulator.
-func (m *Memory) planSequence(dist int, interval uint64) []int {
-	if dist == 0 {
-		return nil
-	}
-	switch m.cfg.Scheme {
-	case SchemePECCO:
-		seq := make([]int, dist)
-		for i := range seq {
-			seq[i] = 1
-		}
-		return seq
-	case SchemePECCSWorst:
-		return shiftctrl.WorstCaseSequence(m.planner, dist, m.cfg.ClockHz/24, m.cfg.TargetDUE, 512)
-	case SchemePECCSAdaptive:
-		return m.adapter.SequenceFor(dist, interval)
-	default:
-		return []int{dist}
-	}
 }
 
 // WriteLine stores data at the line-aligned address.
@@ -448,31 +422,20 @@ func (m *Memory) Aligned() bool {
 // safe-distance schemes the per-access shift is split exactly as the
 // architecture would split it at that intensity.
 func Reliability(s Scheme, segLen int, opsPerSec float64) (sdcMTTF, dueMTTF float64) {
-	em := errmodel.Model{}
-	is := s.internal()
-	target := 10 * mttf.SecondsPerYear
-	var planner *shiftctrl.Planner
-	if is.UsesSafeDistance() && segLen > 1 {
-		planner = shiftctrl.NewPlanner(em, shiftctrl.DefaultTiming(), segLen-1, segLen-1)
-	}
-	n := float64(segLen)
 	var sdc, due float64
-	for d := 1; d < segLen; d++ {
-		p := 2 * (n - float64(d)) / (n * n)
-		seq := []int{d}
-		switch {
-		case is.StepLimited():
-			seq = make([]int, d)
-			for i := range seq {
-				seq[i] = 1
+	if segLen > 1 {
+		em := errmodel.Model{}
+		is := s.internal()
+		// Only the fixed-intensity plans are consulted, so the adapter's
+		// clock is moot.
+		plans := shiftctrl.NewPlans(is, em, segLen-1, 2e9, opsPerSec, 10*mttf.SecondsPerYear, 512)
+		dist := shiftctrl.UniformDistances(segLen)
+		for d := 1; d < segLen; d++ {
+			for _, step := range plans.Plan(d) {
+				sd, du := is.FailureRates(em, step)
+				sdc += dist[d] * sd * 512
+				due += dist[d] * du * 512
 			}
-		case planner != nil:
-			seq = shiftctrl.WorstCaseSequence(planner, d, opsPerSec, target, 512)
-		}
-		for _, step := range seq {
-			sd, du := is.FailureRates(em, step)
-			sdc += p * sd * 512
-			due += p * du * 512
 		}
 	}
 	return mttf.FromRate(sdc, opsPerSec), mttf.FromRate(due, opsPerSec)

@@ -2,6 +2,7 @@ package hifi
 
 import (
 	"bytes"
+	"math"
 	"testing"
 
 	"racetrack/hifi/internal/mttf"
@@ -209,5 +210,75 @@ func TestDUEInvalidatesLines(t *testing.T) {
 	}
 	if m.Stats().LinesInvalidated == 0 {
 		t.Error("DUE recovery did not invalidate lines")
+	}
+}
+
+func TestBaselineStopsInMiddleSTSDoesNot(t *testing.T) {
+	// Sub-threshold shift is what removes stop-in-middle errors (§4.1):
+	// the unprotected baseline runs the raw device, STS-only does not.
+	stopsInMiddle := func(s Scheme) bool {
+		m, err := New(4<<10, Config{Scheme: s, ErrorScale: 2000, Seed: 5})
+		if err != nil {
+			t.Fatal(err)
+		}
+		tape := m.groups[0].tape // 4 KB is a single group
+		for i := 0; i < 5000; i++ {
+			if _, _, err := m.ReadLine(int64(i%64) * 64); err != nil {
+				t.Fatal(err)
+			}
+			if tape.TrueOffset() == tape.BelievedOffset() && !tape.Aligned() {
+				return true
+			}
+		}
+		return false
+	}
+	if !stopsInMiddle(SchemeBaseline) {
+		t.Error("baseline never stopped in the middle at 2000x rates")
+	}
+	if stopsInMiddle(SchemeSTSOnly) {
+		t.Error("STS-only stopped in the middle")
+	}
+}
+
+func TestShiftPlansPinned(t *testing.T) {
+	// Every scheme's shift plan, pinned by the operations and cycles of
+	// one read pattern: one operation per shift, p-ECC-O's single steps,
+	// and the p-ECC-S worst-case and adaptive plans.
+	want := map[Scheme]struct{ ops, cycles uint64 }{
+		SchemeBaseline:      {1998, 10954},
+		SchemeSTSOnly:       {1998, 10954},
+		SchemeSED:           {1998, 10954},
+		SchemeSECDED:        {1998, 10954},
+		SchemePECCO:         {5527, 22108},
+		SchemePECCSWorst:    {2879, 14162},
+		SchemePECCSAdaptive: {2754, 13787},
+	}
+	for s, w := range want {
+		m, err := New(64<<10, Config{Scheme: s, ErrorScale: 1, Seed: 1})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i := 0; i < 2000; i++ {
+			if _, _, err := m.ReadLine(int64(i*37%1024) * 64); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if st := m.Stats(); st.ShiftOps != w.ops || st.ShiftCycles != w.cycles {
+			t.Errorf("%v: ShiftOps/ShiftCycles = %d/%d, want %d/%d",
+				s, st.ShiftOps, st.ShiftCycles, w.ops, w.cycles)
+		}
+	}
+}
+
+func TestReliabilityDegenerateSegments(t *testing.T) {
+	// A segment of at most one domain never shifts: both MTTFs are
+	// infinite, for every scheme.
+	for s := SchemeBaseline; s <= SchemePECCSAdaptive; s++ {
+		for _, segLen := range []int{-1, 0, 1} {
+			sdc, due := Reliability(s, segLen, 50e6)
+			if !math.IsInf(sdc, 1) || !math.IsInf(due, 1) {
+				t.Errorf("Reliability(%v, %d) = %g, %g; want +Inf, +Inf", s, segLen, sdc, due)
+			}
+		}
 	}
 }

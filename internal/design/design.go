@@ -11,6 +11,7 @@ import (
 	"sort"
 
 	"racetrack/hifi/internal/area"
+	"racetrack/hifi/internal/energy"
 	"racetrack/hifi/internal/errmodel"
 	"racetrack/hifi/internal/mttf"
 	"racetrack/hifi/internal/pecc"
@@ -94,38 +95,24 @@ func Evaluate(segLen, dataBits int, scheme shiftctrl.Scheme, strength int, req R
 	}
 	em := errmodel.Model{}
 	timing := shiftctrl.DefaultTiming()
-	shiftE := defaultShiftEnergy()
-
-	maxDist := segLen - 1
-	var planner *shiftctrl.Planner
-	if scheme.UsesSafeDistance() {
-		planner = shiftctrl.NewPlanner(em, timing, maxDist, maxDist)
-	}
+	shiftE := energy.DefaultShift()
+	plans := shiftctrl.NewPlans(scheme, em, segLen-1, 2e9, req.Intensity,
+		10*mttf.SecondsPerYear, req.Stripes)
 
 	// Uniform-offset access model.
-	n := float64(segLen)
+	dist := shiftctrl.UniformDistances(segLen)
 	var due, sdc, lat, nrg, accessP float64
 	for d := 1; d < segLen; d++ {
-		p := 2 * (n - float64(d)) / (n * n)
+		p := dist[d]
 		accessP += p
-		seq := []int{d}
-		switch {
-		case scheme.StepLimited():
-			seq = make([]int, d)
-			for i := range seq {
-				seq[i] = 1
-			}
-		case planner != nil:
-			seq = shiftctrl.WorstCaseSequence(planner, d, req.Intensity,
-				10*mttf.SecondsPerYear, req.Stripes)
-		}
+		seq := plans.Plan(d)
 		for _, step := range seq {
 			s, du := failureRates(scheme, em, step, strength)
 			sdc += p * s * float64(req.Stripes)
 			due += p * du * float64(req.Stripes)
 		}
 		lat += p * float64(timing.SeqCycles(seq))
-		nrg += p * seqNJ(shiftE, seq, scheme.StepLimited())
+		nrg += p * shiftE.SeqNJ(seq, scheme.StepLimited())
 	}
 
 	pt := Point{
@@ -139,11 +126,11 @@ func Evaluate(segLen, dataBits int, scheme shiftctrl.Scheme, strength int, req R
 	return pt, nil
 }
 
-// failureRates generalizes scheme.FailureRates to higher strengths: with
-// strength m, errors up to m are corrected, m+1 detected (DUE), beyond
-// aliased (SDC).
+// failureRates generalizes scheme.FailureRates to higher strengths for
+// the correcting schemes: with strength m, errors up to m are corrected,
+// m+1 detected (DUE), beyond aliased (SDC).
 func failureRates(scheme shiftctrl.Scheme, em errmodel.Model, step, strength int) (sdc, due float64) {
-	if scheme == shiftctrl.SED {
+	if scheme.CheckMode() != shiftctrl.CheckCorrect {
 		return scheme.FailureRates(em, step)
 	}
 	due = em.KRate(step, strength+1)
@@ -244,23 +231,4 @@ func Pareto(points []Point) []Point {
 		}
 	}
 	return out
-}
-
-// --- small local copies of energy constants to avoid an import cycle ---
-
-type shiftEnergy struct{ perOp, perStep, owrite float64 }
-
-func defaultShiftEnergy() shiftEnergy {
-	return shiftEnergy{perOp: 0.40, perStep: 0.931, owrite: 0.20}
-}
-
-func seqNJ(e shiftEnergy, seq []int, owrite bool) float64 {
-	total := 0.0
-	for _, n := range seq {
-		total += e.perOp + e.perStep*float64(n)
-		if owrite {
-			total += e.owrite * float64(n)
-		}
-	}
-	return total
 }

@@ -1,9 +1,12 @@
 package design
 
 import (
+	"math"
 	"strings"
 	"testing"
 
+	"racetrack/hifi/internal/energy"
+	"racetrack/hifi/internal/errmodel"
 	"racetrack/hifi/internal/mttf"
 	"racetrack/hifi/internal/shiftctrl"
 )
@@ -140,5 +143,29 @@ func TestHigherStrengthCostsArea(t *testing.T) {
 	}
 	if m2.DUEMTTF <= m1.DUEMTTF {
 		t.Error("stronger code should raise DUE MTTF")
+	}
+}
+
+func TestAvgEnergyIsTheShiftEnergyModel(t *testing.T) {
+	// AvgEnergy is energy.ShiftCosts.SeqNJ of each distance's plan,
+	// p-ECC detection included, averaged over uniform offsets.
+	req := DefaultRequirements()
+	shiftE := energy.DefaultShift()
+	dist := shiftctrl.UniformDistances(8)
+	for _, scheme := range DefaultSpace().Schemes {
+		pt, err := Evaluate(8, 64, scheme, 1, req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		plans := shiftctrl.NewPlans(scheme, errmodel.Model{}, 7, 2e9, req.Intensity,
+			10*mttf.SecondsPerYear, req.Stripes)
+		var nj, mass float64
+		for d := 1; d < 8; d++ {
+			nj += dist[d] * shiftE.SeqNJ(plans.Plan(d), scheme.StepLimited())
+			mass += dist[d]
+		}
+		if want := nj / mass; math.Abs(pt.AvgEnergy-want) > 1e-12*want {
+			t.Errorf("%v: AvgEnergy = %.6f nJ, want %.6f", scheme, pt.AvgEnergy, want)
+		}
 	}
 }

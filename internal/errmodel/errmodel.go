@@ -25,7 +25,6 @@ import (
 	"math"
 
 	"racetrack/hifi/internal/sim"
-	"racetrack/hifi/internal/telemetry"
 )
 
 // table2K1 and table2K2 are the published post-STS out-of-step error rates
@@ -57,47 +56,6 @@ type Model struct {
 	// Kelvin above the reference, which the Gaussian tail turns into
 	// roughly an order of magnitude of error rate per ~50K.
 	TempC float64
-	// Tel optionally records sampled outcomes; nil (the zero value)
-	// keeps Sample allocation-free with a single extra branch.
-	Tel *SampleTelemetry
-}
-
-// SampleTelemetry holds the fault-injection counters a Model reports
-// into. Handles are nil-safe, so a partially filled struct is fine.
-type SampleTelemetry struct {
-	// Injected counts sampled position errors of any kind.
-	Injected *telemetry.Counter
-	// StopInMiddle counts pre-STS stop-in-middle outcomes.
-	StopInMiddle *telemetry.Counter
-	// Magnitude observes |k| of sampled out-of-step errors.
-	Magnitude *telemetry.Histogram
-}
-
-// NewSampleTelemetry registers the fault-injection series on reg (nil
-// reg yields an inert, still-usable struct).
-func NewSampleTelemetry(reg *telemetry.Registry) *SampleTelemetry {
-	return &SampleTelemetry{
-		Injected:     reg.Counter(telemetry.MetricErrInjected, "sampled position errors injected"),
-		StopInMiddle: reg.Counter(telemetry.Label(telemetry.MetricErrInjected, "kind", "stop-in-middle"), "sampled stop-in-middle errors"),
-		Magnitude:    reg.Histogram(telemetry.MetricErrMagnitude, "magnitude |k| of sampled out-of-step errors", []float64{1, 2, 3, 4}),
-	}
-}
-
-// record notes one sampled outcome.
-func (t *SampleTelemetry) record(o Outcome) {
-	if t == nil || o.Correct() {
-		return
-	}
-	t.Injected.Inc()
-	if o.StopInMiddle {
-		t.StopInMiddle.Inc()
-		return
-	}
-	off := o.StepOffset
-	if off < 0 {
-		off = -off
-	}
-	t.Magnitude.Observe(float64(off))
 }
 
 // tempReferenceC is the characterization temperature of the Table 2 rates.
@@ -277,12 +235,6 @@ const overShiftBias = 0.7
 
 // Sample draws the outcome of one n-step shift.
 func (m Model) Sample(n int, r *sim.RNG) Outcome {
-	o := m.sample(n, r)
-	m.Tel.record(o)
-	return o
-}
-
-func (m Model) sample(n int, r *sim.RNG) Outcome {
 	if n == 0 {
 		return Outcome{}
 	}

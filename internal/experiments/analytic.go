@@ -192,22 +192,6 @@ func stripeConfigs() []struct{ Segs, SegLen, Bits int } {
 	return out
 }
 
-// uniformDistanceDist returns the probability of each shift distance for
-// uniformly random successive target offsets in [0, segLen): the analytic
-// access model for the sensitivity studies.
-func uniformDistanceDist(segLen int) []float64 {
-	n := float64(segLen)
-	dist := make([]float64, segLen)
-	for d := 0; d < segLen; d++ {
-		if d == 0 {
-			dist[0] = 1 / n
-		} else {
-			dist[d] = 2 * (n - float64(d)) / (n * n)
-		}
-	}
-	return dist
-}
-
 // Fig12 regenerates paper Fig. 12: DUE MTTF sensitivity to the stripe
 // configuration for p-ECC-S adaptive and p-ECC-O, at the LLC's worst-case
 // intensity.
@@ -221,16 +205,14 @@ func Fig12() Table {
 	}
 	for _, c := range stripeConfigs() {
 		segLen := c.SegLen
-		maxDist := segLen - 1
-		planner := shiftctrl.NewPlanner(em, shiftctrl.DefaultTiming(), max(maxDist, 1), max(maxDist, 1))
-		dist := uniformDistanceDist(segLen)
 		// p-ECC-S adaptive at worst-case intensity behaves like the
 		// worst-case plan; expected uncorrectable rate per access:
-		var rateS, opsS float64
+		plans := shiftctrl.NewPlans(shiftctrl.PECCSWorst, em, max(segLen-1, 1), 2e9,
+			llcIntensity, target, llcStripes)
+		dist := shiftctrl.UniformDistances(segLen)
+		var rateS float64
 		for d := 1; d < segLen; d++ {
-			seq := shiftctrl.WorstCaseSequence(planner, d, llcIntensity, target, llcStripes)
-			rateS += dist[d] * shiftctrl.SeqUncorrectableRate(em, seq) * llcStripes
-			opsS += dist[d] * float64(len(seq))
+			rateS += dist[d] * shiftctrl.SeqUncorrectableRate(em, plans.Plan(d)) * llcStripes
 		}
 		mttfS := mttf.FromRate(rateS, llcIntensity)
 		// p-ECC-O: every step is its own 1-step operation.
@@ -306,21 +288,18 @@ func Fig15() Table {
 	}
 	for _, c := range stripeConfigs() {
 		segLen := c.SegLen
-		dist := uniformDistanceDist(segLen)
-		planner := shiftctrl.NewPlanner(em, timing, max(segLen-1, 1), max(segLen-1, 1))
-		adapter := shiftctrl.NewAdapter(planner, 2e9, target, llcStripes)
+		dist := shiftctrl.UniformDistances(segLen)
+		maxDist := max(segLen-1, 1)
+		adaptive := shiftctrl.NewPlans(shiftctrl.PECCSAdaptive, em, maxDist, 2e9, llcIntensity, target, llcStripes)
+		pecco := shiftctrl.NewPlans(shiftctrl.PECCO, em, maxDist, 2e9, llcIntensity, target, llcStripes)
 		// Typical interval: LLC at moderate load (10% of worst case).
 		intervalF := 10 * 2e9 / float64(llcIntensity)
 		interval := uint64(intervalF)
 		var base, lats, lato float64
 		for d := 1; d < segLen; d++ {
 			base += dist[d] * float64(timing.SeqCycles([]int{d}))
-			lats += dist[d] * float64(timing.SeqCycles(adapter.SequenceFor(d, interval)))
-			ones := make([]int, d)
-			for i := range ones {
-				ones[i] = 1
-			}
-			lato += dist[d] * float64(timing.SeqCycles(ones))
+			lats += dist[d] * float64(timing.SeqCycles(adaptive.Seq(d, interval)))
+			lato += dist[d] * float64(timing.SeqCycles(pecco.Plan(d)))
 		}
 		t.AddRow(fmt.Sprintf("%dx%d", c.Segs, segLen), c.Bits, lats/base, lato/base)
 	}
@@ -365,11 +344,4 @@ func Table5() Table {
 		t.AddRow(r.name, o.DetectNS, o.DetectPJ, o.CorrectNS, o.CorrectPJ, cell, r.ctrl)
 	}
 	return t
-}
-
-func max(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
 }

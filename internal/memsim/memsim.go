@@ -273,19 +273,13 @@ type system struct {
 	l2 []*cache.Cache
 	l3 *cache.Cache
 
-	rtm     *cache.RTMArray
-	promo   *promoBuffer
-	planner *shiftctrl.Planner
-	adapter *shiftctrl.Adapter
-	timing  shiftctrl.Timing
-	em      errmodel.Model
-	faults  *faults.Device
-	shiftE  energy.ShiftCosts
-
-	// plans[d] is the operation sequence for a shift of d steps under
-	// every scheme but p-ECC-S adaptive, whose plan also depends on the
-	// interval since the previous shift (see planSequence).
-	plans [][]int
+	rtm    *cache.RTMArray
+	promo  *promoBuffer
+	plans  *shiftctrl.Plans
+	timing shiftctrl.Timing
+	em     errmodel.Model
+	faults *faults.Device
+	shiftE energy.ShiftCosts
 
 	lastShiftCycle uint64 // LLC-timeline cycle of the previous L3 shift
 	shiftCycles    uint64
@@ -374,15 +368,13 @@ func newSystem(ctx context.Context, w trace.Workload, cfg Config) *system {
 		if maxDist < 1 {
 			maxDist = 1
 		}
-		// The planner/adapter construction precomputes safe-distance and
-		// sequence tables from the error model — the run's calibration
-		// cost, attributed to its own span.
+		// Planning precomputes safe-distance and sequence tables from the
+		// error model — the run's calibration cost, attributed to its own
+		// span.
 		_, cal := telemetry.StartSpan(ctx, "errmodel-calibration")
-		s.planner = shiftctrl.NewPlanner(s.em, s.timing, maxDist, maxDist)
-		s.adapter = shiftctrl.NewAdapter(s.planner, cfg.ClockHz, cfg.TargetDUE,
-			cfg.Geometry.StripesPerGroup)
+		s.plans = shiftctrl.NewPlans(cfg.Scheme, s.em, maxDist, cfg.ClockHz,
+			s.maxIntensity(), cfg.TargetDUE, cfg.Geometry.StripesPerGroup)
 		cal.End()
-		s.plans = s.planTable(maxDist)
 		s.shiftE = energy.DefaultShift()
 		s.promo = newPromoBuffer(cfg.PromoEntries)
 		s.ops = make([]uint64, maxDist+1)
@@ -634,15 +626,14 @@ func (s *system) shiftFor(start uint64, set, way int) int {
 	}
 	s.lastShiftCycle = start
 
-	seq := s.planSequence(dist, interval)
+	seq := s.plans.Seq(dist, interval)
 	cycles := 0
-	owrite := s.cfg.Scheme == shiftctrl.PECCO
 	for _, n := range seq {
-		cycles += s.opCycles(n)
+		cycles += s.cfg.Scheme.OpCycles(s.timing, n)
 		s.pathOps[n]++
 	}
 	s.trackSeq(seq)
-	s.acct.ShiftNJ += s.shiftE.SeqNJ(seq, owrite)
+	s.acct.ShiftNJ += s.shiftE.SeqNJ(seq, s.cfg.Scheme.StepLimited())
 	s.tracer.Emit(telemetry.EventShift, start, int64(group), int64(dir*dist), int64(len(seq)))
 	s.rtm.MoveHead(group, dist, dir, len(seq))
 	s.shiftCycles += uint64(cycles)
@@ -656,14 +647,15 @@ func (s *system) shiftFor(start uint64, set, way int) int {
 }
 
 // trackSeq accounts one planned sequence's reliability exposure: the
-// MTTF tracker and the per-operation counts. The SECDED-family schemes
-// run one p-ECC check per operation and transparently correct +-1
-// errors, so expCorr integrates the k=1 rate over operations (the
-// analytic counterpart of Tape.Corrections).
+// MTTF tracker and the per-operation counts. Every scheme but baseline
+// and STS-only runs one p-ECC check per operation; the SECDED family
+// also transparently corrects +-1 errors, so expCorr integrates the k=1
+// rate over operations (the analytic counterpart of Tape.Corrections).
 func (s *system) trackSeq(seq []int) {
 	g := float64(s.cfg.Geometry.StripesPerGroup)
-	checked := s.cfg.Scheme != shiftctrl.Baseline && s.cfg.Scheme != shiftctrl.STSOnly
-	corrects := checked && s.cfg.Scheme != shiftctrl.SED
+	mode := s.cfg.Scheme.CheckMode()
+	checked := mode != shiftctrl.CheckNone
+	corrects := mode == shiftctrl.CheckCorrect
 	for _, n := range seq {
 		em := s.em
 		if s.faults != nil {
@@ -705,10 +697,9 @@ func (s *system) returnHead(group int) {
 	if h == 0 {
 		return
 	}
-	seq := s.planSequence(h, 0) // back-to-back: conservative interval
-	owrite := s.cfg.Scheme == shiftctrl.PECCO
+	seq := s.plans.Seq(h, 0) // back-to-back: conservative interval
 	s.trackSeq(seq)
-	s.acct.ShiftNJ += s.shiftE.SeqNJ(seq, owrite)
+	s.acct.ShiftNJ += s.shiftE.SeqNJ(seq, s.cfg.Scheme.StepLimited())
 	s.rtm.MoveHead(group, h, -1, len(seq))
 }
 
@@ -721,50 +712,13 @@ func (s *system) flushShift(set, way int) {
 	if dist == 0 {
 		return
 	}
-	owrite := s.cfg.Scheme == shiftctrl.PECCO
 	for trip := 0; trip < 2; trip++ { // there and back
-		seq := s.planSequence(dist, 0) // back-to-back: conservative plan
+		seq := s.plans.Seq(dist, 0) // back-to-back: conservative plan
 		s.trackSeq(seq)
-		s.acct.ShiftNJ += s.shiftE.SeqNJ(seq, owrite)
+		s.acct.ShiftNJ += s.shiftE.SeqNJ(seq, s.cfg.Scheme.StepLimited())
 	}
 	s.promoFlushes++
 	s.tracer.Emit(telemetry.EventPromoFlush, s.lastShiftCycle, int64(set), int64(way), 0)
-}
-
-// planSequence splits a distance into operations per the active scheme.
-// The slice is shared by every shift of the run: callers must not modify
-// it.
-func (s *system) planSequence(dist int, interval uint64) []int {
-	if s.cfg.Scheme == shiftctrl.PECCSAdaptive {
-		return s.adapter.SequenceFor(dist, interval)
-	}
-	return s.plans[dist]
-}
-
-// planTable plans every distance up to maxDist once, for the schemes
-// whose plan depends on the distance alone: p-ECC-O moves one step per
-// operation, p-ECC-S worst plans for the peak access intensity, and the
-// others shift the whole distance at once.
-func (s *system) planTable(maxDist int) [][]int {
-	plans := make([][]int, maxDist+1)
-	ones := make([]int, maxDist)
-	for i := range ones {
-		ones[i] = 1
-	}
-	for d := 1; d <= maxDist; d++ {
-		switch s.cfg.Scheme {
-		case shiftctrl.PECCO:
-			plans[d] = ones[:d]
-		case shiftctrl.PECCSWorst:
-			plans[d] = shiftctrl.WorstCaseSequence(s.planner, d,
-				s.maxIntensity(), s.cfg.TargetDUE, s.cfg.Geometry.StripesPerGroup)
-		case shiftctrl.PECCSAdaptive:
-			// Planned per shift by the adapter.
-		default:
-			plans[d] = []int{d}
-		}
-	}
-	return plans
 }
 
 // maxIntensity is the conservative worst-case access intensity: one access
@@ -772,14 +726,6 @@ func (s *system) planTable(maxDist int) [][]int {
 // paper's §5.2 83M/s figure for the 128MB LLC).
 func (s *system) maxIntensity() float64 {
 	return l3Banks * s.cfg.ClockHz / float64(s.costsL3.ReadCycles)
-}
-
-// opCycles returns one operation's latency under the active scheme.
-func (s *system) opCycles(n int) int {
-	if s.cfg.Scheme == shiftctrl.Baseline || s.cfg.Scheme == shiftctrl.STSOnly {
-		return s.timing.STS.Cycles(n) // no p-ECC check cycle
-	}
-	return s.timing.OpCycles(n)
 }
 
 // result finalizes statistics over the measured window (everything after

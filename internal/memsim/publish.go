@@ -92,7 +92,7 @@ func (s *system) newMeter(reg *telemetry.Registry) meter {
 	hist(telemetry.MetricShiftOpInterval, "steps per planned shift operation",
 		telemetry.ShiftDistanceBuckets(), s.ops, steps)
 	hist(telemetry.MetricShiftOpLatency, "latency per shift operation in cycles",
-		telemetry.LatencyCycleBuckets(), s.pathOps, func(n int) float64 { return float64(s.opCycles(n)) })
+		telemetry.LatencyCycleBuckets(), s.pathOps, func(n int) float64 { return float64(s.cfg.Scheme.OpCycles(s.timing, n)) })
 	count(telemetry.MetricPECCChecks, "p-ECC position verifies performed", &s.checks)
 	sum(telemetry.MetricExpectedCorrections, "expected p-ECC corrections (analytic)",
 		func() float64 { return s.expCorr })
@@ -116,8 +116,14 @@ func (s *system) newMeter(reg *telemetry.Registry) meter {
 		count(telemetry.MetricShiftZero, "accesses needing no head movement", &s.rtm.ZeroShiftAccesses)
 		hist(telemetry.MetricShiftDistance, "per-access shift distance in steps",
 			telemetry.ShiftDistanceBuckets(), s.rtm.Distances, steps)
+		// Only p-ECC-S adaptive has an adapter; every racetrack run
+		// still exports the series.
+		var stalls []*uint64
+		if a := s.plans.Adapter(); a != nil {
+			stalls = []*uint64{&a.Stalls}
+		}
 		count(telemetry.MetricAdapterStalls,
-			"adapter lookups where even the all-1-step row needed a longer interval", &s.adapter.Stalls)
+			"adapter lookups where even the all-1-step row needed a longer interval", stalls...)
 	}
 
 	m.accessesDone = reg.Gauge(telemetry.MetricSimAccessesDone, "core accesses simulated so far")

@@ -27,7 +27,6 @@ import (
 	"fmt"
 
 	"racetrack/hifi/internal/stripe"
-	"racetrack/hifi/internal/telemetry"
 )
 
 // Code is a p-ECC of a given correction strength for a given segment
@@ -35,55 +34,6 @@ import (
 type Code struct {
 	m      int // correctable step magnitude
 	segLen int // Lseg of the protected stripe
-	tel    *DecodeTelemetry
-}
-
-// DecodeTelemetry counts decoder verdicts. Handles are nil-safe, so a
-// partially filled struct is fine.
-type DecodeTelemetry struct {
-	// Checks counts Decode invocations (one per p-ECC verify).
-	Checks *telemetry.Counter
-	// Detected counts any expected/observed code mismatch.
-	Detected *telemetry.Counter
-	// Correctable counts mismatches within the correction strength.
-	Correctable *telemetry.Counter
-	// Indeterminate counts undecodable windows (Unknown bits).
-	Indeterminate *telemetry.Counter
-}
-
-// NewDecodeTelemetry registers the decoder series on reg (nil reg
-// yields an inert, still-usable struct).
-func NewDecodeTelemetry(reg *telemetry.Registry) *DecodeTelemetry {
-	return &DecodeTelemetry{
-		Checks:        reg.Counter(telemetry.MetricPECCChecks, "p-ECC decode checks performed"),
-		Detected:      reg.Counter(telemetry.MetricPECCDetected, "p-ECC checks detecting a position error"),
-		Correctable:   reg.Counter(telemetry.MetricPECCCorrections, "p-ECC detections within correction strength"),
-		Indeterminate: reg.Counter(telemetry.MetricPECCIndeterminate, "p-ECC windows that could not be decoded"),
-	}
-}
-
-// WithTelemetry returns a copy of the code that reports every Decode
-// into t. The code itself is unchanged; pass nil to detach.
-func (c Code) WithTelemetry(t *DecodeTelemetry) Code {
-	c.tel = t
-	return c
-}
-
-// observe records one decode verdict.
-func (t *DecodeTelemetry) observe(r Result) {
-	if t == nil {
-		return
-	}
-	t.Checks.Inc()
-	if r.Detected {
-		t.Detected.Inc()
-	}
-	if r.Correctable {
-		t.Correctable.Inc()
-	}
-	if r.Indeterminate {
-		t.Indeterminate.Inc()
-	}
 }
 
 // New returns a p-ECC correcting up to m-step errors (and detecting
@@ -220,12 +170,6 @@ type Result struct {
 // Decode compares the code window read from the ports against the window
 // expected at the believed displacement and classifies the position error.
 func (c Code) Decode(believedOffset int, read []stripe.Bit) Result {
-	r := c.decode(believedOffset, read)
-	c.tel.observe(r)
-	return r
-}
-
-func (c Code) decode(believedOffset int, read []stripe.Bit) Result {
 	actual := c.phaseOf(read)
 	if actual < 0 {
 		return Result{Detected: true, Indeterminate: true}

@@ -3,6 +3,11 @@
 // safe-distance rule, the optimal shift-sequence selection of Algorithm 1,
 // the adaptive run-time intensity adapter, and a functional fault-injecting
 // tape controller for end-to-end protection of a single stripe.
+//
+// Every per-scheme decision lives here: a Scheme's methods say which p-ECC
+// check it runs, what one operation costs and how its errors are
+// classified, and Plans says how it splits a shift into operations.
+// Callers ask them rather than compare schemes.
 package shiftctrl
 
 import (
@@ -95,6 +100,44 @@ func (s Scheme) UsesSafeDistance() bool {
 // StepLimited reports whether every shift operation is limited to one step
 // (p-ECC-O's shift-and-write).
 func (s Scheme) StepLimited() bool { return s == PECCO }
+
+// CheckMode selects how much of the p-ECC machinery a scheme engages
+// after each shift operation.
+type CheckMode int
+
+const (
+	// CheckCorrect runs full detect-and-correct (SECDED family). Default.
+	CheckCorrect CheckMode = iota
+	// CheckDetect detects errors but cannot correct (SED): every hit is a
+	// DUE.
+	CheckDetect
+	// CheckNone performs no p-ECC check at all (baseline / STS-only):
+	// position errors accumulate silently.
+	CheckNone
+)
+
+// CheckMode returns the p-ECC check the scheme runs after every shift
+// operation.
+func (s Scheme) CheckMode() CheckMode {
+	switch s {
+	case Baseline, STSOnly:
+		return CheckNone
+	case SED:
+		return CheckDetect
+	default:
+		return CheckCorrect
+	}
+}
+
+// OpCycles returns the latency of one n-step shift operation under the
+// scheme: the STS shift plus, when the scheme runs a p-ECC check, the
+// check cycles.
+func (s Scheme) OpCycles(t Timing, n int) int {
+	if s.CheckMode() == CheckNone {
+		return t.STS.Cycles(n)
+	}
+	return t.OpCycles(n)
+}
 
 // FailureRates returns the per-operation probabilities of silent data
 // corruption and detected-unrecoverable error for a single shift operation

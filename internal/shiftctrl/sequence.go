@@ -325,3 +325,79 @@ func WorstCaseSequence(p *Planner, d int, maxIntensity float64, targetSeconds fl
 	seq, _ := p.Plan(d, maxRate)
 	return seq
 }
+
+// Plans is one scheme's shift plans for one segment length: how a shift
+// of each distance splits into operations. p-ECC-O moves one step per
+// operation, both p-ECC-S schemes plan for a fixed access intensity, and
+// the other schemes shift the whole distance at once. p-ECC-S adaptive
+// also holds the run-time adapter, which replans by the interval since
+// the previous shift.
+type Plans struct {
+	fixed   [][]int
+	adapter *Adapter
+}
+
+// NewPlans plans every distance up to maxDist for scheme s under the
+// default timing. intensity is the access intensity (operations per
+// second) the p-ECC-S plans must tolerate at the targetSeconds DUE MTTF
+// with stripes shifting together; clockHz times the adapter's intervals.
+func NewPlans(s Scheme, em errmodel.Model, maxDist int, clockHz, intensity, targetSeconds float64, stripes int) *Plans {
+	p := &Plans{fixed: make([][]int, maxDist+1)}
+	var planner *Planner
+	if s.UsesSafeDistance() {
+		planner = NewPlanner(em, DefaultTiming(), maxDist, maxDist)
+	}
+	ones := make([]int, maxDist)
+	for i := range ones {
+		ones[i] = 1
+	}
+	for d := 1; d <= maxDist; d++ {
+		switch {
+		case s.StepLimited():
+			p.fixed[d] = ones[:d]
+		case planner != nil:
+			p.fixed[d] = WorstCaseSequence(planner, d, intensity, targetSeconds, stripes)
+		default:
+			p.fixed[d] = []int{d}
+		}
+	}
+	if s == PECCSAdaptive {
+		p.adapter = NewAdapter(planner, clockHz, targetSeconds, stripes)
+	}
+	return p
+}
+
+// Plan returns the fixed-intensity plan for a shift of distance d. The
+// slice is shared by every caller: it must not be modified.
+func (p *Plans) Plan(d int) []int { return p.fixed[d] }
+
+// Seq returns the plan for a shift of distance d issued intervalCycles
+// after the previous shift: the adapter's choice under p-ECC-S adaptive,
+// the fixed plan otherwise. The slice must not be modified.
+func (p *Plans) Seq(d int, intervalCycles uint64) []int {
+	if p.adapter != nil {
+		return p.adapter.SequenceFor(d, intervalCycles)
+	}
+	return p.fixed[d]
+}
+
+// Adapter returns the run-time adapter, or nil for every scheme but
+// p-ECC-S adaptive.
+func (p *Plans) Adapter() *Adapter { return p.adapter }
+
+// UniformDistances returns the probability of each shift distance
+// 0..segLen-1 between uniformly random successive target offsets in
+// [0, segLen): 1/n for distance 0 and 2(n-d)/n^2 otherwise. It is the
+// analytic access model of the sensitivity studies and the design search.
+func UniformDistances(segLen int) []float64 {
+	if segLen < 1 {
+		return nil
+	}
+	n := float64(segLen)
+	dist := make([]float64, segLen)
+	dist[0] = 1 / n
+	for d := 1; d < segLen; d++ {
+		dist[d] = 2 * (n - float64(d)) / (n * n)
+	}
+	return dist
+}

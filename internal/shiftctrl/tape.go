@@ -8,7 +8,6 @@ import (
 	"racetrack/hifi/internal/pecc"
 	"racetrack/hifi/internal/sim"
 	"racetrack/hifi/internal/stripe"
-	"racetrack/hifi/internal/telemetry"
 )
 
 // LayoutFor builds a stripe layout sized for a SECDED-family p-ECC: the
@@ -36,21 +35,6 @@ func LayoutFor(c pecc.Code, dataLen int) stripe.Layout {
 // by the examples and the integration tests; the cache-scale evaluation
 // uses the analytic rate tracking instead (rates below 1e-15 are not
 // observable functionally).
-// CheckMode selects how much of the p-ECC machinery a Tape engages,
-// mirroring the protection schemes.
-type CheckMode int
-
-const (
-	// CheckCorrect runs full detect-and-correct (SECDED family). Default.
-	CheckCorrect CheckMode = iota
-	// CheckDetect detects errors but cannot correct (SED): every hit is a
-	// DUE.
-	CheckDetect
-	// CheckNone performs no p-ECC check at all (baseline / STS-only):
-	// position errors accumulate silently.
-	CheckNone
-)
-
 type Tape struct {
 	st     *stripe.Stripe
 	lay    stripe.Layout
@@ -76,26 +60,6 @@ type Tape struct {
 	Corrections uint64 // corrective shifts applied after p-ECC hits
 	DUEs        uint64 // detected unrecoverable errors
 	SilentBad   uint64 // oracle count of undetected misalignment episodes
-
-	// Telemetry handles; nil (the default) costs one branch per event.
-	mOps, mCycles, mCorrections, mDUEs *telemetry.Counter
-	tracer                             *telemetry.Tracer
-}
-
-// Instrument attaches shift/correction counters, the fault-injection
-// counters of the underlying error model, p-ECC decode counters, and an
-// optional event tracer. Pass nil for either argument to leave that
-// sink detached.
-func (t *Tape) Instrument(reg *telemetry.Registry, tr *telemetry.Tracer) {
-	t.mOps = reg.Counter(telemetry.MetricShiftOps, "shift operations issued")
-	t.mCycles = reg.Counter(telemetry.MetricShiftCycles, "cycles spent shifting and checking")
-	t.mCorrections = reg.Counter(telemetry.MetricTapeCorrections, "corrective shifts applied after p-ECC hits")
-	t.mDUEs = reg.Counter(telemetry.MetricPECCDUEs, "detected unrecoverable position errors")
-	if reg != nil {
-		t.em.Tel = errmodel.NewSampleTelemetry(reg)
-		t.code = t.code.WithTelemetry(pecc.NewDecodeTelemetry(reg))
-	}
-	t.tracer = tr
 }
 
 // maxCorrectionRounds bounds the detect-correct loop; two consecutive
@@ -153,16 +117,6 @@ func (t *Tape) applyRaw(dist, dir int) {
 	}
 	t.Ops++
 	t.Cycles += uint64(t.timing.OpCycles(dist))
-	t.mOps.Inc()
-	t.mCycles.Add(float64(t.timing.OpCycles(dist)))
-	t.tracer.Emit(telemetry.EventShift, t.Cycles, -1, int64(dir*dist), 1)
-	if !o.Correct() {
-		stopped := int64(0)
-		if o.StopInMiddle {
-			stopped = 1
-		}
-		t.tracer.Emit(telemetry.EventErrorInject, t.Cycles, int64(dist), int64(o.StepOffset), stopped)
-	}
 	if dir > 0 {
 		t.st.ShiftLeft(actual, nil)
 		t.trueOff += actual
@@ -197,14 +151,10 @@ func (t *Tape) checkAndCorrect() {
 		case res.Correctable && t.Mode == CheckDetect:
 			// SED knows something is wrong but not which direction.
 			t.DUEs++
-			t.mDUEs.Inc()
-			t.tracer.Emit(telemetry.EventDUE, t.Cycles, int64(t.believed), 0, 0)
 			t.recoverDUE()
 			return
 		case res.Correctable:
 			t.Corrections++
-			t.mCorrections.Inc()
-			t.tracer.Emit(telemetry.EventCorrection, t.Cycles, int64(res.Offset), 0, 0)
 			// Shift back by the detected offset. The correction is itself
 			// a shift operation with its own error injection.
 			d := res.Offset
@@ -216,15 +166,11 @@ func (t *Tape) checkAndCorrect() {
 		default:
 			// Indeterminate or +-(m+1): detected but unrecoverable.
 			t.DUEs++
-			t.mDUEs.Inc()
-			t.tracer.Emit(telemetry.EventDUE, t.Cycles, int64(t.believed), 0, 0)
 			t.recoverDUE()
 			return
 		}
 	}
 	t.DUEs++
-	t.mDUEs.Inc()
-	t.tracer.Emit(telemetry.EventDUE, t.Cycles, int64(t.believed), 0, 0)
 	t.recoverDUE()
 }
 

@@ -19,7 +19,6 @@ package sts
 import (
 	"racetrack/hifi/internal/errmodel"
 	"racetrack/hifi/internal/physics"
-	"racetrack/hifi/internal/telemetry"
 )
 
 // Config describes the two-stage shift operation.
@@ -35,17 +34,6 @@ type Config struct {
 	// back into the previous notch instead of forward into the next one
 	// (paper §4.1). The default is positive.
 	Negative bool
-	// Conversions optionally counts stop-in-middle outcomes converted to
-	// out-of-step by stage 2; nil (the default) is a no-op handle.
-	Conversions *telemetry.Counter
-}
-
-// Instrument returns a copy of the configuration that counts stage-2
-// conversions on reg.
-func (c Config) Instrument(reg *telemetry.Registry) Config {
-	c.Conversions = reg.Counter(telemetry.MetricSTSConversions,
-		"stop-in-middle outcomes converted to out-of-step by STS stage 2")
-	return c
 }
 
 // DefaultConfig returns the paper's operating point.
@@ -92,7 +80,6 @@ func (c Config) Convert(o errmodel.Outcome) errmodel.Outcome {
 	if !o.StopInMiddle {
 		return o
 	}
-	c.Conversions.Inc()
 	off := o.StepOffset
 	if !c.Negative {
 		off++

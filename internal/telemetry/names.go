@@ -19,16 +19,9 @@ const (
 	MetricShiftOpLatency  = "hifi_shift_op_cycles"
 	MetricShiftOpInterval = "hifi_shift_op_interval_steps"
 
-	// Protection stack: p-ECC verifies, corrections, conversions, and
-	// the analytic expected-failure accumulators driving MTTF.
+	// Protection stack: p-ECC verifies and the analytic
+	// expected-failure accumulators driving MTTF.
 	MetricPECCChecks          = "hifi_pecc_checks_total"
-	MetricPECCDetected        = "hifi_pecc_detected_total"
-	MetricPECCCorrections     = "hifi_pecc_corrections_total"
-	MetricPECCDUEs            = "hifi_pecc_dues_total"
-	MetricPECCIndeterminate   = "hifi_pecc_indeterminate_total"
-	MetricSTSConversions      = "hifi_sts_conversions_total"
-	MetricErrInjected         = "hifi_errors_injected_total"
-	MetricErrMagnitude        = "hifi_error_magnitude_steps"
 	MetricExpectedCorrections = "hifi_expected_corrections_total"
 	MetricExpectedSDC         = "hifi_expected_sdc_total"
 	MetricExpectedDUE         = "hifi_expected_due_total"
@@ -115,10 +108,6 @@ const (
 	MetricSLOGood     = "hifi_slo_good_total"
 	MetricSLOBad      = "hifi_slo_bad_total"
 	MetricSLOBurnRate = "hifi_slo_burn_rate"
-
-	// Playback tape (internal/shiftctrl): misalignment corrections
-	// applied during verified playback.
-	MetricTapeCorrections = "hifi_tape_corrections_total"
 
 	// Structured event plane (internal/telemetry/events): deliveries
 	// dropped because an SSE subscriber's buffer was full. See

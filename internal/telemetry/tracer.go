@@ -16,17 +16,6 @@ const (
 	// EventShift: one planned shift. Arg0=group, Arg1=signed distance,
 	// Arg2=operations in the planned sequence.
 	EventShift EventKind = iota + 1
-	// EventVerify: one p-ECC check. Arg0=believed offset, Arg1=detected
-	// (0/1), Arg2=correctable (0/1).
-	EventVerify
-	// EventErrorInject: a sampled position error. Arg0=requested
-	// distance, Arg1=signed step offset, Arg2=stop-in-middle (0/1).
-	EventErrorInject
-	// EventCorrection: a corrective shift applied after a p-ECC hit.
-	// Arg0=detected offset.
-	EventCorrection
-	// EventDUE: a detected unrecoverable error. Arg0=believed offset.
-	EventDUE
 	// EventEviction: an LLC eviction. Arg0=set, Arg1=way, Arg2=dirty
 	// (0/1).
 	EventEviction
@@ -40,14 +29,6 @@ func (k EventKind) String() string {
 	switch k {
 	case EventShift:
 		return "shift"
-	case EventVerify:
-		return "verify"
-	case EventErrorInject:
-		return "error-inject"
-	case EventCorrection:
-		return "correction"
-	case EventDUE:
-		return "due"
 	case EventEviction:
 		return "eviction"
 	case EventPromoFlush:
@@ -57,9 +38,8 @@ func (k EventKind) String() string {
 	}
 }
 
-// Event is one fixed-size trace record. Cycle is the emitting timeline's
-// cycle count (the LLC timeline in memsim, cumulative tape cycles in the
-// functional controller).
+// Event is one fixed-size trace record. Cycle is the cycle on memsim's
+// LLC timeline.
 type Event struct {
 	Seq   uint64    `json:"seq"`
 	Cycle uint64    `json:"cycle"`

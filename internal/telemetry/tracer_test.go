@@ -53,12 +53,12 @@ func TestTracerRingWrap(t *testing.T) {
 func TestTracerBelowCapacity(t *testing.T) {
 	tr := NewTracer(8)
 	tr.Emit(EventEviction, 100, 1, 2, 1)
-	tr.Emit(EventDUE, 200, 3, 0, 0)
+	tr.Emit(EventPromoFlush, 200, 3, 0, 0)
 	if tr.Len() != 2 || tr.Dropped() != 0 {
 		t.Fatalf("Len/Dropped = %d/%d", tr.Len(), tr.Dropped())
 	}
 	evs := tr.Events()
-	if evs[0].Kind != EventEviction || evs[1].Kind != EventDUE {
+	if evs[0].Kind != EventEviction || evs[1].Kind != EventPromoFlush {
 		t.Fatalf("events out of order: %v", evs)
 	}
 	if evs[0].Seq != 0 || evs[1].Seq != 1 {
@@ -93,12 +93,12 @@ func TestTracerConcurrentEmit(t *testing.T) {
 }
 
 func TestEventJSONKindSymbolic(t *testing.T) {
-	e := Event{Seq: 5, Cycle: 9, Kind: EventErrorInject, Arg0: 4, Arg1: -1, Arg2: 1}
+	e := Event{Seq: 5, Cycle: 9, Kind: EventPromoFlush, Arg0: 4, Arg1: -1, Arg2: 1}
 	b, err := json.Marshal(e)
 	if err != nil {
 		t.Fatal(err)
 	}
-	want := `{"seq":5,"cycle":9,"kind":"error-inject","arg0":4,"arg1":-1,"arg2":1}`
+	want := `{"seq":5,"cycle":9,"kind":"promo-flush","arg0":4,"arg1":-1,"arg2":1}`
 	if string(b) != want {
 		t.Fatalf("got %s, want %s", b, want)
 	}
@@ -106,14 +106,10 @@ func TestEventJSONKindSymbolic(t *testing.T) {
 
 func TestEventKindStrings(t *testing.T) {
 	kinds := map[EventKind]string{
-		EventShift:       "shift",
-		EventVerify:      "verify",
-		EventErrorInject: "error-inject",
-		EventCorrection:  "correction",
-		EventDUE:         "due",
-		EventEviction:    "eviction",
-		EventPromoFlush:  "promo-flush",
-		EventKind(99):    "kind(99)",
+		EventShift:      "shift",
+		EventEviction:   "eviction",
+		EventPromoFlush: "promo-flush",
+		EventKind(99):   "kind(99)",
 	}
 	for k, want := range kinds {
 		if got := k.String(); got != want {
@@ -125,8 +121,8 @@ func TestEventKindStrings(t *testing.T) {
 func TestTracerWriteJSONRoundTrip(t *testing.T) {
 	tr := NewTracer(2)
 	tr.Emit(EventShift, 1, 0, 3, 2)
-	tr.Emit(EventCorrection, 2, 1, 0, 0)
-	tr.Emit(EventDUE, 3, 2, 0, 0) // overwrites the shift
+	tr.Emit(EventEviction, 2, 1, 0, 0)
+	tr.Emit(EventPromoFlush, 3, 2, 0, 0) // overwrites the shift
 	var b bytes.Buffer
 	if err := tr.WriteJSON(&b); err != nil {
 		t.Fatal(err)
@@ -145,7 +141,7 @@ func TestTracerWriteJSONRoundTrip(t *testing.T) {
 	if doc.Emitted != 3 || doc.Dropped != 1 || len(doc.Events) != 2 {
 		t.Fatalf("envelope = %+v", doc)
 	}
-	if doc.Events[0].Kind != "correction" || doc.Events[1].Kind != "due" {
+	if doc.Events[0].Kind != "eviction" || doc.Events[1].Kind != "promo-flush" {
 		t.Fatalf("events = %+v", doc.Events)
 	}
 }
