@@ -109,15 +109,23 @@ perf-smoke:
 	test -s /tmp/hifi-perf/trend.svg
 
 # engine-smoke is the local version of CI's engine job: tables must be
-# byte-identical at any -jobs, an interrupted sweep (here: one holding
-# only fig10) finishes from its cache with the uncached tables, a
-# repeated cached sweep must execute nothing and record no simulation
-# metrics (abl-promo included), and a run without -cache-dir must
-# compute each shared result once (see docs/engine.md).
+# byte-identical at any -jobs (fig16, abl-promo and the chaos campaign
+# included, whose simulations replay shared access streams), an
+# interrupted sweep (here: one holding only fig10) finishes from its
+# cache with the uncached tables, a repeated cached sweep must execute
+# nothing and record no simulation metrics (abl-promo included), and a
+# run without -cache-dir must compute each shared result once (see
+# docs/engine.md).
 engine-smoke:
 	$(GO) run ./cmd/hifi-experiments -run fig10,fig14 -scaled -accesses 1000 -q -jobs 1 > /tmp/hifi-serial.txt
 	$(GO) run ./cmd/hifi-experiments -run fig10,fig14 -scaled -accesses 1000 -q -jobs 8 > /tmp/hifi-parallel.txt
 	diff -u /tmp/hifi-serial.txt /tmp/hifi-parallel.txt
+	$(GO) run ./cmd/hifi-experiments -run fig16,abl-promo -scaled -accesses 1000 -q -jobs 1 > /tmp/hifi-streams-serial.txt
+	$(GO) run ./cmd/hifi-experiments -run fig16,abl-promo -scaled -accesses 1000 -q -jobs 8 > /tmp/hifi-streams-parallel.txt
+	diff -u /tmp/hifi-streams-serial.txt /tmp/hifi-streams-parallel.txt
+	$(GO) run ./cmd/hifi-chaos -scaled -accesses 500 -intensities 0,2 -schemes baseline,adaptive -q -jobs 1 > /tmp/hifi-chaos-serial.txt
+	$(GO) run ./cmd/hifi-chaos -scaled -accesses 500 -intensities 0,2 -schemes baseline,adaptive -q -jobs 8 > /tmp/hifi-chaos-parallel.txt
+	diff -u /tmp/hifi-chaos-serial.txt /tmp/hifi-chaos-parallel.txt
 	rm -rf /tmp/hifi-partial-cache
 	$(GO) run ./cmd/hifi-experiments -run fig10 -scaled -accesses 1000 -q -jobs 8 -cache-dir /tmp/hifi-partial-cache >/dev/null
 	$(GO) run ./cmd/hifi-experiments -run fig10,fig14 -scaled -accesses 1000 -jobs 8 -cache-dir /tmp/hifi-partial-cache \

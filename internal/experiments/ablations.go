@@ -231,6 +231,7 @@ func AblationTemperature() Table {
 // STAG-style structure of [43]) on one capacity-sensitive workload,
 // reporting the shift traffic absorbed and the execution-time effect.
 func AblationPromo(opts RunOpts) Table {
+	opts = opts.withStreams()
 	t := Table{
 		Title:  "Ablation: shift-aware promotion buffer size (vips)",
 		Header: []string{"entries", "shift_ops", "shift_ops_vs_none", "cycles_vs_none"},

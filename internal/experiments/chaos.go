@@ -56,6 +56,7 @@ func Degradation(o ChaosOpts) []Table {
 	if len(o.Intensities) == 0 || len(o.Schemes) == 0 {
 		return nil
 	}
+	o.RunOpts = o.RunOpts.withStreams()
 	roster := o.workloads()
 	var jobs []engine.Job
 	for _, s := range o.Schemes {

@@ -60,19 +60,30 @@ func (o RunOpts) engine() *engine.Engine {
 // simJob builds the engine job for one (workload, config) simulation.
 // The job key is the resolved memsim fingerprint, so identical runs
 // reached from different experiments (Fig 10's SED batch, Fig 11's SED
-// batch) content-address to the same cache entry.
+// batch) content-address to the same cache entry. With a stream store,
+// each attempt draws its per-core streams from it (the key is taken
+// first: a config with Sources has no fingerprint); they are the
+// streams memsim would generate itself.
 func (o RunOpts) simJob(w trace.Workload, cfg memsim.Config, tag string) engine.Job {
 	metrics := o.Metrics
 	sampler := o.Sampler
 	bus := o.Events
+	streams := o.streams
 	return engine.Job{
 		Key:   cfg.Fingerprint(w),
 		Label: fmt.Sprintf("%s:%s", tag, w.Name),
 		Fn: func(ctx context.Context) (any, error) {
-			cfg.Metrics = metrics
-			cfg.Sampler = sampler
-			cfg.Events = bus
-			r, err := memsim.RunCtx(ctx, w, cfg)
+			run := cfg
+			run.Metrics = metrics
+			run.Sampler = sampler
+			run.Events = bus
+			if streams != nil {
+				run.Sources = make([]memsim.Source, run.Cores)
+				for i := range run.Sources {
+					run.Sources[i] = streams.Source(w, i, run.Seed, run.AccessesPerCore)
+				}
+			}
+			r, err := memsim.RunCtx(ctx, w, run)
 			if err != nil {
 				return nil, err
 			}

@@ -59,6 +59,21 @@ type RunOpts struct {
 	// engine's job lifecycle is wired separately through Eng; see
 	// docs/events.md). Nil disables emission.
 	Events *events.Bus
+
+	// streams is the running experiment's access-stream store (see
+	// withStreams); nil generates every stream.
+	streams *trace.Streams
+}
+
+// withStreams gives an experiment its own stream store, so its
+// simulations generate each access stream once and replay it after
+// that (trace.Streams). Every simulation-backed experiment calls it on
+// entry; an options value that already carries a store keeps it.
+func (o RunOpts) withStreams() RunOpts {
+	if o.streams == nil {
+		o.streams = trace.NewStreams()
+	}
+	return o
 }
 
 // ctx returns the configured context, defaulting to Background.
@@ -156,6 +171,7 @@ func (o RunOpts) runAll(t energy.Tech, s shiftctrl.Scheme, ideal bool) []SimRes 
 // Fig10 regenerates paper Fig. 10: SDC MTTF of the racetrack LLC per
 // workload under no protection, SED p-ECC, and SECDED p-ECC.
 func Fig10(opts RunOpts) Table {
+	opts = opts.withStreams()
 	t := Table{
 		Title:  "Fig 10: SDC MTTF under different protection (seconds)",
 		Header: []string{"workload", "baseline", "SED p-ECC", "SECDED p-ECC"},
@@ -175,6 +191,7 @@ func Fig10(opts RunOpts) Table {
 // Fig11 regenerates paper Fig. 11: DUE MTTF per workload for SED, SECDED,
 // p-ECC-O, p-ECC-S worst and p-ECC-S adaptive.
 func Fig11(opts RunOpts) Table {
+	opts = opts.withStreams()
 	t := Table{
 		Title: "Fig 11: DUE MTTF under different protection (seconds)",
 		Header: []string{"workload", "SED", "SECDED", "SECDED p-ECC-O",
@@ -199,6 +216,7 @@ func Fig11(opts RunOpts) Table {
 // Fig14 regenerates paper Fig. 14: total shift latency per workload,
 // normalized to the unprotected racetrack baseline.
 func Fig14(opts RunOpts) Table {
+	opts = opts.withStreams()
 	t := Table{
 		Title:  "Fig 14: relative shift latency of racetrack memory",
 		Header: []string{"workload", "baseline", "p-ECC-O", "p-ECC-S adaptive", "p-ECC-S worst"},
@@ -267,6 +285,7 @@ func Fig18(opts RunOpts) Table {
 // parallel engine overlaps simulations across configurations, not just
 // within one.
 func sysComparison(opts RunOpts, title string, metric func(SimRes) float64) Table {
+	opts = opts.withStreams()
 	configs := fig16Configs()
 	t := Table{Title: title}
 	t.Header = append([]string{"workload", "class"}, labels(configs)...)

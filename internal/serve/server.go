@@ -58,7 +58,8 @@ type Options struct {
 	// Retries and JobTimeout pass through to each job's engine.
 	Retries    int
 	JobTimeout time.Duration
-	// RingCap sizes each job bus's SSE replay ring (0 = events default).
+	// RingCap is the most events each job bus's SSE replay ring holds
+	// (0 = events default); a ring grows to it only as its job emits.
 	// Tests shrink it to force replay gaps.
 	RingCap int
 	// Metrics receives the hifi_serve_* admission/lifecycle series and

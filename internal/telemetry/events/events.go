@@ -16,9 +16,10 @@
 //   - Nil-safe and free when detached: every method on a nil *Bus is a
 //     no-op, and the nil Emit path performs zero allocations (guarded
 //     by an allocs/op test and the events-emit bench case).
-//   - Bounded: the replay ring holds the last RingCap events; a slow
-//     SSE subscriber drops events (counted in
-//     hifi_events_dropped_total) rather than blocking Emit.
+//   - Bounded: the replay ring holds the last RingCap events, and it
+//     grows to that cap only as events arrive; a slow SSE subscriber
+//     drops events (counted in hifi_events_dropped_total) rather than
+//     blocking Emit.
 //   - Deterministic payloads: an Event separates identity (Type, Name,
 //     Detail, N, V — reproducible for a seeded sweep at any worker
 //     count) from timing (Seq, TMS, MS, Worker — wall-clock and
@@ -155,10 +156,14 @@ func (e Event) Canonical() string {
 	return string(b)
 }
 
-// DefaultRingCap is the replay ring capacity when New is given none:
-// enough for every event of a scaled CI sweep and several minutes of a
-// full one, at ~100 bytes an event about 400 KB.
+// DefaultRingCap is the most events the replay ring holds when New is
+// given no cap: enough for every event of a scaled CI sweep and several
+// minutes of a full one, at 112 bytes an event 448 KiB once full.
 const DefaultRingCap = 4096
+
+// initialRing is the ring slots a bus starts with; a full ring doubles
+// until it reaches its cap, so a bus costs about what it emitted.
+const initialRing = 64
 
 // Bus is the event fan-out point. One bus serves a whole process: the
 // CLIs build one in cliutil.Obs when -events-out or -pprof asks for an
@@ -168,7 +173,8 @@ const DefaultRingCap = 4096
 type Bus struct {
 	mu   sync.Mutex
 	seq  uint64
-	ring []Event // fixed-capacity circular buffer
+	ring []Event // circular buffer, grown by doubling up to max
+	max  int     // ring capacity cap
 	head int     // next write position
 	n    int     // live events in ring
 
@@ -187,14 +193,16 @@ type Bus struct {
 	dropCtr *telemetry.Counter
 }
 
-// New builds a bus with the given replay-ring capacity (<= 0 means
-// DefaultRingCap).
+// New builds a bus whose replay ring holds at most ringCap events (<= 0
+// means DefaultRingCap). The ring starts small and grows as events
+// arrive.
 func New(ringCap int) *Bus {
 	if ringCap <= 0 {
 		ringCap = DefaultRingCap
 	}
 	return &Bus{
-		ring: make([]Event, ringCap),
+		ring: make([]Event, min(initialRing, ringCap)),
+		max:  ringCap,
 		subs: map[int]chan Event{},
 	}
 }
@@ -289,6 +297,14 @@ func (b *Bus) Emit(e Event) {
 		e.TraceID = b.defaultTrace
 	}
 
+	if b.n == len(b.ring) && b.n < b.max {
+		// Below its cap the ring has never wrapped: its events run in
+		// order from index 0.
+		grown := make([]Event, min(2*b.n, b.max))
+		copy(grown, b.ring)
+		b.ring = grown
+		b.head = b.n
+	}
 	b.ring[b.head] = e
 	b.head = (b.head + 1) % len(b.ring)
 	if b.n < len(b.ring) {

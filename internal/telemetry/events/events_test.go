@@ -84,6 +84,75 @@ func TestRingEvictsOldest(t *testing.T) {
 	}
 }
 
+// TestRingGrowsWithEmits checks that a bus holds about what it emitted:
+// the ring starts at 64 slots, doubles when full, and stops at its cap,
+// where it keeps the newest cap events in order.
+func TestRingGrowsWithEmits(t *testing.T) {
+	b := New(0)
+	k := 0
+	for _, upTo := range []int{0, 1, 64, 65, 129, 1000, DefaultRingCap - 1} {
+		for ; k < upTo; k++ {
+			b.Emit(Event{Type: RunPhase})
+		}
+		if slots := len(b.ring); slots > max(64, 2*k) || slots < k {
+			t.Errorf("after %d emits the ring has %d slots, want %d..%d", k, slots, k, max(64, 2*k))
+		}
+	}
+
+	const ringCap, extra = 300, 57
+	b = New(ringCap)
+	for i := 0; i < ringCap+extra; i++ {
+		b.Emit(Event{Type: RunPhase})
+	}
+	if len(b.ring) != ringCap {
+		t.Errorf("ring has %d slots after %d emits, want its cap %d", len(b.ring), ringCap+extra, ringCap)
+	}
+	evs := b.ReplaySince(0)
+	if len(evs) != ringCap {
+		t.Fatalf("ring replays %d events, want %d", len(evs), ringCap)
+	}
+	for i, e := range evs {
+		if want := uint64(extra + 1 + i); e.Seq != want {
+			t.Fatalf("replayed event %d has seq %d, want %d", i, e.Seq, want)
+		}
+	}
+}
+
+// TestSubscriberSpansRingGrowth subscribes before the ring grows and
+// stays through several doublings: replay plus live delivery carry every
+// event exactly once, in order.
+func TestSubscriberSpansRingGrowth(t *testing.T) {
+	b := New(1024)
+	for i := 0; i < 10; i++ {
+		b.Emit(Event{Type: RunPhase})
+	}
+	replay, ch, cancel := b.Subscribe(0, 1000)
+	defer cancel()
+	for i := 0; i < 500; i++ {
+		b.Emit(Event{Type: RunPhase})
+	}
+	if len(b.ring) != 512 {
+		t.Fatalf("ring has %d slots after 510 emits, want 512", len(b.ring))
+	}
+	seqs := make([]uint64, 0, 510)
+	for _, e := range replay {
+		seqs = append(seqs, e.Seq)
+	}
+	for len(seqs) < 510 {
+		seqs = append(seqs, (<-ch).Seq)
+	}
+	for i, s := range seqs {
+		if s != uint64(i+1) {
+			t.Fatalf("event %d seen has seq %d, want %d", i, s, i+1)
+		}
+	}
+	select {
+	case e := <-ch:
+		t.Errorf("extra event delivered: seq %d", e.Seq)
+	default:
+	}
+}
+
 func TestReplaySinceFilters(t *testing.T) {
 	b := New(16)
 	for i := 0; i < 6; i++ {
