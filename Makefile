@@ -49,14 +49,18 @@ vet:
 	$(GO) run ./internal/tools/metriclint .
 	bash scripts/scheme_policy.sh
 
+# race also repeats the event-delivery tests ten times: Emit, the bus
+# readers and the SSE handlers reach the ring's read path at once.
 race:
 	$(GO) test -race ./...
+	$(GO) test -race -count=10 -run 'Subscrib|Stalled|SSE' ./internal/telemetry/events/
 
 # fuzz runs each fuzz target for 10s beyond its seed corpus: the NDJSON
 # replay rule behind the serve job index (engine.ReplayLines), the job
 # index replay itself, spec normalization, the binary trace reader, the
-# event-log reader and the traceparent parser. A failing input lands in
-# the package's testdata/fuzz/ directory, where tier-1 then replays it.
+# event-log reader, the traceparent parser and the p-ECC decoder. A
+# failing input lands in the package's testdata/fuzz/ directory, where
+# tier-1 then replays it.
 fuzz:
 	$(GO) test -run '^$$' -fuzz '^FuzzReplayLines$$' -fuzztime 10s ./internal/engine
 	$(GO) test -run '^$$' -fuzz '^FuzzIndexReplay$$' -fuzztime 10s ./internal/serve
@@ -64,6 +68,7 @@ fuzz:
 	$(GO) test -run '^$$' -fuzz '^FuzzReadTrace$$' -fuzztime 10s ./internal/trace
 	$(GO) test -run '^$$' -fuzz '^FuzzReadLog$$' -fuzztime 10s ./internal/telemetry/events
 	$(GO) test -run '^$$' -fuzz '^FuzzParse$$' -fuzztime 10s ./internal/telemetry/tracectx
+	$(GO) test -run '^$$' -fuzz '^FuzzDecode$$' -fuzztime 10s ./internal/pecc
 
 bench:
 	$(GO) test -bench . -benchtime=1x -run '^$$' .

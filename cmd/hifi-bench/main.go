@@ -360,7 +360,7 @@ func benchMemsimReplay(quick bool) bench.Result {
 }
 
 // benchEventsEmit measures one structured-event emit on a detached bus
-// (ring buffer only: no sink, no subscribers) — the cost every
+// (ring buffer only: no sink, no waiting reader) — the cost every
 // instrumented hot path pays once an event plane is attached. The
 // nil-bus fast path is guarded separately by an allocs/op test in the
 // events package (must be exactly 0).

@@ -115,7 +115,6 @@ type Engine struct {
 	total    atomic.Uint64
 	executed atomic.Uint64
 	hits     atomic.Uint64
-	misses   atomic.Uint64
 	retries  atomic.Uint64
 	failures atomic.Uint64
 	corrupt  atomic.Uint64
@@ -357,7 +356,6 @@ func (e *Engine) process(ctx context.Context, slot int, j Job) (payload []byte, 
 			o.hit = true
 			return p, o
 		}
-		e.misses.Add(1)
 		e.tel.misses.Inc()
 	}
 

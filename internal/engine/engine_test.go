@@ -314,7 +314,7 @@ func TestJobLifecycleEvents(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	all := bus.ReplaySince(0)
+	all, _ := bus.Since(0, nil)
 	count := map[events.Type]int{}
 	for _, e := range all {
 		count[e.Type]++
@@ -518,7 +518,8 @@ func testEngineReadsEachHashOnce(t *testing.T) {
 		t.Errorf("hits counter = %v, want 10", got)
 	}
 	count := map[events.Type]int{}
-	for _, ev := range bus.ReplaySince(0) {
+	all, _ := bus.Since(0, nil)
+	for _, ev := range all {
 		count[ev.Type]++
 	}
 	if count[events.JobCacheHit] != 10 || count[events.JobFinished] != 2 {

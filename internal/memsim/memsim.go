@@ -52,7 +52,7 @@ type Config struct {
 	L1Ways, L2Ways, L3Ways int
 	// Sources optionally replaces the synthetic generators with recorded
 	// access streams (see trace.Replayer), one per core. When set it must
-	// have Cores entries.
+	// have Cores entries, none nil; RunCtx rejects any other list.
 	Sources []Source
 	// EagerHead returns every stripe group's head to offset 0 after each
 	// access (off the critical path), instead of leaving it where the
@@ -67,8 +67,9 @@ type Config struct {
 	// alignment shift entirely.
 	PromoEntries int
 	// Mix optionally assigns a different workload to each core
-	// (multiprogrammed mode); when set it must have Cores entries and the
-	// workload passed to Run is used only for labeling. Each program gets
+	// (multiprogrammed mode); when set it must have Cores entries (RunCtx
+	// rejects any other count) and the workload passed to Run is used
+	// only for labeling. Each program gets
 	// a disjoint address-space slice so the shared LLC sees true
 	// multiprogram contention.
 	Mix []trace.Workload
@@ -239,6 +240,17 @@ func RunCtx(ctx context.Context, w trace.Workload, cfg Config) (Result, error) {
 	cfg.fillDefaults()
 	if cfg.Cores < 1 {
 		return Result{}, fmt.Errorf("memsim: need at least one core")
+	}
+	if cfg.Sources != nil && len(cfg.Sources) != cfg.Cores {
+		return Result{}, fmt.Errorf("memsim: %d sources for %d cores", len(cfg.Sources), cfg.Cores)
+	}
+	for i, src := range cfg.Sources {
+		if src == nil {
+			return Result{}, fmt.Errorf("memsim: source %d is nil", i)
+		}
+	}
+	if cfg.Mix != nil && len(cfg.Mix) != cfg.Cores {
+		return Result{}, fmt.Errorf("memsim: %d mix workloads for %d cores", len(cfg.Mix), cfg.Cores)
 	}
 	if w := cfg.WarmupAccessesPerCore; w != 0 && (w < 0 || w >= cfg.AccessesPerCore) {
 		return Result{}, fmt.Errorf("memsim: warmup accesses (%d) must be in [0, accesses per core = %d)",

@@ -2,6 +2,7 @@ package memsim
 
 import (
 	"math"
+	"strings"
 	"testing"
 
 	"racetrack/hifi/internal/energy"
@@ -217,6 +218,42 @@ func TestZeroCoresRejected(t *testing.T) {
 	cfg.Cores = -1
 	if _, err := Run(w, cfg); err == nil {
 		t.Error("negative cores accepted")
+	}
+}
+
+// A Sources or Mix list needs one entry per core, and no nil source:
+// RunCtx reports any other list instead of indexing past it.
+func TestRunCtxRejectsStreamListsNotMatchingCores(t *testing.T) {
+	w := smallWorkload("vips", 64<<10)
+	src := func() Source { return trace.NewGenerator(w, 0, 1) }
+	for _, c := range []struct {
+		name string
+		edit func(*Config)
+		want string
+	}{
+		{"one source for four cores", func(c *Config) { c.Sources = []Source{src()} }, "1 sources for 4 cores"},
+		{"no source for four cores", func(c *Config) { c.Sources = []Source{} }, "0 sources for 4 cores"},
+		{"five sources for four cores", func(c *Config) {
+			c.Sources = []Source{src(), src(), src(), src(), src()}
+		}, "5 sources for 4 cores"},
+		{"a nil source", func(c *Config) { c.Sources = []Source{src(), src(), nil, src()} }, "source 2 is nil"},
+		{"one program for four cores", func(c *Config) { c.Mix = []trace.Workload{w} }, "1 mix workloads for 4 cores"},
+		{"five programs for four cores", func(c *Config) {
+			c.Mix = []trace.Workload{w, w, w, w, w}
+		}, "5 mix workloads for 4 cores"},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			cfg := smallConfig(energy.SRAM, shiftctrl.Baseline)
+			c.edit(&cfg)
+			defer func() {
+				if p := recover(); p != nil {
+					t.Fatalf("Run panicked: %v", p)
+				}
+			}()
+			if _, err := Run(w, cfg); err == nil || !strings.Contains(err.Error(), c.want) {
+				t.Fatalf("Run error = %v, want one containing %q", err, c.want)
+			}
+		})
 	}
 }
 

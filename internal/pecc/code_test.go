@@ -251,3 +251,67 @@ func TestNewOValidation(t *testing.T) {
 		t.Error("NewO accepted invalid strength")
 	}
 }
+
+// FuzzDecode: for any strength m, segment length, believed offset b and
+// true error k, decoding the window read at b+k classifies k by its
+// residue d = k mod P alone: silent at d = 0 (a whole-period error
+// aliases), corrected to d or d-P within m steps of a period multiple,
+// so |k| <= m always recovers k, and detected but not correctable at
+// d = m+1. An Unknown bit anywhere in the window is indeterminate, and
+// no window of Window() bits, whatever its bytes, panics Decode.
+func FuzzDecode(f *testing.F) {
+	f.Add(int8(1), int16(8), int32(4), int32(1), []byte{1, 0})
+	f.Add(int8(1), int16(8), int32(4), int32(4), []byte{2, 1})
+	f.Add(int8(1), int16(8), int32(-3), int32(-2), []byte{})
+	f.Add(int8(0), int16(2), int32(0), int32(-1), []byte{7})
+	f.Add(int8(5), int16(64), int32(-1000), int32(-6), []byte{1, 1, 1, 0, 0, 0})
+	f.Add(int8(-1), int16(8), int32(0), int32(0), []byte{})
+	f.Fuzz(func(t *testing.T, m8 int8, segLen int16, b32, k32 int32, raw []byte) {
+		c, err := New(int(m8), int(segLen))
+		if err != nil {
+			return
+		}
+		m, p, b, k := c.M(), c.Period(), int(b32), int(k32)
+		d := k % p
+		if d < 0 {
+			d += p
+		}
+		var want Result
+		switch {
+		case d == 0:
+		case d <= m:
+			want = Result{Offset: d, Detected: true, Correctable: true}
+		case d >= p-m:
+			want = Result{Offset: d - p, Detected: true, Correctable: true}
+		case d == m+1:
+			want = Result{Detected: true}
+		default:
+			t.Fatalf("residue %d of period %d fits no class", d, p)
+		}
+		read := c.ExpectedWindow(b + k)
+		if got := c.Decode(b, read); got != want {
+			t.Fatalf("m=%d b=%d k=%d: Decode = %+v, want %+v", m, b, k, got, want)
+		}
+		if -m <= k && k <= m && want.Offset != k {
+			t.Fatalf("m=%d: error %d within the radius decodes as %d", m, k, want.Offset)
+		}
+
+		for i := range read {
+			blind := append([]stripe.Bit(nil), read...)
+			blind[i] = stripe.Unknown
+			if got := c.Decode(b, blind); !got.Indeterminate || !got.Detected {
+				t.Fatalf("m=%d: Unknown bit %d decodes as %+v, want indeterminate", m, i, got)
+			}
+		}
+
+		arb := make([]stripe.Bit, c.Window())
+		for i := range arb {
+			if i < len(raw) {
+				arb[i] = stripe.Bit(raw[i])
+			}
+		}
+		if got := c.Decode(b, arb); got.Correctable && (got.Offset == 0 || got.Offset < -m || got.Offset > m) {
+			t.Fatalf("m=%d: window %v corrects by %d, outside the radius", m, arb, got.Offset)
+		}
+	})
+}

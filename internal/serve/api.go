@@ -21,14 +21,12 @@ package serve
 // no-store).
 
 import (
-	"context"
 	"encoding/json"
 	"errors"
 	"fmt"
 	"net"
 	"net/http"
 	"strings"
-	"time"
 
 	"racetrack/hifi/internal/fidelity"
 	"racetrack/hifi/internal/telemetry/events"
@@ -38,11 +36,6 @@ import (
 
 // maxSpecBody bounds a POST /v1/jobs body; real specs are tiny.
 const maxSpecBody = 1 << 20
-
-// drainGrace is how long a finished job's SSE stream stays open after
-// the terminal event, so live subscribers drain their channel before
-// the server closes the stream.
-const drainGrace = 200 * time.Millisecond
 
 // Handler builds the daemon's HTTP mux, wrapped in the observability
 // middleware (middleware.go): every route — the mux's 404s included —
@@ -57,7 +50,7 @@ func (s *Server) Handler() http.Handler {
 	mux.HandleFunc("GET /v1/jobs/{id}/scorecard", s.handleScorecard)
 	mux.HandleFunc("GET /v1/jobs/{id}/events", s.handleJobEvents)
 	mux.HandleFunc("DELETE /v1/jobs/{id}", s.handleCancel)
-	mux.Handle("GET /events", events.Handler(s.bus))
+	mux.Handle("GET /events", events.Handler(s.bus, nil))
 	mux.HandleFunc("GET /healthz", s.handleHealthz)
 	mux.HandleFunc("GET /metrics", s.handleMetrics)
 	mux.HandleFunc("GET /slo", s.handleSLO)
@@ -220,30 +213,11 @@ func (s *Server) handleJobEvents(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusNotFound, fmt.Errorf("no such job"))
 		return
 	}
-	// The per-job stream ends shortly after the job does: the SSE
-	// handler itself streams until the request context cancels, so
-	// derive one that cancels a grace period after the terminal event.
 	// j.Done() closes only after the terminal event is on the job bus
-	// (finalize emits, then closes), so the grace strictly follows
-	// terminal-event delivery. Clients treat the serve.job.* terminal
-	// event as end-of-stream; the grace only exists so a live
-	// subscriber's channel drains.
-	ctx, cancel := context.WithCancel(r.Context())
-	defer cancel()
-	go func() {
-		select {
-		case <-j.Done():
-			t := time.NewTimer(drainGrace)
-			defer t.Stop()
-			select {
-			case <-t.C:
-			case <-ctx.Done():
-			}
-			cancel()
-		case <-ctx.Done():
-		}
-	}()
-	events.Handler(j.Bus).ServeHTTP(w, r.WithContext(ctx))
+	// (finalize emits, then closes), so the stream ends right after that
+	// event, its last. A restored job's done is closed from the start
+	// and its bus is empty: its stream ends after the handshake.
+	events.Handler(j.Bus, j.Done()).ServeHTTP(w, r)
 }
 
 func (s *Server) handleCancel(w http.ResponseWriter, r *http.Request) {

@@ -58,8 +58,8 @@ type Job struct {
 	ctx    context.Context
 	cancel context.CancelCauseFunc
 	// done closes when the job is terminal AND its terminal event is on
-	// the job bus (finalize calls finish after the Emit), so waiters
-	// released by Done() can rely on the event being deliverable.
+	// the job bus (finalize calls finish after the Emit), so a reader
+	// released by Done() finds that event in the ring.
 	done chan struct{}
 
 	mu       sync.Mutex
@@ -155,8 +155,8 @@ func (j *Job) State() State {
 func (j *Job) Done() <-chan struct{} { return j.done }
 
 // finish closes done. Only the server's finalize calls it, strictly
-// after emitting the terminal event, so the SSE drain grace that starts
-// at Done() always follows terminal-event delivery.
+// after emitting the terminal event, so a job's SSE stream, which ends
+// at Done(), always carries that event last.
 func (j *Job) finish() { close(j.done) }
 
 // Tables returns the per-experiment tables of a completed job (nil

@@ -77,9 +77,6 @@ type Options struct {
 	// makes the daemon's minted trace IDs reproducible for tests and
 	// replayable incident drills.
 	TraceSeed uint64
-	// SLOObjectives overrides the served SLO set (nil = the defaults in
-	// slo.go: availability, submit_latency, job_completion).
-	SLOObjectives []slo.Objective
 
 	// hold gates each runner before it dequeues a job (one receive per
 	// job; closing it releases the runners for good). In-package tests
@@ -200,7 +197,6 @@ func New(opts Options) *Server {
 	}
 	if s.bus == nil {
 		s.bus = events.New(0)
-		s.bus.Instrument(opts.Metrics)
 	}
 	if opts.CacheDir != "" {
 		cache, err := engine.OpenCache(opts.CacheDir, opts.Version)
@@ -229,11 +225,7 @@ func New(opts Options) *Server {
 	s.tgen = tracectx.NewGen(opts.TraceSeed)
 	s.httpTel = newHTTPTelemetry(opts.Metrics)
 	s.accessLog = newAccessLog(opts.AccessLog)
-	objectives := opts.SLOObjectives
-	if objectives == nil {
-		objectives = defaultObjectives()
-	}
-	s.slo = slo.New(opts.Metrics, objectives, nil)
+	s.slo = slo.New(opts.Metrics, defaultObjectives(), nil)
 	if path := s.indexPath(); path != "" {
 		ix, recovered := openIndex(path, opts.indexFS, opts.indexCompactEvery,
 			newIndexTelemetry(opts.Metrics),
@@ -367,7 +359,6 @@ func (s *Server) admit(norm Spec, tc tracectx.Context) (*Job, bool, error) {
 	s.nextID++
 	id := fmt.Sprintf("j%04d", s.nextID)
 	j := newJob(id, fp, norm, s.baseCtx, s.opts.RingCap, tc)
-	j.Bus.Instrument(s.opts.Metrics)
 	select {
 	case s.queue <- j:
 	default:
@@ -519,9 +510,9 @@ func (s *Server) runJob(j *Job) {
 // finalize retires a job from the dedup table, emits its terminal
 // event on both buses — on the job bus it is by contract the last
 // event of the stream — and only then closes the job's done channel,
-// so the SSE drain grace that starts at Done() strictly follows
-// terminal-event delivery. Called exactly once per job, by whichever
-// goroutine won the terminal mark* transition.
+// so a job's SSE stream, which ends at Done(), ends with that event.
+// Called exactly once per job, by whichever goroutine won the terminal
+// mark* transition.
 func (s *Server) finalize(j *Job, terminal events.Event, ctr *telemetry.Counter) {
 	s.mu.Lock()
 	if s.active[j.Fingerprint] == j {
@@ -804,7 +795,6 @@ func (s *Server) Resume() int {
 		}
 		if State(r.state).Terminal() {
 			j := newRestoredJob(r, s.opts.RingCap, tc)
-			j.Bus.Instrument(s.opts.Metrics)
 			s.jobs[j.ID] = j
 			s.order = append(s.order, j.ID)
 			restored++
@@ -815,7 +805,6 @@ func (s *Server) Resume() int {
 		// experiments of a half-done sweep are served from disk, not
 		// recomputed.
 		j := newJob(r.id, r.fingerprint, r.spec, s.baseCtx, s.opts.RingCap, tc)
-		j.Bus.Instrument(s.opts.Metrics)
 		select {
 		case s.queue <- j:
 		default:

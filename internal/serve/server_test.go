@@ -183,7 +183,7 @@ func TestDedupCoalescesOntoLiveJob(t *testing.T) {
 	}
 	// The job-bus deduped event precedes the terminal event, which is
 	// still the stream's last — the per-job-stream ordering contract.
-	replay := j1.Bus.ReplaySince(0)
+	replay, _ := j1.Bus.Since(0, nil)
 	dedupAt := -1
 	for i, e := range replay {
 		if e.Type == events.ServeJobDeduped {
@@ -316,7 +316,7 @@ func TestCancelQueued(t *testing.T) {
 	if srv.Cancel(j.ID) {
 		t.Fatalf("second cancel of a terminal job returned true")
 	}
-	replay := j.Bus.ReplaySince(0)
+	replay, _ := j.Bus.Since(0, nil)
 	if len(replay) == 0 || replay[len(replay)-1].Type != events.ServeJobCanceled {
 		t.Fatalf("job stream does not end with the terminal event: %+v", replay)
 	}
@@ -342,7 +342,7 @@ func TestCancelRunning(t *testing.T) {
 	if st := j.State(); st != StateCanceled {
 		t.Fatalf("state %s, want canceled", st)
 	}
-	replay := j.Bus.ReplaySince(0)
+	replay, _ := j.Bus.Since(0, nil)
 	if replay[len(replay)-1].Type != events.ServeJobCanceled {
 		t.Fatalf("job stream does not end with the terminal event")
 	}
@@ -599,7 +599,7 @@ func TestCancelRacesRunnerStart(t *testing.T) {
 		if st := j.State(); !st.Terminal() {
 			t.Fatalf("job %s not terminal: %s", j.ID, st)
 		}
-		replay := j.Bus.ReplaySince(0)
+		replay, _ := j.Bus.Since(0, nil)
 		n := 0
 		for _, e := range replay {
 			if terminal[e.Type] {

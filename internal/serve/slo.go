@@ -32,8 +32,8 @@ const (
 	sloIndexDurability = "index_durability"
 )
 
-// defaultObjectives is the served SLO set when Options.SLOObjectives is
-// nil.
+// defaultObjectives is the served SLO set: availability,
+// submit_latency, job_completion and index_durability.
 func defaultObjectives() []slo.Objective {
 	return []slo.Objective{
 		{

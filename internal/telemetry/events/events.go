@@ -5,21 +5,23 @@
 //
 // Where the metrics registry answers "how much so far" by polling, the
 // bus answers "what just happened" by pushing: every Emit assigns the
-// next sequence number, appends the event to a bounded replay ring,
-// fans it out to live subscribers (the SSE /events route), and appends
-// one NDJSON line to the optional sink (-events-out). This is the
-// streaming substrate the planned hifi-serve sweep daemon reuses
-// verbatim (ROADMAP item 1); cmd/hifi-watch is its first consumer.
+// next sequence number, appends the event to a bounded ring, wakes the
+// readers waiting for it (the SSE /events routes), and appends one
+// NDJSON line to the optional sink (-events-out). The ring is the one
+// copy of the stream: a reader keeps only a cursor, the sequence
+// number of the last event it took, and reads what the ring holds
+// after it (Since). The hifi-serve sweep daemon streams its jobs
+// through the same bus; cmd/hifi-watch is its first consumer.
 //
 // Three contracts, mirroring the rest of internal/telemetry:
 //
 //   - Nil-safe and free when detached: every method on a nil *Bus is a
 //     no-op, and the nil Emit path performs zero allocations (guarded
 //     by an allocs/op test and the events-emit bench case).
-//   - Bounded: the replay ring holds the last RingCap events, and it
-//     grows to that cap only as events arrive; a slow SSE subscriber
-//     drops events (counted in hifi_events_dropped_total) rather than
-//     blocking Emit.
+//   - Bounded: the ring holds the last RingCap events, and it grows to
+//     that cap only as events arrive. Emit never waits for a reader; a
+//     reader more than the ring behind resumes at the oldest retained
+//     event, and the jump in sequence numbers shows the gap.
 //   - Deterministic payloads: an Event separates identity (Type, Name,
 //     Detail, N, V — reproducible for a seeded sweep at any worker
 //     count) from timing (Seq, TMS, MS, Worker — wall-clock and
@@ -35,10 +37,7 @@ import (
 	"fmt"
 	"io"
 	"sync"
-	"sync/atomic"
 	"time"
-
-	"racetrack/hifi/internal/telemetry"
 )
 
 // SchemaV1 identifies the event stream layout, stamped into the NDJSON
@@ -165,11 +164,11 @@ const DefaultRingCap = 4096
 // until it reaches its cap, so a bus costs about what it emitted.
 const initialRing = 64
 
-// Bus is the event fan-out point. One bus serves a whole process: the
-// CLIs build one in cliutil.Obs when -events-out or -pprof asks for an
-// event surface, and thread it through the engine, memsim, and the
-// fault plane. A nil *Bus is the detached state — every method is a
-// nil-safe no-op and Emit costs one branch and zero allocations.
+// Bus is the event stream of a process or a served job. The CLIs build
+// one in cliutil.Obs when -events-out or -pprof asks for an event
+// surface, and thread it through the engine, memsim, and the fault
+// plane. A nil *Bus is the detached state — every method is a nil-safe
+// no-op and Emit costs one branch and zero allocations.
 type Bus struct {
 	mu   sync.Mutex
 	seq  uint64
@@ -178,8 +177,9 @@ type Bus struct {
 	head int     // next write position
 	n    int     // live events in ring
 
-	subs   map[int]chan Event
-	nextID int
+	// wake, when non-nil, is closed by the next Emit. Since arms it, so
+	// every reader that found nothing new waits on the same channel.
+	wake chan struct{}
 
 	sink    io.Writer
 	sinkErr error // first sink write failure; later writes are skipped
@@ -188,14 +188,10 @@ type Bus struct {
 	// TraceID of its own. A per-job serve bus sets it once at admission
 	// so the whole engine event stream inherits the request's trace ID.
 	defaultTrace string
-
-	dropped atomic.Uint64
-	dropCtr *telemetry.Counter
 }
 
-// New builds a bus whose replay ring holds at most ringCap events (<= 0
-// means DefaultRingCap). The ring starts small and grows as events
-// arrive.
+// New builds a bus whose ring holds at most ringCap events (<= 0 means
+// DefaultRingCap). The ring starts small and grows as events arrive.
 func New(ringCap int) *Bus {
 	if ringCap <= 0 {
 		ringCap = DefaultRingCap
@@ -203,20 +199,7 @@ func New(ringCap int) *Bus {
 	return &Bus{
 		ring: make([]Event, min(initialRing, ringCap)),
 		max:  ringCap,
-		subs: map[int]chan Event{},
 	}
-}
-
-// Instrument registers the slow-client drop counter on reg. Nil-safe on
-// both sides.
-func (b *Bus) Instrument(reg *telemetry.Registry) {
-	if b == nil || reg == nil {
-		return
-	}
-	b.mu.Lock()
-	b.dropCtr = reg.Counter(telemetry.MetricEventsDropped,
-		"events dropped because a subscriber's buffer was full")
-	b.mu.Unlock()
 }
 
 // AttachSink routes every subsequent event to w as one NDJSON line.
@@ -269,27 +252,16 @@ func (b *Bus) Seq() uint64 {
 	return b.seq
 }
 
-// Dropped returns how many subscriber deliveries were dropped because a
-// buffer was full. Nil-safe (0).
-func (b *Bus) Dropped() uint64 {
-	if b == nil {
-		return 0
-	}
-	return b.dropped.Load()
-}
-
 // Emit stamps the event with the next sequence number and the current
-// wall clock, stores it in the replay ring, appends it to the NDJSON
-// sink, and offers it to every live subscriber without blocking: a
-// subscriber whose buffer is full misses the event (counted in
-// hifi_events_dropped_total) and can recover the gap by reconnecting
-// with Last-Event-ID. Safe for concurrent use; a nil bus is a free
-// no-op.
+// wall clock, stores it in the ring, appends it to the NDJSON sink, and
+// wakes every reader waiting in Since. It never waits for a reader.
+// Safe for concurrent use; a nil bus is a free no-op.
 func (b *Bus) Emit(e Event) {
 	if b == nil {
 		return
 	}
 	b.mu.Lock()
+	defer b.mu.Unlock()
 	b.seq++
 	e.Seq = b.seq
 	e.TMS = time.Now().UnixMilli()
@@ -317,76 +289,40 @@ func (b *Bus) Emit(e Event) {
 		}
 	}
 
-	var drops uint64
-	for _, ch := range b.subs {
-		select {
-		case ch <- e:
-		default:
-			drops++
-		}
-	}
-	ctr := b.dropCtr
-	b.mu.Unlock()
-
-	if drops > 0 {
-		b.dropped.Add(drops)
-		ctr.Add(float64(drops))
+	if b.wake != nil {
+		close(b.wake)
+		b.wake = nil
 	}
 }
 
-// Subscribe registers a live subscriber with the given channel buffer
-// (<= 0 means 64) after replaying the ring's events newer than afterSeq
-// into the returned slice. Replay and registration are atomic, so the
-// caller sees every event exactly once (or a counted drop): replayed
-// events end at some sequence number s, and the channel carries s+1
-// onward. The cancel function unregisters and closes the channel.
-func (b *Bus) Subscribe(afterSeq uint64, buf int) (replay []Event, ch <-chan Event, cancel func()) {
+// Since appends to buf the retained events with Seq > afterSeq, oldest
+// first, and returns it with a channel that the next Emit closes. The
+// read and the arming of that channel happen under one lock, so every
+// later event either is in the returned slice or closes the channel: a
+// reader that loops on Since with the last Seq it took sees each event
+// once, in order. Events older than the ring are gone; a reader more
+// than the ring behind gets the oldest retained events, and the jump
+// from afterSeq+1 to the first returned Seq shows the gap. A nil bus
+// returns buf and a nil channel, which never fires.
+func (b *Bus) Since(afterSeq uint64, buf []Event) ([]Event, <-chan struct{}) {
 	if b == nil {
-		return nil, nil, func() {}
-	}
-	if buf <= 0 {
-		buf = 64
-	}
-	c := make(chan Event, buf)
-	b.mu.Lock()
-	replay = b.replayLocked(afterSeq)
-	id := b.nextID
-	b.nextID++
-	b.subs[id] = c
-	b.mu.Unlock()
-	return replay, c, func() {
-		b.mu.Lock()
-		if _, ok := b.subs[id]; ok {
-			delete(b.subs, id)
-			close(c)
-		}
-		b.mu.Unlock()
-	}
-}
-
-// ReplaySince returns the ring's events with Seq > afterSeq, oldest
-// first. Events older than the ring's capacity are gone; the caller can
-// detect the gap by comparing the first returned Seq with afterSeq+1.
-func (b *Bus) ReplaySince(afterSeq uint64) []Event {
-	if b == nil {
-		return nil
+		return buf, nil
 	}
 	b.mu.Lock()
 	defer b.mu.Unlock()
-	return b.replayLocked(afterSeq)
-}
-
-func (b *Bus) replayLocked(afterSeq uint64) []Event {
-	if b.n == 0 {
-		return nil
-	}
-	start := (b.head - b.n + len(b.ring)) % len(b.ring)
-	out := make([]Event, 0, b.n)
-	for i := 0; i < b.n; i++ {
-		e := b.ring[(start+i)%len(b.ring)]
-		if e.Seq > afterSeq {
-			out = append(out, e)
+	if afterSeq < b.seq {
+		// The ring holds seq-n+1 .. seq in order, ending just before
+		// head: the events after afterSeq are its last k slots.
+		k := int(min(b.seq-afterSeq, uint64(b.n)))
+		if start := b.head - k; start < 0 {
+			buf = append(buf, b.ring[len(b.ring)+start:]...)
+			buf = append(buf, b.ring[:b.head]...)
+		} else {
+			buf = append(buf, b.ring[start:b.head]...)
 		}
 	}
-	return out
+	if b.wake == nil {
+		b.wake = make(chan struct{})
+	}
+	return buf, b.wake
 }

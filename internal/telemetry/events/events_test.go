@@ -5,32 +5,22 @@ import (
 	"strings"
 	"sync"
 	"testing"
-
-	"racetrack/hifi/internal/telemetry"
 )
 
 func TestNilBusIsSafe(t *testing.T) {
 	var b *Bus
 	b.Emit(Event{Type: RunStart, Name: "x"})
 	b.AttachSink(nil)
-	b.Instrument(nil)
+	b.SetTraceID("x")
 	if got := b.Seq(); got != 0 {
 		t.Errorf("nil bus Seq() = %d, want 0", got)
-	}
-	if got := b.Dropped(); got != 0 {
-		t.Errorf("nil bus Dropped() = %d, want 0", got)
 	}
 	if err := b.SinkErr(); err != nil {
 		t.Errorf("nil bus SinkErr() = %v, want nil", err)
 	}
-	if got := b.ReplaySince(0); got != nil {
-		t.Errorf("nil bus ReplaySince = %v, want nil", got)
+	if evs, wake := b.Since(0, nil); evs != nil || wake != nil {
+		t.Errorf("nil bus Since = (%v, %v), want nils", evs, wake)
 	}
-	replay, ch, cancel := b.Subscribe(0, 0)
-	if replay != nil || ch != nil {
-		t.Errorf("nil bus Subscribe = (%v, %v), want nils", replay, ch)
-	}
-	cancel() // must not panic
 }
 
 // The detached fast path must be free: ROADMAP item 2 (zero-overhead
@@ -55,9 +45,9 @@ func TestEmitAssignsMonotonicSeq(t *testing.T) {
 	if got := b.Seq(); got != 5 {
 		t.Fatalf("Seq() = %d, want 5", got)
 	}
-	evs := b.ReplaySince(0)
+	evs, _ := b.Since(0, nil)
 	if len(evs) != 5 {
-		t.Fatalf("ReplaySince(0) returned %d events, want 5", len(evs))
+		t.Fatalf("Since(0) returned %d events, want 5", len(evs))
 	}
 	for i, e := range evs {
 		if e.Seq != uint64(i+1) {
@@ -74,7 +64,7 @@ func TestRingEvictsOldest(t *testing.T) {
 	for i := 0; i < 10; i++ {
 		b.Emit(Event{Type: RunPhase})
 	}
-	evs := b.ReplaySince(0)
+	evs, _ := b.Since(0, nil)
 	if len(evs) != 4 {
 		t.Fatalf("ring holds %d events, want 4", len(evs))
 	}
@@ -107,7 +97,7 @@ func TestRingGrowsWithEmits(t *testing.T) {
 	if len(b.ring) != ringCap {
 		t.Errorf("ring has %d slots after %d emits, want its cap %d", len(b.ring), ringCap+extra, ringCap)
 	}
-	evs := b.ReplaySince(0)
+	evs, _ := b.Since(0, nil)
 	if len(evs) != ringCap {
 		t.Fatalf("ring replays %d events, want %d", len(evs), ringCap)
 	}
@@ -118,28 +108,38 @@ func TestRingGrowsWithEmits(t *testing.T) {
 	}
 }
 
-// TestSubscriberSpansRingGrowth subscribes before the ring grows and
-// stays through several doublings: replay plus live delivery carry every
-// event exactly once, in order.
+// TestSubscriberSpansRingGrowth starts a reader before the ring grows
+// and keeps it reading through several doublings and, at the cap, reads
+// that straddle the ring's wrap point: it takes every event exactly
+// once, in order.
 func TestSubscriberSpansRingGrowth(t *testing.T) {
 	b := New(1024)
-	for i := 0; i < 10; i++ {
-		b.Emit(Event{Type: RunPhase})
+	var seqs []uint64
+	var evs []Event
+	var wake <-chan struct{}
+	cursor := uint64(0)
+	for _, batch := range []int{10, 1, 5, 50, 100, 300, 700, 1000, 1000} {
+		for i := 0; i < batch; i++ {
+			b.Emit(Event{Type: RunPhase})
+		}
+		if wake != nil {
+			select {
+			case <-wake:
+			default:
+				t.Fatalf("%d emits left the wake-up channel open", batch)
+			}
+		}
+		evs, wake = b.Since(cursor, evs[:0])
+		for _, e := range evs {
+			seqs = append(seqs, e.Seq)
+			cursor = e.Seq
+		}
 	}
-	replay, ch, cancel := b.Subscribe(0, 1000)
-	defer cancel()
-	for i := 0; i < 500; i++ {
-		b.Emit(Event{Type: RunPhase})
+	if len(b.ring) != 1024 {
+		t.Fatalf("ring has %d slots, want its cap 1024", len(b.ring))
 	}
-	if len(b.ring) != 512 {
-		t.Fatalf("ring has %d slots after 510 emits, want 512", len(b.ring))
-	}
-	seqs := make([]uint64, 0, 510)
-	for _, e := range replay {
-		seqs = append(seqs, e.Seq)
-	}
-	for len(seqs) < 510 {
-		seqs = append(seqs, (<-ch).Seq)
+	if uint64(len(seqs)) != b.Seq() {
+		t.Fatalf("reader took %d events, bus emitted %d", len(seqs), b.Seq())
 	}
 	for i, s := range seqs {
 		if s != uint64(i+1) {
@@ -147,8 +147,8 @@ func TestSubscriberSpansRingGrowth(t *testing.T) {
 		}
 	}
 	select {
-	case e := <-ch:
-		t.Errorf("extra event delivered: seq %d", e.Seq)
+	case <-wake:
+		t.Errorf("wake-up channel closed with no new event")
 	default:
 	}
 }
@@ -158,42 +158,49 @@ func TestReplaySinceFilters(t *testing.T) {
 	for i := 0; i < 6; i++ {
 		b.Emit(Event{Type: RunPhase})
 	}
-	evs := b.ReplaySince(4)
+	evs, _ := b.Since(4, nil)
 	if len(evs) != 2 || evs[0].Seq != 5 || evs[1].Seq != 6 {
-		t.Fatalf("ReplaySince(4) = %+v, want seqs 5,6", evs)
+		t.Fatalf("Since(4) = %+v, want seqs 5,6", evs)
 	}
-	if got := b.ReplaySince(6); len(got) != 0 {
-		t.Errorf("ReplaySince(6) = %+v, want empty", got)
+	if got, _ := b.Since(6, nil); len(got) != 0 {
+		t.Errorf("Since(6) = %+v, want empty", got)
+	}
+	// Since appends to the caller's buffer and keeps what it held.
+	buf := []Event{{Type: RunStart}}
+	if got, _ := b.Since(5, buf); len(got) != 2 || got[0].Type != RunStart || got[1].Seq != 6 {
+		t.Errorf("Since(5, buf) = %+v, want the buffered event then seq 6", got)
 	}
 }
 
 func TestSubscribeReceivesLiveEvents(t *testing.T) {
 	b := New(16)
 	b.Emit(Event{Type: RunStart, Name: "tool"})
-	replay, ch, cancel := b.Subscribe(0, 8)
-	defer cancel()
+	replay, wake := b.Since(0, nil)
 	if len(replay) != 1 || replay[0].Type != RunStart {
 		t.Fatalf("replay = %+v, want the run.start event", replay)
 	}
 	b.Emit(Event{Type: RunPhase, Name: "p1"})
-	e := <-ch
-	if e.Type != RunPhase || e.Seq != 2 {
-		t.Fatalf("live event = %+v, want run.phase seq 2", e)
+	<-wake
+	live, _ := b.Since(replay[0].Seq, nil)
+	if len(live) != 1 || live[0].Type != RunPhase || live[0].Seq != 2 {
+		t.Fatalf("live events = %+v, want run.phase seq 2", live)
 	}
 }
 
-// Replay and registration must be atomic: no event may be both replayed
-// and delivered live, and none may fall between. Hammer the bus from a
-// writer goroutine while subscribing repeatedly and check each
-// subscriber sees a gapless, duplicate-free sequence.
+// The read and the arming of the wake-up must be atomic: every event
+// after a read is either in it or closes its channel, so a reader that
+// waits and reads again from its cursor finds the next event directly
+// after its last, never a duplicate and never a hole. A writer hammers
+// the bus (its ring holds every event, so nothing is evicted) while
+// readers start one after another from the beginning.
 func TestSubscribeReplayNoGapNoDup(t *testing.T) {
-	b := New(1024)
+	const most = 1 << 14
+	b := New(most)
 	stop := make(chan struct{})
-	var wg sync.WaitGroup
-	wg.Add(1)
+	stopped := make(chan struct{})
 	go func() {
-		defer wg.Done()
-		for {
+		defer close(stopped)
+		for i := 0; i < most; i++ {
 			select {
 			case <-stop:
 				return
@@ -202,56 +209,29 @@ func TestSubscribeReplayNoGapNoDup(t *testing.T) {
 			}
 		}
 	}()
+	var buf []Event
 	for i := 0; i < 20; i++ {
-		replay, ch, cancel := b.Subscribe(0, 1024)
+		replay, wake := b.Since(0, buf[:0])
 		last := uint64(0)
 		for _, e := range replay {
-			if e.Seq != last+1 && last != 0 {
-				// A ring eviction can truncate the front of the replay, but
-				// within the replay the sequence must be gapless.
-				t.Fatalf("replay gap: %d after %d", e.Seq, last)
+			if e.Seq != last+1 {
+				t.Fatalf("read gap: %d after %d", e.Seq, last)
 			}
 			last = e.Seq
 		}
-		// The first live event must directly follow the replay.
-		if e, ok := <-ch; ok {
-			if last != 0 && e.Seq != last+1 {
-				t.Fatalf("live event seq %d does not follow replay end %d", e.Seq, last)
-			}
+		select {
+		case <-wake:
+		case <-stopped:
 		}
-		cancel()
+		// The next read must start directly after the last one.
+		live, _ := b.Since(last, replay[:0])
+		if len(live) > 0 && live[0].Seq != last+1 {
+			t.Fatalf("event seq %d does not follow the previous read's end %d", live[0].Seq, last)
+		}
+		buf = live
 	}
 	close(stop)
-	wg.Wait()
-}
-
-func TestSlowSubscriberDropsAndCounts(t *testing.T) {
-	b := New(64)
-	reg := telemetry.NewRegistry()
-	b.Instrument(reg)
-	_, _, cancel := b.Subscribe(0, 2) // tiny buffer, never read
-	defer cancel()
-	for i := 0; i < 10; i++ {
-		b.Emit(Event{Type: RunPhase})
-	}
-	// 2 buffered, 8 dropped.
-	if got := b.Dropped(); got != 8 {
-		t.Fatalf("Dropped() = %d, want 8", got)
-	}
-	if v, ok := reg.Snapshot().Lookup(telemetry.MetricEventsDropped); !ok || v != 8 {
-		t.Errorf("registry %s = %v (present=%v), want 8", telemetry.MetricEventsDropped, v, ok)
-	}
-}
-
-func TestCancelIsIdempotentAndClosesChannel(t *testing.T) {
-	b := New(8)
-	_, ch, cancel := b.Subscribe(0, 2)
-	cancel()
-	cancel() // second cancel must not panic (double close)
-	if _, ok := <-ch; ok {
-		t.Error("channel still open after cancel")
-	}
-	b.Emit(Event{Type: RunPhase}) // must not panic on the removed sub
+	<-stopped
 }
 
 func TestAttachSinkWritesNDJSON(t *testing.T) {
@@ -335,6 +315,33 @@ not json at all
 	}
 }
 
+// A log without a header keeps its first event, even one whose text
+// mentions "schema"; a header after leading blank lines is still the
+// header.
+func TestReadLogKeepsHeaderlessFirstEvent(t *testing.T) {
+	hdr, evs, err := ReadLog(strings.NewReader(headerlessLog))
+	if err != nil {
+		t.Fatalf("ReadLog: %v", err)
+	}
+	if hdr != (Header{}) || len(evs) != 2 || evs[0].Name != "schema" || evs[1].Seq != 2 {
+		t.Fatalf("hdr=%+v events=%+v, want no header and both events", hdr, evs)
+	}
+
+	hdr, evs, err = ReadLog(strings.NewReader("\n\n" + `{"schema":"hifi_events_v1","tool":"t"}
+{"seq":1,"t_ms":1,"type":"run.start","name":"t"}`))
+	if err != nil {
+		t.Fatalf("ReadLog: %v", err)
+	}
+	if hdr.Schema != SchemaV1 || hdr.Tool != "t" || len(evs) != 1 || evs[0].Type != RunStart {
+		t.Fatalf("hdr=%+v events=%+v, want the header and one run.start", hdr, evs)
+	}
+}
+
+// headerlessLog starts directly with an event named "schema".
+const headerlessLog = `{"seq":1,"t_ms":1,"type":"run.phase","name":"schema"}
+{"seq":2,"t_ms":2,"type":"run.finish"}
+`
+
 // FuzzReadLog: no input panics ReadLog, and a log it accepts, written
 // out again through WriteHeader and the sink's NDJSON writer, reads back
 // to the same tool and events.
@@ -349,6 +356,7 @@ not json at all
 
 {"seq":5,"t_ms":10,"type":"fault.open","detail":"\u00e9\n","v":1e-300}
 `)
+	f.Add(headerlessLog)
 	f.Fuzz(func(t *testing.T, log string) {
 		hdr, evs, err := ReadLog(strings.NewReader(log))
 		if err != nil {
@@ -388,35 +396,84 @@ func TestCanonicalExcludesTimingFields(t *testing.T) {
 	}
 }
 
+// Four readers follow the bus while four emitters write to it: each
+// reader takes every sequence number once, in order, from a ring that
+// holds them all.
 func TestConcurrentEmitAndSubscribe(t *testing.T) {
-	b := New(256)
+	const emitters, readers, perEmitter = 4, 4, 200
+	const total = emitters * perEmitter
+	b := New(total)
 	var wg sync.WaitGroup
-	for w := 0; w < 4; w++ {
+	for w := 0; w < emitters; w++ {
 		wg.Add(1)
 		go func(w int) {
 			defer wg.Done()
-			for i := 0; i < 200; i++ {
+			for i := 0; i < perEmitter; i++ {
 				b.Emit(Event{Type: JobFinished, Worker: w})
 			}
 		}(w)
 	}
-	for s := 0; s < 4; s++ {
+	for r := 0; r < readers; r++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			replay, ch, cancel := b.Subscribe(0, 16)
-			// Receive one event from whichever side the subscribe raced
-			// into: an empty replay means seq was 0 at subscribe time,
-			// so every emit lands after us and a live delivery is
-			// guaranteed.
-			if len(replay) == 0 {
-				<-ch
+			var buf []Event
+			cursor := uint64(0)
+			for cursor < total {
+				evs, wake := b.Since(cursor, buf[:0])
+				for _, e := range evs {
+					if e.Seq != cursor+1 {
+						t.Errorf("reader took seq %d after %d", e.Seq, cursor)
+						return
+					}
+					cursor = e.Seq
+				}
+				buf = evs
+				if cursor < total {
+					<-wake // an emitter still owes an event
+				}
 			}
-			cancel()
 		}()
 	}
 	wg.Wait()
-	if got := b.Seq(); got != 800 {
-		t.Errorf("Seq() = %d, want 800", got)
+	if got := b.Seq(); got != total {
+		t.Errorf("Seq() = %d, want %d", got, total)
+	}
+}
+
+// A reader that stalls while 1000 events are emitted catches up with
+// every one of them, once each and in order, when the ring holds them;
+// one lapped by the writer finds a full ring whose first id jumps past
+// its cursor and whose ids then run without a hole to the newest.
+func TestStalledReaderCatchesUp(t *testing.T) {
+	const stalled = 1000
+	for _, ringCap := range []int{DefaultRingCap, 256} {
+		b := New(ringCap)
+		b.Emit(Event{Type: RunStart})
+		first, wake := b.Since(0, nil)
+		cursor := first[0].Seq
+		emitted := make(chan struct{})
+		go func() {
+			defer close(emitted)
+			for i := 0; i < stalled; i++ {
+				b.Emit(Event{Type: RunPhase})
+			}
+		}()
+		<-wake
+		<-emitted
+		evs, _ := b.Since(cursor, nil)
+		want := min(stalled, ringCap)
+		if len(evs) != want {
+			t.Fatalf("ring %d: caught up with %d events, want %d", ringCap, len(evs), want)
+		}
+		if jump := evs[0].Seq - cursor; (jump > 1) != (ringCap < stalled) {
+			t.Errorf("ring %d: first id %d after cursor %d", ringCap, evs[0].Seq, cursor)
+		}
+		newest := uint64(stalled + 1)
+		for i, e := range evs {
+			if want := newest - uint64(len(evs)-1-i); e.Seq != want {
+				t.Fatalf("ring %d: event %d has seq %d, want %d", ringCap, i, e.Seq, want)
+			}
+		}
 	}
 }

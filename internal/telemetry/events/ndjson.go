@@ -49,9 +49,11 @@ func writeNDJSON(w io.Writer, e Event) error {
 }
 
 // ReadLog parses an NDJSON event log from r: an optional header line
-// followed by event lines. Blank lines are skipped; a truncated or
-// malformed final line is tolerated (the process may have died
-// mid-write), but a malformed line with valid lines after it is an
+// followed by event lines. The first non-blank line is the header when
+// it parses with a non-empty schema (the rule hifi-watch's tailer
+// follows), and an event otherwise. Blank lines are skipped; a
+// truncated or malformed final line is tolerated (the process may have
+// died mid-write), but a malformed line with valid lines after it is an
 // error. Returns the header (zero-valued if the log starts directly
 // with an event) and the events in file order.
 func ReadLog(r io.Reader) (Header, []Event, error) {
@@ -61,6 +63,7 @@ func ReadLog(r io.Reader) (Header, []Event, error) {
 	sc.Buffer(make([]byte, 0, 64*1024), 1<<20)
 	lineNo := 0
 	badLine := 0 // most recent unparseable line (tolerated only if last)
+	first := true
 	for sc.Scan() {
 		lineNo++
 		line := strings.TrimSpace(sc.Text())
@@ -70,11 +73,13 @@ func ReadLog(r io.Reader) (Header, []Event, error) {
 		if badLine != 0 {
 			return hdr, evs, fmt.Errorf("events: log line %d: malformed JSON", badLine)
 		}
-		if lineNo == 1 && strings.Contains(line, `"schema"`) {
-			if err := json.Unmarshal([]byte(line), &hdr); err != nil {
-				return hdr, evs, fmt.Errorf("events: log header: %w", err)
+		if first {
+			first = false
+			var h Header
+			if json.Unmarshal([]byte(line), &h) == nil && h.Schema != "" {
+				hdr = h
+				continue
 			}
-			continue
 		}
 		var e Event
 		if err := json.Unmarshal([]byte(line), &e); err != nil {

@@ -109,11 +109,6 @@ const (
 	MetricSLOBad      = "hifi_slo_bad_total"
 	MetricSLOBurnRate = "hifi_slo_burn_rate"
 
-	// Structured event plane (internal/telemetry/events): deliveries
-	// dropped because an SSE subscriber's buffer was full. See
-	// docs/events.md.
-	MetricEventsDropped = "hifi_events_dropped_total"
-
 	// Run progress (gauges, readable while a run is in flight).
 	MetricSimAccessesDone  = "hifi_sim_accesses_done"
 	MetricSimAccessesTotal = "hifi_sim_accesses_total"

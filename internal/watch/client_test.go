@@ -84,7 +84,7 @@ func TestFollowJobReplayGapFallsBackToPolling(t *testing.T) {
 	if seq := j.Bus.Seq(); seq <= 4 {
 		t.Fatalf("job emitted only %d events; the ring never wrapped", seq)
 	}
-	replay := j.Bus.ReplaySince(0)
+	replay, _ := j.Bus.Since(0, nil)
 	if len(replay) == 0 || replay[0].Seq <= 1 {
 		t.Fatalf("ring did not wrap: first retained seq %d", replay[0].Seq)
 	}
@@ -121,7 +121,7 @@ func TestRingWrapLeavesDetectableGap(t *testing.T) {
 	for i := 0; i < 10; i++ {
 		small.Emit(events.Event{Type: events.RunPhase, Name: "x"})
 	}
-	replay := small.ReplaySince(2)
+	replay, _ := small.Since(2, nil)
 	if len(replay) == 0 {
 		t.Fatalf("no replay")
 	}

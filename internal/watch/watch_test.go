@@ -199,7 +199,7 @@ func TestFollowSSEAppliesReplayAndLive(t *testing.T) {
 	bus := events.New(0)
 	bus.Emit(events.Event{Type: events.RunStart, Name: "hifi-trace"})
 	bus.Emit(events.Event{Type: events.RunPhase, Name: "fig4"})
-	srv := httptest.NewServer(events.Handler(bus))
+	srv := httptest.NewServer(events.Handler(bus, nil))
 	defer srv.Close()
 
 	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
