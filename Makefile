@@ -50,17 +50,21 @@ vet:
 	bash scripts/scheme_policy.sh
 
 # race also repeats the event-delivery tests ten times: Emit, the bus
-# readers and the SSE handlers reach the ring's read path at once.
+# readers and the SSE handlers reach the ring's read path at once. The
+# engine's decode-once test repeats too: its workers write memo entries
+# while the batches running beside them decode those entries.
 race:
 	$(GO) test -race ./...
 	$(GO) test -race -count=10 -run 'Subscrib|Stalled|SSE' ./internal/telemetry/events/
+	$(GO) test -race -count=10 -run '^TestRunDecodedDecodesEachKeyOnce$$' ./internal/engine/
 
 # fuzz runs each fuzz target for 10s beyond its seed corpus: the NDJSON
 # replay rule behind the serve job index (engine.ReplayLines), the job
 # index replay itself, spec normalization, the binary trace reader, the
-# event-log reader, the traceparent parser and the p-ECC decoder. A
-# failing input lands in the package's testdata/fuzz/ directory, where
-# tier-1 then replays it.
+# event-log reader, the traceparent parser, the p-ECC decoder and the
+# memsim fingerprint appender (against the reflective encoder it
+# replaced). A failing input lands in the package's testdata/fuzz/
+# directory, where tier-1 then replays it.
 fuzz:
 	$(GO) test -run '^$$' -fuzz '^FuzzReplayLines$$' -fuzztime 10s ./internal/engine
 	$(GO) test -run '^$$' -fuzz '^FuzzIndexReplay$$' -fuzztime 10s ./internal/serve
@@ -69,6 +73,7 @@ fuzz:
 	$(GO) test -run '^$$' -fuzz '^FuzzReadLog$$' -fuzztime 10s ./internal/telemetry/events
 	$(GO) test -run '^$$' -fuzz '^FuzzParse$$' -fuzztime 10s ./internal/telemetry/tracectx
 	$(GO) test -run '^$$' -fuzz '^FuzzDecode$$' -fuzztime 10s ./internal/pecc
+	$(GO) test -run '^$$' -fuzz '^FuzzFingerprint$$' -fuzztime 10s ./internal/memsim
 
 bench:
 	$(GO) test -bench . -benchtime=1x -run '^$$' .

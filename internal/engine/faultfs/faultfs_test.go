@@ -42,11 +42,11 @@ func chaosJobs(n int, execs *atomic.Int64, panicOnce *atomic.Bool) []engine.Job 
 
 func checkPayloads(t *testing.T, rep *engine.Report) {
 	t.Helper()
-	out, err := engine.DecodeAll[map[string]int](rep.Payloads)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i, m := range out {
+	for i, p := range rep.Payloads {
+		m, err := engine.Decode[map[string]int](p)
+		if err != nil {
+			t.Fatal(err)
+		}
 		if m["index"] != i || m["cube"] != i*i*i {
 			t.Errorf("payload %d = %v", i, m)
 		}

@@ -107,15 +107,12 @@ func (o RunOpts) simJobs(t energy.Tech, s shiftctrl.Scheme, ideal bool) []engine
 	return jobs
 }
 
-// runSims executes a job batch on the engine and decodes the canonical
-// payloads in submission order. Failures panic, matching the previous
+// runSims executes a job batch on the engine and returns the decoded
+// results in submission order; a cached engine decodes each distinct
+// result once per sweep. Failures panic, matching the previous
 // inline-loop behaviour the CLIs rely on.
 func (o RunOpts) runSims(jobs []engine.Job) []SimRes {
-	rep, err := o.engine().Run(o.ctx(), jobs)
-	if err != nil {
-		panic(fmt.Sprintf("experiments: %v", err))
-	}
-	out, err := engine.DecodeAll[SimRes](rep.Payloads)
+	out, err := engine.RunDecoded[SimRes](o.ctx(), o.engine(), jobs)
 	if err != nil {
 		panic(fmt.Sprintf("experiments: %v", err))
 	}

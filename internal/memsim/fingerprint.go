@@ -2,7 +2,8 @@ package memsim
 
 import (
 	"encoding/json"
-	"fmt"
+	"math"
+	"strconv"
 
 	"racetrack/hifi/internal/trace"
 )
@@ -12,85 +13,135 @@ import (
 // fields cannot express, so stale engine-cache entries are invalidated.
 const FingerprintSchema = 1
 
-// fingerprint is the canonical, JSON-stable projection of a resolved
-// Config plus its workload: every field that affects a Result and
-// nothing that does not (Metrics, Tracer, Sampler, Events, and the span
-// context are observability-only). Field order is fixed by the struct
-// declaration, so equal inputs marshal to equal bytes.
-type fingerprint struct {
-	Schema   int     `json:"schema"`
-	Cores    int     `json:"cores"`
-	ClockHz  float64 `json:"clock_hz"`
-	Tech     string  `json:"tech"`
-	Scheme   string  `json:"scheme"`
-	Ideal    bool    `json:"ideal"`
-	Geometry struct {
-		StripesPerGroup int `json:"stripes_per_group"`
-		DataBits        int `json:"data_bits"`
-		SegLen          int `json:"seg_len"`
-		LineBytes       int `json:"line_bytes"`
-	} `json:"geometry"`
-	Accesses  int              `json:"accesses_per_core"`
-	Warmup    int              `json:"warmup_accesses_per_core"`
-	Seed      uint64           `json:"seed"`
-	TargetDUE float64          `json:"target_due"`
-	L1        int64            `json:"l1_capacity"`
-	L2        int64            `json:"l2_capacity"`
-	L3        int64            `json:"l3_capacity"`
-	L1W       int              `json:"l1_ways"`
-	L2W       int              `json:"l2_ways"`
-	L3W       int              `json:"l3_ways"`
-	Eager     bool             `json:"eager_head"`
-	Promo     int              `json:"promo_entries"`
-	Workload  trace.Workload   `json:"workload"`
-	Mix       []trace.Workload `json:"mix,omitempty"`
-	// Faults is the fault plan's canonical JSON; empty (the nominal
-	// device) is omitted, so plan-free fingerprints are byte-identical
-	// to those produced before fault injection existed.
-	Faults string `json:"faults,omitempty"`
-}
-
 // Fingerprint returns the canonical identity of the resolved
 // configuration running workload w — the content-addressed cache-key
 // input used by the experiment engine (see docs/engine.md). Defaults
 // are filled first, so a zero field and its explicit default value
 // fingerprint identically.
 //
+// The identity is "memsim|" and one compact JSON object holding every
+// field that affects a Result and nothing that does not (Metrics,
+// Tracer, Sampler, Events, and the span context are observability-only).
+// It is appended field by field in a fixed order, byte for byte what
+// encoding/json writes for the same object, so cache keys made by
+// earlier, reflective versions stay valid. Adding a field appends it
+// here; renaming or reordering one moves every key.
+//
 // Configs carrying replayed Sources are not fingerprintable: the access
 // stream lives outside the config, so the identity would be incomplete
 // and the cache would serve wrong results. Callers must not route such
 // runs through a cached engine; Fingerprint panics to make the misuse
-// loud.
+// loud, as it does for a NaN or infinite float field, which JSON cannot
+// express.
 func (c Config) Fingerprint(w trace.Workload) string {
 	if c.Sources != nil {
 		panic("memsim: Fingerprint: configs with replayed Sources have no canonical identity")
 	}
 	c.fillDefaults()
-	var fp fingerprint
-	fp.Schema = FingerprintSchema
-	fp.Cores = c.Cores
-	fp.ClockHz = c.ClockHz
-	fp.Tech = fmt.Sprint(c.Tech)
-	fp.Scheme = fmt.Sprint(c.Scheme)
-	fp.Ideal = c.Ideal
-	fp.Geometry.StripesPerGroup = c.Geometry.StripesPerGroup
-	fp.Geometry.DataBits = c.Geometry.DataBits
-	fp.Geometry.SegLen = c.Geometry.SegLen
-	fp.Geometry.LineBytes = c.Geometry.LineBytes
-	fp.Accesses = c.AccessesPerCore
-	fp.Warmup = c.WarmupAccessesPerCore
-	fp.Seed = c.Seed
-	fp.TargetDUE = c.TargetDUE
-	fp.L1, fp.L2, fp.L3 = c.L1Capacity, c.L2Capacity, c.L3Capacity
-	fp.L1W, fp.L2W, fp.L3W = c.L1Ways, c.L2Ways, c.L3Ways
-	fp.Eager = c.EagerHead
-	fp.Promo = c.PromoEntries
-	fp.Workload = w
-	fp.Mix = c.Mix
-	fp.Faults = c.FaultPlan.Canonical()
-	b, err := json.Marshal(fp)
-	if err != nil {
-		panic(fmt.Sprintf("memsim: Fingerprint: %v", err))
+	var buf [1024]byte
+	b := append(buf[:0], `memsim|{"schema":`...)
+	b = strconv.AppendInt(b, FingerprintSchema, 10)
+	b = appendInt(b, `,"cores":`, int64(c.Cores))
+	b = appendFloat(append(b, `,"clock_hz":`...), c.ClockHz)
+	b = appendString(append(b, `,"tech":`...), c.Tech.String())
+	b = appendString(append(b, `,"scheme":`...), c.Scheme.String())
+	b = appendBool(b, `,"ideal":`, c.Ideal)
+	b = appendInt(b, `,"geometry":{"stripes_per_group":`, int64(c.Geometry.StripesPerGroup))
+	b = appendInt(b, `,"data_bits":`, int64(c.Geometry.DataBits))
+	b = appendInt(b, `,"seg_len":`, int64(c.Geometry.SegLen))
+	b = appendInt(b, `,"line_bytes":`, int64(c.Geometry.LineBytes))
+	b = appendInt(b, `},"accesses_per_core":`, int64(c.AccessesPerCore))
+	b = appendInt(b, `,"warmup_accesses_per_core":`, int64(c.WarmupAccessesPerCore))
+	b = strconv.AppendUint(append(b, `,"seed":`...), c.Seed, 10)
+	b = appendFloat(append(b, `,"target_due":`...), c.TargetDUE)
+	b = appendInt(b, `,"l1_capacity":`, c.L1Capacity)
+	b = appendInt(b, `,"l2_capacity":`, c.L2Capacity)
+	b = appendInt(b, `,"l3_capacity":`, c.L3Capacity)
+	b = appendInt(b, `,"l1_ways":`, int64(c.L1Ways))
+	b = appendInt(b, `,"l2_ways":`, int64(c.L2Ways))
+	b = appendInt(b, `,"l3_ways":`, int64(c.L3Ways))
+	b = appendBool(b, `,"eager_head":`, c.EagerHead)
+	b = appendInt(b, `,"promo_entries":`, int64(c.PromoEntries))
+	b = appendWorkload(append(b, `,"workload":`...), w)
+	if len(c.Mix) > 0 {
+		b = append(b, `,"mix":[`...)
+		for i, m := range c.Mix {
+			if i > 0 {
+				b = append(b, ',')
+			}
+			b = appendWorkload(b, m)
+		}
+		b = append(b, ']')
 	}
-	return "memsim|" + string(b)
+	// The fault plan's canonical JSON, as a string; the nominal device
+	// has none and is left out, so plan-free fingerprints are
+	// byte-identical to those made before fault injection existed.
+	if f := c.FaultPlan.Canonical(); f != "" {
+		b = appendString(append(b, `,"faults":`...), f)
+	}
+	return string(append(b, '}'))
+}
+
+// appendWorkload appends w as encoding/json writes the untagged struct:
+// every field, under its Go name, in declaration order.
+func appendWorkload(b []byte, w trace.Workload) []byte {
+	b = appendString(append(b, `{"Name":`...), w.Name)
+	b = appendBool(b, `,"CapacitySensitive":`, w.CapacitySensitive)
+	b = appendInt(b, `,"WorkingSetB":`, w.WorkingSetB)
+	b = appendFloat(append(b, `,"ZipfS":`...), w.ZipfS)
+	b = appendFloat(append(b, `,"StreamFrac":`...), w.StreamFrac)
+	b = appendFloat(append(b, `,"WriteFrac":`...), w.WriteFrac)
+	b = appendFloat(append(b, `,"GapMean":`...), w.GapMean)
+	b = appendBool(b, `,"LatencySensitive":`, w.LatencySensitive)
+	b = appendInt(b, `,"PhasePeriod":`, int64(w.PhasePeriod))
+	b = appendFloat(append(b, `,"PhaseGapMean":`...), w.PhaseGapMean)
+	return append(b, '}')
+}
+
+func appendInt(b []byte, name string, v int64) []byte {
+	return strconv.AppendInt(append(b, name...), v, 10)
+}
+
+func appendBool(b []byte, name string, v bool) []byte {
+	return strconv.AppendBool(append(b, name...), v)
+}
+
+// appendFloat appends f as encoding/json writes a float64: the shortest
+// decimal that parses back to f, in 'f' form unless |f| < 1e-6 or
+// |f| >= 1e21, then in 'e' form with a one-digit exponent unpadded
+// ("1e-7", not "1e-07"). NaN and ±Inf panic, as json.Marshal fails on
+// them.
+func appendFloat(b []byte, f float64) []byte {
+	if math.IsInf(f, 0) || math.IsNaN(f) {
+		panic("memsim: Fingerprint: json: unsupported value: " + strconv.FormatFloat(f, 'g', -1, 64))
+	}
+	format := byte('f')
+	if a := math.Abs(f); a != 0 && (a < 1e-6 || a >= 1e21) {
+		format = 'e'
+	}
+	b = strconv.AppendFloat(b, f, format, -1, 64)
+	if format == 'e' {
+		if n := len(b); n >= 4 && b[n-4] == 'e' && b[n-3] == '-' && b[n-2] == '0' {
+			b[n-2] = b[n-1]
+			b = b[:n-1]
+		}
+	}
+	return b
+}
+
+// appendString appends s as encoding/json writes a string. Printable
+// ASCII other than a quote, a backslash and <, > and & is copied as is;
+// any other string is rare in a key and goes through json.Marshal, so
+// its escapes (\u003c for <, \n, \ufffd for invalid UTF-8) stay
+// encoding/json's.
+func appendString(b []byte, s string) []byte {
+	for i := 0; i < len(s); i++ {
+		if c := s[i]; c < 0x20 || c > 0x7e || c == '"' || c == '\\' || c == '<' || c == '>' || c == '&' {
+			q, _ := json.Marshal(s) // a string always marshals
+			return append(b, q...)
+		}
+	}
+	b = append(b, '"')
+	b = append(b, s...)
+	return append(b, '"')
 }

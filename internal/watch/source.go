@@ -101,12 +101,15 @@ func FollowSSE(ctx context.Context, url string, apply func(events.Event)) error 
 	var lastID uint64
 	retry := newReconnectBackoff()
 	for {
-		before := lastID
-		err := streamSSE(ctx, url, &lastID, apply)
+		applied := false
+		err := streamSSE(ctx, url, &lastID, func(e events.Event) {
+			applied = true
+			apply(e)
+		})
 		if ctx.Err() != nil {
 			return ctx.Err()
 		}
-		if lastID > before {
+		if applied {
 			// Events flowed on that connection: start the next outage's
 			// backoff schedule from the base delay.
 			retry.reset()
@@ -123,7 +126,10 @@ func FollowSSE(ctx context.Context, url string, apply func(events.Event)) error 
 // streamSSE runs one SSE connection: frames are `id:`/`event:`/`data:`
 // lines terminated by a blank line; `:` lines are comments (the
 // handshake). The bus emits single-line JSON, so one data line is one
-// event.
+// event. lastID is the reconnect cursor: the Seq of the last event
+// applied, which falls when a restarted server numbers its events from
+// 1 again, so a reconnect asks for exactly what that server emitted
+// after it.
 func streamSSE(ctx context.Context, url string, lastID *uint64, apply func(events.Event)) error {
 	req, err := http.NewRequestWithContext(ctx, http.MethodGet, url, nil)
 	if err != nil {
@@ -153,9 +159,7 @@ func streamSSE(ctx context.Context, url string, lastID *uint64, apply func(event
 				if jerr := json.Unmarshal(data, &e); jerr != nil {
 					return fmt.Errorf("watch: bad SSE data: %w", jerr)
 				}
-				if e.Seq > *lastID {
-					*lastID = e.Seq
-				}
+				*lastID = e.Seq
 				apply(e)
 				data = data[:0]
 			}

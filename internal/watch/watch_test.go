@@ -2,6 +2,8 @@ package watch
 
 import (
 	"context"
+	"fmt"
+	"net/http"
 	"net/http/httptest"
 	"os"
 	"path/filepath"
@@ -229,5 +231,81 @@ func TestFollowSSEAppliesReplayAndLive(t *testing.T) {
 	}
 	if m.LastSeq != 3 {
 		t.Errorf("LastSeq = %d, want 3", m.LastSeq)
+	}
+}
+
+// flushNotifier closes flushed at the first flush: the SSE handler fixes
+// its cursor before it flushes the handshake, so an event emitted after
+// that reaches the client live.
+type flushNotifier struct {
+	http.ResponseWriter
+	flushed chan struct{}
+	once    sync.Once
+}
+
+func (w *flushNotifier) FlushError() error {
+	err := http.NewResponseController(w.ResponseWriter).Flush()
+	w.once.Do(func() { close(w.flushed) })
+	return err
+}
+
+// A daemon restart numbers its events from 1 again, below the client's
+// cursor. The first connection's Last-Event-ID of 100 counts as the
+// restarted bus's seq 5, so the client applies 6 and 7 live. Events 8
+// and 9 are emitted while it is away; the reconnect must replay them,
+// once each and in order, before the live 10.
+func TestSSECursorFollowsRestartedBus(t *testing.T) {
+	bus := events.New(0)
+	for i := 0; i < 5; i++ {
+		bus.Emit(events.Event{Type: events.RunPhase, Name: "before-connect"})
+	}
+	type conn struct{ done, flushed chan struct{} }
+	conns := make(chan conn, 1)
+	lastIDs := make(chan string, 2)
+	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		c := <-conns
+		lastIDs <- r.Header.Get("Last-Event-ID")
+		events.Handler(bus, c.done).ServeHTTP(&flushNotifier{ResponseWriter: w, flushed: c.flushed}, r)
+	}))
+	defer srv.Close()
+	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+	defer cancel()
+
+	cursor := uint64(100)
+	var applied []uint64
+	connect := func(live int) {
+		t.Helper()
+		c := conn{done: make(chan struct{}), flushed: make(chan struct{})}
+		conns <- c
+		errc := make(chan error, 1)
+		go func() {
+			errc <- streamSSE(ctx, srv.URL, &cursor, func(e events.Event) { applied = append(applied, e.Seq) })
+		}()
+		select {
+		case <-c.flushed:
+		case <-ctx.Done():
+			t.Fatal("no handshake")
+		}
+		for i := 0; i < live; i++ {
+			bus.Emit(events.Event{Type: events.RunPhase, Name: "live"})
+		}
+		close(c.done) // the stream ends after the events emitted so far
+		if err := <-errc; err != nil {
+			t.Fatal(err)
+		}
+	}
+	connect(2)
+	bus.Emit(events.Event{Type: events.RunPhase, Name: "while-away"})
+	bus.Emit(events.Event{Type: events.RunPhase, Name: "while-away"})
+	connect(1)
+
+	if want := []uint64{6, 7, 8, 9, 10}; fmt.Sprint(applied) != fmt.Sprint(want) {
+		t.Errorf("applied seqs %v, want %v", applied, want)
+	}
+	if first, second := <-lastIDs, <-lastIDs; first != "100" || second != "7" {
+		t.Errorf("Last-Event-ID %q then %q, want \"100\" then \"7\"", first, second)
+	}
+	if cursor != 10 {
+		t.Errorf("cursor = %d after the reconnect, want 10", cursor)
 	}
 }
