@@ -52,11 +52,14 @@ vet:
 # race also repeats the event-delivery tests ten times: Emit, the bus
 # readers and the SSE handlers reach the ring's read path at once. The
 # engine's decode-once test repeats too: its workers write memo entries
-# while the batches running beside them decode those entries.
+# while the batches running beside them decode those entries. So does
+# the sampler's concurrent-tick test, where an Export polls the open
+# window while four goroutines tick and cut.
 race:
 	$(GO) test -race ./...
 	$(GO) test -race -count=10 -run 'Subscrib|Stalled|SSE' ./internal/telemetry/events/
 	$(GO) test -race -count=10 -run '^TestRunDecodedDecodesEachKeyOnce$$' ./internal/engine/
+	$(GO) test -race -count=10 -run '^TestConcurrentTicks$$' ./internal/telemetry/timeseries/
 
 # fuzz runs each fuzz target for 10s beyond its seed corpus: the NDJSON
 # replay rule behind the serve job index (engine.ReplayLines), the job

@@ -11,7 +11,6 @@
 //
 //	hifi-sim -workload ferret -metrics-out run      # run.json + run.prom + run.manifest.json
 //	hifi-sim -workload ferret -spans-out run        # run.spans.json + run.folded
-//	hifi-sim -workload ferret -trace-out run.trace.json
 //	hifi-sim -workload ferret -pprof localhost:6060 -progress 2s
 //
 // The run executes as one job of the experiment engine (docs/engine.md),
@@ -25,7 +24,6 @@ import (
 	"context"
 	"flag"
 	"fmt"
-	"os"
 	"sync"
 	"time"
 
@@ -87,9 +85,6 @@ func main() {
 		warmup   = flag.Int("warmup", 0, "warmup accesses per core excluded from the reported statistics")
 		seed     = flag.Uint64("seed", 1, "trace seed")
 		ideal    = flag.Bool("ideal", false, "remove shift latency (RM-Ideal)")
-
-		traceOut = flag.String("trace-out", "", "write shift-event trace (JSON) to this file")
-		traceCap = flag.Int("trace-cap", 1<<16, "events retained in the trace ring buffer")
 		progress = flag.Duration("progress", 5*time.Second, "progress-line interval (0 disables)")
 	)
 	obs := cliutil.NewObs("hifi-sim")
@@ -130,9 +125,6 @@ func main() {
 	cfg.Sampler = obs.TS
 	cfg.Events = obs.Events
 	cfg.FaultPlan = plan
-	if *traceOut != "" {
-		cfg.Tracer = telemetry.NewTracer(*traceCap)
-	}
 
 	stopProgress := watchProgress(reg, *progress)
 	start := time.Now()
@@ -160,9 +152,6 @@ func main() {
 	}
 	if rep.CacheHits > 0 {
 		log.Infof("served from result cache")
-		if *traceOut != "" {
-			log.Errorf("hifi-sim: -trace-out with a warm cache records no events; clear -cache-dir to re-simulate")
-		}
 	}
 	log.Debugf("simulated %d accesses in %v", cfg.AccessesPerCore*cfg.Cores,
 		time.Since(start).Round(time.Millisecond))
@@ -186,14 +175,6 @@ func main() {
 		r.Energy.DynamicNJ()/1e3, r.Energy.LLCDynamicNJ()/1e3,
 		r.Energy.LeakageJ*1e3, r.Energy.TotalJ()*1e3)
 
-	if *traceOut != "" {
-		if err := writeTrace(cfg.Tracer, *traceOut); err != nil {
-			log.Fatalf("hifi-sim: trace: %v", err)
-		}
-		obs.AddOutput(*traceOut)
-		log.Infof("wrote %d trace events to %s (%d dropped)",
-			cfg.Tracer.Len(), *traceOut, cfg.Tracer.Dropped())
-	}
 	engFlags.Finish(eng)
 	if err := obs.Finish(); err != nil {
 		log.Fatalf("hifi-sim: %v", err)
@@ -241,19 +222,6 @@ func watchProgress(reg *telemetry.Registry, every time.Duration) func() {
 		close(stop)
 		wg.Wait()
 	}
-}
-
-// writeTrace dumps the tracer ring buffer as JSON.
-func writeTrace(tr *telemetry.Tracer, path string) error {
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	if err := tr.WriteJSON(f); err != nil {
-		_ = f.Close()
-		return err
-	}
-	return f.Close()
 }
 
 func parseTech(s string) (energy.Tech, error) {

@@ -35,10 +35,8 @@ type Obs struct {
 	statusAddr  *string
 	tsOut       *string
 	tsEvery     *int
-	tsWall      *time.Duration
 	profKinds   *string
 	profOut     *string
-	profPhases  *bool
 	perfOut     *string
 	verbose     *bool
 	quiet       *bool
@@ -100,14 +98,10 @@ func AddFlags(fs *flag.FlagSet, tool string) *Obs {
 		"write the windowed metrics time-series (JSON) to this file")
 	o.tsEvery = fs.Int("timeseries-every", timeseries.DefaultEvery,
 		"time-series window width in simulated accesses")
-	o.tsWall = fs.Duration("timeseries-wall", 0,
-		"additionally cut a time-series window at this wall-clock interval (0 disables; nondeterministic)")
 	o.profKinds = fs.String("profile", "",
 		"capture pprof profiles: comma-separated cpu,heap,allocs,mutex,block or \"all\"")
 	o.profOut = fs.String("profile-out", "",
 		"profile base path; files land at <base>.<kind>.pprof (default: next to the manifest)")
-	o.profPhases = fs.Bool("profile-phases", false,
-		"rotate the CPU profile and snapshot the heap at each phase boundary")
 	o.perfOut = fs.String("perf-out", "",
 		"write the span self-time analysis (hifi_perf_v1 JSON) to this file")
 	o.ev = AddEventsOut(fs, tool)
@@ -157,10 +151,7 @@ func (o *Obs) Start() context.Context {
 		o.Perf = profile.NewHandler(func() telemetry.SpanExport { return col.Export() })
 	}
 	if *o.tsOut != "" || *o.statusAddr != "" {
-		o.TS = timeseries.New(o.Reg, timeseries.Options{
-			Every:        *o.tsEvery,
-			WallInterval: *o.tsWall,
-		})
+		o.TS = timeseries.New(o.Reg, timeseries.Options{Every: *o.tsEvery})
 	}
 
 	o.Man = telemetry.NewManifest(o.tool)
@@ -176,7 +167,7 @@ func (o *Obs) Start() context.Context {
 	if kinds, err := profile.ParseKinds(*o.profKinds); err != nil {
 		log.Fatalf("%s: -profile: %v", o.tool, err)
 	} else if len(kinds) > 0 {
-		o.Cap = profile.New(o.profileBase(), kinds, *o.profPhases)
+		o.Cap = profile.New(o.profileBase(), kinds)
 		if err := o.Cap.Start(); err != nil {
 			log.Errorf("profile: %v; continuing without capture", err)
 			o.Cap = nil
@@ -272,20 +263,13 @@ func (o *Obs) profileBase() string {
 }
 
 // Phase marks a named run phase: it lands in the event stream and the
-// /healthz body, and the pprof capture rotates its CPU profile and
-// snapshots the heap there when -profile-phases is set. Nil-safe.
+// /healthz body. Nil-safe.
 func (o *Obs) Phase(name string) {
 	if o == nil {
 		return
 	}
 	o.Health.SetPhase(name)
 	o.Events.Emit(events.Event{Type: events.RunPhase, Name: name})
-	if o.Cap == nil {
-		return
-	}
-	if err := o.Cap.Phase(name); err != nil {
-		log.Errorf("profile: phase %s: %v", name, err)
-	}
 }
 
 // SetPerfResources attaches a resource-summary source (the experiment
@@ -358,7 +342,6 @@ func (o *Obs) Finish() error {
 			log.Infof("wrote %d event(s) to %s", seq, o.ev.Path())
 		}
 	}
-	o.TS.Stop()
 	if *o.tsOut != "" && o.TS != nil {
 		se := o.TS.Export()
 		if err := se.WriteFile(*o.tsOut); err != nil {

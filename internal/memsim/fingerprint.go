@@ -21,7 +21,7 @@ const FingerprintSchema = 1
 //
 // The identity is "memsim|" and one compact JSON object holding every
 // field that affects a Result and nothing that does not (Metrics,
-// Tracer, Sampler, Events, and the span context are observability-only).
+// Sampler, Events, and the span context are observability-only).
 // It is appended field by field in a fixed order, byte for byte what
 // encoding/json writes for the same object, so cache keys made by
 // earlier, reflective versions stay valid. Adding a field appends it

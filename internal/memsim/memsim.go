@@ -89,9 +89,6 @@ type Config struct {
 	// from another goroutine mid-run trails the run by at most one
 	// publish interval. Nil publishes nothing.
 	Metrics *telemetry.Registry
-	// Tracer optionally receives shift/eviction events on the LLC
-	// timeline. Nil disables tracing.
-	Tracer *telemetry.Tracer
 	// Sampler optionally cuts the Metrics registry's series into
 	// windows on the simulated-access clock: each publish ticks it by
 	// the accesses since the previous one, landing on its window
@@ -329,7 +326,6 @@ type system struct {
 	publishAt uint64
 	meter     meter
 
-	tracer  *telemetry.Tracer
 	sampler *timeseries.Sampler
 }
 
@@ -392,7 +388,6 @@ func newSystem(ctx context.Context, w trace.Workload, cfg Config) *system {
 		s.ops = make([]uint64, maxDist+1)
 		s.pathOps = make([]uint64, maxDist+1)
 	}
-	s.tracer = cfg.Tracer
 	s.sampler = cfg.Sampler
 	s.sampler.Mark("memsim:" + w.Name + ":setup")
 	s.attached = cfg.Metrics != nil || cfg.Sampler != nil
@@ -599,15 +594,8 @@ func (s *system) accessL3(core int, addr uint64, write bool, now uint64) int {
 	if res.Hit {
 		return lat
 	}
-	if res.Evicted {
-		dirty := int64(0)
-		if res.Writeback {
-			dirty = 1
-		}
-		s.tracer.Emit(telemetry.EventEviction, start, int64(res.Set), int64(res.Way), dirty)
-		if s.promo != nil {
-			s.promo.invalidate(res.EvictedAddr)
-		}
+	if res.Evicted && s.promo != nil {
+		s.promo.invalidate(res.EvictedAddr)
 	}
 	if res.Writeback {
 		s.acct.DRAMNJ += s.costsMem.WriteNJ
@@ -646,7 +634,6 @@ func (s *system) shiftFor(start uint64, set, way int) int {
 	}
 	s.trackSeq(seq)
 	s.acct.ShiftNJ += s.shiftE.SeqNJ(seq, s.cfg.Scheme.StepLimited())
-	s.tracer.Emit(telemetry.EventShift, start, int64(group), int64(dir*dist), int64(len(seq)))
 	s.rtm.MoveHead(group, dist, dir, len(seq))
 	s.shiftCycles += uint64(cycles)
 	if s.cfg.EagerHead {
@@ -730,7 +717,6 @@ func (s *system) flushShift(set, way int) {
 		s.acct.ShiftNJ += s.shiftE.SeqNJ(seq, s.cfg.Scheme.StepLimited())
 	}
 	s.promoFlushes++
-	s.tracer.Emit(telemetry.EventPromoFlush, s.lastShiftCycle, int64(set), int64(way), 0)
 }
 
 // maxIntensity is the conservative worst-case access intensity: one access

@@ -10,11 +10,6 @@ package profile
 //	<base>.allocs.pprof         cumulative allocation profile at Stop
 //	<base>.mutex.pprof          contended-mutex profile at Stop
 //	<base>.block.pprof          blocking profile at Stop
-//
-// Phase-scoped capture (Capture.Phase) rotates the CPU profile and
-// snapshots the live heap at every phase boundary, producing
-// <base>.<phase>.cpu.pprof and <base>.<phase>.heap.pprof instead — the
-// span-bracketed view: one profile per experiment, not one soup per run.
 
 import (
 	"fmt"
@@ -30,8 +25,7 @@ import (
 type Kind string
 
 // The supported kinds. CPU is streamed for the capture's lifetime; the
-// others are point-in-time snapshots written at Stop (and, for Heap, at
-// every phase boundary under phase scope).
+// others are point-in-time snapshots written at Stop.
 const (
 	CPU    Kind = "cpu"
 	Heap   Kind = "heap"
@@ -85,8 +79,6 @@ type Capture struct {
 	mu        sync.Mutex
 	base      string
 	kinds     map[Kind]bool
-	perPhase  bool
-	phase     string // current phase ("" = whole run)
 	cpuFile   *os.File
 	files     []string
 	prevMutex int
@@ -96,11 +88,11 @@ type Capture struct {
 
 // New builds a capture writing <base>.<kind>.pprof files. Returns nil
 // when kinds is empty, so callers can thread the result unconditionally.
-func New(base string, kinds []Kind, perPhase bool) *Capture {
+func New(base string, kinds []Kind) *Capture {
 	if len(kinds) == 0 {
 		return nil
 	}
-	c := &Capture{base: base, kinds: map[Kind]bool{}, perPhase: perPhase}
+	c := &Capture{base: base, kinds: map[Kind]bool{}}
 	for _, k := range kinds {
 		c.kinds[k] = true
 	}
@@ -129,22 +121,7 @@ func (c *Capture) Start() error {
 }
 
 func (c *Capture) path(kind Kind) string {
-	if c.phase == "" {
-		return fmt.Sprintf("%s.%s.pprof", c.base, kind)
-	}
-	return fmt.Sprintf("%s.%s.%s.pprof", c.base, sanitize(c.phase), kind)
-}
-
-// sanitize maps a phase name onto the filename-safe alphabet.
-func sanitize(s string) string {
-	return strings.Map(func(r rune) rune {
-		switch {
-		case r >= 'a' && r <= 'z', r >= 'A' && r <= 'Z', r >= '0' && r <= '9', r == '-', r == '_':
-			return r
-		default:
-			return '-'
-		}
-	}, s)
+	return fmt.Sprintf("%s.%s.pprof", c.base, kind)
 }
 
 func (c *Capture) startCPULocked() error {
@@ -197,45 +174,6 @@ func (c *Capture) writeLookupLocked(name string, kind Kind) error {
 	return nil
 }
 
-// Phase marks a phase boundary under phase-scoped capture: the current
-// CPU profile (and a live-heap snapshot) is finalized under the previous
-// phase's name and a fresh CPU profile opens under name. Under run scope
-// Phase only relabels nothing — it is a no-op — so CLIs can call it
-// unconditionally.
-func (c *Capture) Phase(name string) error {
-	if c == nil || !c.perPhase {
-		return nil
-	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if !c.started || c.stopped {
-		return nil
-	}
-	var firstErr error
-	if c.phase != "" || c.cpuFile != nil {
-		if err := c.closePhaseLocked(); err != nil {
-			firstErr = err
-		}
-	}
-	c.phase = name
-	if err := c.startCPULocked(); err != nil && firstErr == nil {
-		firstErr = err
-	}
-	return firstErr
-}
-
-// closePhaseLocked finalizes the in-progress phase's streaming and
-// snapshot profiles.
-func (c *Capture) closePhaseLocked() error {
-	firstErr := c.stopCPULocked()
-	if c.kinds[Heap] && c.phase != "" {
-		if err := c.writeLookupLocked("heap", Heap); err != nil && firstErr == nil {
-			firstErr = err
-		}
-	}
-	return firstErr
-}
-
 // Stop finalizes every requested profile and returns the full list of
 // files written, sorted. Safe to call twice; the second call returns the
 // same list.
@@ -249,8 +187,7 @@ func (c *Capture) Stop() ([]string, error) {
 		return append([]string{}, c.files...), nil
 	}
 	c.stopped = true
-	firstErr := c.closePhaseLocked()
-	c.phase = "" // terminal snapshots are run-scoped names
+	firstErr := c.stopCPULocked()
 	for _, k := range []Kind{Heap, Allocs, Mutex, Block} {
 		if !c.kinds[k] {
 			continue

@@ -37,7 +37,7 @@ func burn() int {
 
 func TestCaptureRunScope(t *testing.T) {
 	base := filepath.Join(t.TempDir(), "run")
-	c := New(base, AllKinds, false)
+	c := New(base, AllKinds)
 	if err := c.Start(); err != nil {
 		t.Fatal(err)
 	}
@@ -71,54 +71,15 @@ func TestCaptureRunScope(t *testing.T) {
 	}
 }
 
-func TestCapturePhaseScope(t *testing.T) {
-	base := filepath.Join(t.TempDir(), "run")
-	c := New(base, []Kind{CPU, Heap}, true)
-	if err := c.Start(); err != nil {
-		t.Fatal(err)
-	}
-	if err := c.Phase("fig10"); err != nil {
-		t.Fatal(err)
-	}
-	_ = burn()
-	if err := c.Phase("fig 14/x"); err != nil {
-		t.Fatal(err)
-	}
-	_ = burn()
-	files, err := c.Stop()
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := []string{
-		base + ".cpu.pprof", // pre-phase preamble
-		base + ".fig-14-x.cpu.pprof",
-		base + ".fig-14-x.heap.pprof",
-		base + ".fig10.cpu.pprof",
-		base + ".fig10.heap.pprof",
-		base + ".heap.pprof", // terminal run-scoped snapshot
-	}
-	if len(files) != len(want) {
-		t.Fatalf("files = %v, want %v", files, want)
-	}
-	for i, w := range want {
-		if files[i] != w {
-			t.Errorf("file %d = %s, want %s", i, files[i], w)
-		}
-	}
-}
-
 func TestCaptureNilAndEmpty(t *testing.T) {
 	var c *Capture
 	if err := c.Start(); err != nil {
 		t.Error(err)
 	}
-	if err := c.Phase("x"); err != nil {
-		t.Error(err)
-	}
 	if files, err := c.Stop(); err != nil || files != nil {
 		t.Errorf("nil Stop = %v, %v", files, err)
 	}
-	if New("base", nil, false) != nil {
+	if New("base", nil) != nil {
 		t.Error("New with no kinds should return nil")
 	}
 }

@@ -1,8 +1,7 @@
 // Package telemetry is the observability substrate of the simulation
 // stack: a dependency-free, concurrency-safe metrics registry (counters,
-// gauges, histograms with fixed bucket layouts), a ring-buffer event
-// tracer for shift operations and protection events, and snapshot
-// exporters in Prometheus text format and JSON.
+// gauges, histograms with fixed bucket layouts) and snapshot exporters
+// in Prometheus text format and JSON.
 //
 // The design goal is that instrumentation costs (almost) nothing when it
 // is switched off: every metric handle is nil-safe, so a package holds

@@ -17,9 +17,10 @@
 //   - exports are deterministic: series within a window are sorted by
 //     name, so identical tick sequences produce identical bytes.
 //
-// The simulated-access tick is the primary clock because it is
-// reproducible; an optional wall-clock cutter (Options.WallInterval)
-// exists for watching long runs live via the /timeseries status route.
+// The simulated-access tick is the only clock, so identical runs cut
+// their windows at the same ticks. An export renders the still-open window as a
+// provisional tail and commits nothing, so polling the /timeseries
+// status route mid-run leaves the run's series unchanged.
 package timeseries
 
 import (
@@ -30,7 +31,6 @@ import (
 	"sort"
 	"sync"
 	"sync/atomic"
-	"time"
 
 	"racetrack/hifi/internal/telemetry"
 )
@@ -49,11 +49,6 @@ type Options struct {
 	// Capacity is the maximum number of retained windows;
 	// DefaultCapacity when <= 0.
 	Capacity int
-	// WallInterval, when positive, additionally cuts a window every
-	// wall-clock interval (started by Start, stopped by Stop). Wall cuts
-	// make live dashboards tick during long windows but are inherently
-	// nondeterministic; leave zero for reproducible artifacts.
-	WallInterval time.Duration
 }
 
 // Sampler cuts the registry's cumulative series into windows.
@@ -71,9 +66,6 @@ type Sampler struct {
 	index    int
 	lastTick int64
 	last     baseline
-
-	stopWall chan struct{}
-	wallWG   sync.WaitGroup
 }
 
 // baseline is the cumulative state at the previous cut, used to compute
@@ -108,9 +100,6 @@ func New(reg *telemetry.Registry, opts Options) *Sampler {
 		capacity: opts.Capacity,
 	}
 	s.last = s.capture()
-	if opts.WallInterval > 0 {
-		s.startWall(opts.WallInterval)
-	}
 	return s
 }
 
@@ -159,8 +148,8 @@ func (s *Sampler) Mark(label string) {
 
 // Cut closes the current window immediately, regardless of tick
 // alignment. Used at phase boundaries so warmup and measurement never
-// share a window, and by the wall-clock cutter. Windows with no ticks,
-// no marks, and no activity are elided. Nil-safe.
+// share a window. Windows with no ticks, no marks, and no activity are
+// elided. Nil-safe.
 func (s *Sampler) Cut() {
 	if s == nil {
 		return
@@ -171,9 +160,31 @@ func (s *Sampler) Cut() {
 }
 
 func (s *Sampler) cutLocked() {
+	w, cur, ok := s.openLocked()
+	s.last = cur
+	if !ok {
+		return
+	}
+	s.index++
+	s.lastTick = w.EndTick
+	s.marks = nil
+	if len(s.windows) >= s.capacity {
+		copy(s.windows, s.windows[1:])
+		s.windows = s.windows[:len(s.windows)-1]
+		s.dropped++
+	}
+	s.windows = append(s.windows, w)
+}
+
+// openLocked renders the open window, the deltas since the last cut,
+// with the registry state it was taken against. ok is false when
+// nothing happened at all (no ticks, marks, or deltas): such a window
+// is elided, or back-to-back cuts on an idle registry would fill the
+// ring with noise.
+func (s *Sampler) openLocked() (w Window, cur baseline, ok bool) {
 	now := s.ticks.Load()
-	cur := s.capture()
-	w := Window{
+	cur = s.capture()
+	w = Window{
 		Index:     s.index,
 		StartTick: s.lastTick,
 		EndTick:   now,
@@ -207,24 +218,9 @@ func (s *Sampler) cutLocked() {
 		}
 		w.Histograms = append(w.Histograms, hw)
 	}
-	// Elide windows in which nothing happened at all (no ticks, marks,
-	// or deltas): back-to-back wall cuts on an idle registry would
-	// otherwise fill the ring with noise.
-	if w.EndTick == w.StartTick && len(w.Marks) == 0 &&
-		len(w.Counters) == 0 && len(w.Histograms) == 0 {
-		s.last = cur
-		return
-	}
-	s.index++
-	s.lastTick = now
-	s.last = cur
-	s.marks = nil
-	if len(s.windows) >= s.capacity {
-		copy(s.windows, s.windows[1:])
-		s.windows = s.windows[:len(s.windows)-1]
-		s.dropped++
-	}
-	s.windows = append(s.windows, w)
+	ok = w.EndTick != w.StartTick || len(w.Marks) != 0 ||
+		len(w.Counters) != 0 || len(w.Histograms) != 0
+	return w, cur, ok
 }
 
 // capture copies the cumulative counter and histogram state.
@@ -244,36 +240,6 @@ func (s *Sampler) capture() baseline {
 		b.hists[h.Name] = histState{counts: h.Counts, sum: h.Sum, count: h.Count}
 	}
 	return b
-}
-
-// startWall launches the wall-clock cutter.
-func (s *Sampler) startWall(every time.Duration) {
-	s.stopWall = make(chan struct{})
-	s.wallWG.Add(1)
-	go func() {
-		defer s.wallWG.Done()
-		t := time.NewTicker(every)
-		defer t.Stop()
-		for {
-			select {
-			case <-s.stopWall:
-				return
-			case <-t.C:
-				s.Cut()
-			}
-		}
-	}()
-}
-
-// Stop terminates the wall-clock cutter, if one was started. Nil-safe
-// and idempotent.
-func (s *Sampler) Stop() {
-	if s == nil || s.stopWall == nil {
-		return
-	}
-	close(s.stopWall)
-	s.wallWG.Wait()
-	s.stopWall = nil
 }
 
 // Window is one closed sampling window: series deltas between two cuts.
@@ -308,7 +274,7 @@ func (h HistWindow) Mean() float64 {
 }
 
 // Series is a consistent export of the sampler: every retained window
-// plus the still-open tail (cut on the fly so the export is current).
+// plus the still-open tail, rendered as if it were cut now.
 type Series struct {
 	Schema  string   `json:"schema"`
 	Every   int      `json:"every"`
@@ -320,7 +286,10 @@ type Series struct {
 // SchemaV1 names the export layout.
 const SchemaV1 = "hifi_timeseries_v1"
 
-// Export cuts the open window and snapshots the ring. A nil sampler
+// Export snapshots the ring with the open window as a provisional
+// tail: what a cut now would retain, while the sampler itself commits
+// nothing. Its baseline, window index, marks and ring are untouched, so
+// a series polled mid-window equals the unpolled one. A nil sampler
 // yields an empty, still-valid Series.
 func (s *Sampler) Export() Series {
 	se := Series{Schema: SchemaV1, Windows: []Window{}}
@@ -329,11 +298,19 @@ func (s *Sampler) Export() Series {
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	s.cutLocked()
+	tail, _, open := s.openLocked()
 	se.Every = int(s.every)
 	se.Ticks = s.ticks.Load()
 	se.Dropped = s.dropped
-	se.Windows = append(se.Windows, s.windows...)
+	ring := s.windows
+	if open && len(ring) >= s.capacity {
+		ring = ring[1:]
+		se.Dropped++
+	}
+	se.Windows = append(se.Windows, ring...)
+	if open {
+		se.Windows = append(se.Windows, tail)
+	}
 	return se
 }
 

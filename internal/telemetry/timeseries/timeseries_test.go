@@ -3,6 +3,7 @@ package timeseries
 import (
 	"bytes"
 	"encoding/json"
+	"fmt"
 	"strings"
 	"sync"
 	"testing"
@@ -15,7 +16,6 @@ func TestNilSamplerIsNoOp(t *testing.T) {
 	s.Tick(5)
 	s.Mark("phase")
 	s.Cut()
-	s.Stop()
 	if got := s.Ticks(); got != 0 {
 		t.Errorf("Ticks = %d", got)
 	}
@@ -212,35 +212,108 @@ func TestCounterAndHistSeries(t *testing.T) {
 	}
 }
 
-func TestConcurrentTicks(t *testing.T) {
-	reg := telemetry.NewRegistry()
-	c := reg.Counter("x", "")
-	s := New(reg, Options{Every: 64, Capacity: 64})
-	var wg sync.WaitGroup
-	for g := 0; g < 4; g++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := 0; i < 1000; i++ {
-				c.Inc()
-				s.Tick(1)
-			}
-		}()
-	}
-	wg.Wait()
-	se := s.Export()
-	if se.Ticks != 4000 {
-		t.Errorf("ticks = %d", se.Ticks)
-	}
-	var total float64
-	for _, w := range se.Windows {
-		for _, cv := range w.Counters {
-			total += cv.Value
+// TestPollingLeavesSeriesUnchanged polls Export after every step of a
+// run, as a dashboard on the /timeseries route does. The polls render
+// the open window without cutting it, so the run's final series equals
+// the unpolled one byte for byte: pending marks stay pending, and a
+// full ring drops its oldest window only from the polled copy.
+func TestPollingLeavesSeriesUnchanged(t *testing.T) {
+	const capacity = 2
+	run := func(poll bool) []byte {
+		reg := telemetry.NewRegistry()
+		c := reg.Counter("x", "")
+		h := reg.Histogram("d", "", []float64{1, 2})
+		s := New(reg, Options{Every: 10, Capacity: capacity})
+		steps := []func(){
+			c.Inc,
+			func() { s.Tick(5) },
+			func() { h.Observe(2) },
+			c.Inc,
+			func() { s.Tick(5) },
+			c.Inc,
+			func() { s.Tick(10) },
+			func() { s.Tick(3) },
+			func() { s.Mark("measure") },
+			s.Cut,
+			c.Inc,
+			func() { s.Tick(4) },
+			func() { s.Mark("end") },
 		}
+		for _, step := range steps {
+			step()
+			if !poll {
+				continue
+			}
+			if se := s.Export(); len(se.Windows) > capacity {
+				t.Fatalf("polled export holds %d windows, capacity %d", len(se.Windows), capacity)
+			}
+		}
+		b, err := json.Marshal(s.Export())
+		if err != nil {
+			t.Fatal(err)
+		}
+		return b
 	}
-	// The ring may have dropped early windows; with capacity 64 and
-	// 4000/64 = ~62 windows nothing should drop.
-	if se.Dropped == 0 && total != 4000 {
-		t.Errorf("summed deltas = %v, want 4000", total)
+	if quiet, polled := run(false), run(true); !bytes.Equal(quiet, polled) {
+		t.Errorf("polling changed the series:\nunpolled %s\npolled   %s", quiet, polled)
+	}
+}
+
+// TestConcurrentTicks cuts windows from four ticking goroutines, with
+// and without a fifth polling Export meanwhile; the committed deltas
+// sum to the ticks either way. 4000/64 cuts plus the tail fit the
+// 64-window ring, so nothing drops.
+func TestConcurrentTicks(t *testing.T) {
+	for _, poll := range []bool{false, true} {
+		t.Run(fmt.Sprintf("poll=%v", poll), func(t *testing.T) {
+			reg := telemetry.NewRegistry()
+			c := reg.Counter("x", "")
+			s := New(reg, Options{Every: 64, Capacity: 64})
+			done := make(chan struct{})
+			var polls sync.WaitGroup
+			if poll {
+				polls.Add(1)
+				go func() {
+					defer polls.Done()
+					for {
+						if se := s.Export(); len(se.Windows) > 64 {
+							t.Errorf("polled export holds %d windows", len(se.Windows))
+						}
+						select {
+						case <-done:
+							return
+						default:
+						}
+					}
+				}()
+			}
+			var wg sync.WaitGroup
+			for g := 0; g < 4; g++ {
+				wg.Add(1)
+				go func() {
+					defer wg.Done()
+					for i := 0; i < 1000; i++ {
+						c.Inc()
+						s.Tick(1)
+					}
+				}()
+			}
+			wg.Wait()
+			close(done)
+			polls.Wait()
+			se := s.Export()
+			if se.Ticks != 4000 {
+				t.Errorf("ticks = %d", se.Ticks)
+			}
+			var total float64
+			for _, w := range se.Windows {
+				for _, cv := range w.Counters {
+					total += cv.Value
+				}
+			}
+			if se.Dropped != 0 || total != 4000 {
+				t.Errorf("summed deltas = %v with %d dropped, want 4000 and 0", total, se.Dropped)
+			}
+		})
 	}
 }
