@@ -52,24 +52,28 @@ vet:
 # race also repeats the event-delivery tests ten times: Emit, the bus
 # readers and the SSE handlers reach the ring's read path at once. The
 # engine's decode-once test repeats too: its workers write memo entries
-# while the batches running beside them decode those entries. So does
-# the sampler's concurrent-tick test, where an Export polls the open
-# window while four goroutines tick and cut.
+# while the batches running beside them decode those entries. So do the
+# cache's shared-writer tests, where goroutines and two caches append to
+# and read one bucket file while eviction removes buckets, and the
+# sampler's concurrent-tick test, where an Export polls the open window
+# while four goroutines tick and cut.
 race:
 	$(GO) test -race ./...
 	$(GO) test -race -count=10 -run 'Subscrib|Stalled|SSE' ./internal/telemetry/events/
 	$(GO) test -race -count=10 -run '^TestRunDecodedDecodesEachKeyOnce$$' ./internal/engine/
+	$(GO) test -race -count=10 -run '^(TestCacheConcurrentWriters|TestEvictionConcurrentWithPutsAndGets)$$' ./internal/engine/
 	$(GO) test -race -count=10 -run '^TestConcurrentTicks$$' ./internal/telemetry/timeseries/
 
 # fuzz runs each fuzz target for 10s beyond its seed corpus: the NDJSON
-# replay rule behind the serve job index (engine.ReplayLines), the job
-# index replay itself, spec normalization, the binary trace reader, the
+# replay rule behind the serve job index (engine.ReplayLines), the cache
+# bucket reader, the job index replay itself, spec normalization, the binary trace reader, the
 # event-log reader, the traceparent parser, the p-ECC decoder and the
 # memsim fingerprint appender (against the reflective encoder it
 # replaced). A failing input lands in the package's testdata/fuzz/
 # directory, where tier-1 then replays it.
 fuzz:
 	$(GO) test -run '^$$' -fuzz '^FuzzReplayLines$$' -fuzztime 10s ./internal/engine
+	$(GO) test -run '^$$' -fuzz '^FuzzCacheBucket$$' -fuzztime 10s ./internal/engine
 	$(GO) test -run '^$$' -fuzz '^FuzzIndexReplay$$' -fuzztime 10s ./internal/serve
 	$(GO) test -run '^$$' -fuzz '^FuzzSpecNormalize$$' -fuzztime 10s ./internal/serve
 	$(GO) test -run '^$$' -fuzz '^FuzzReadTrace$$' -fuzztime 10s ./internal/trace

@@ -37,7 +37,7 @@ func main() {
 	var (
 		listen       = flag.String("listen", "localhost:8777", "HTTP listen address for the job API")
 		cacheDir     = flag.String("cache-dir", ".hifi-serve-cache", "shared result-cache directory (\"\" disables caching and cross-client reuse)")
-		cacheMax     = flag.Int64("cache-max-bytes", 0, "result-cache size budget; least-recently-accessed objects are evicted above it (0 = unlimited)")
+		cacheMax     = flag.Int64("cache-max-bytes", 0, "result-cache size budget; least-recently-accessed cache buckets are evicted above it (0 = unlimited)")
 		version      = flag.String("cache-version", "", "override the cache code-version tag (default: built-in engine version)")
 		workers      = flag.Int("workers", 0, "engine worker-pool width per job (0 = all cores)")
 		runners      = flag.Int("runners", 2, "jobs allowed to run concurrently")

@@ -37,7 +37,7 @@ func AddEngineFlags(fs *flag.FlagSet) *EngineFlags {
 	ef.cacheDir = fs.String("cache-dir", "",
 		"content-addressed result cache directory (empty keeps the cache in memory for this run)")
 	ef.cacheMaxBytes = fs.Int64("cache-max-bytes", 0,
-		"size budget for the result cache; least-recently-accessed objects are evicted above it (0 = unlimited)")
+		"size budget for the result cache; least-recently-accessed cache buckets are evicted above it (0 = unlimited)")
 	ef.retries = fs.Int("job-retries", 1,
 		"re-executions of a failed job before the failure is permanent")
 	ef.backoff = fs.Duration("retry-backoff", 250*time.Millisecond,

@@ -1,23 +1,31 @@
 package engine
 
 // Content-addressed result cache. Every payload is stored under the
-// SHA-256 of (schema | code version | job key), laid out git-style as
-// <dir>/objects/<hh>/<hash>.json so one directory never holds millions
-// of entries. Writes are atomic (temp file + rename), so a killed sweep
-// can never leave a truncated payload behind for its rerun to trust.
+// SHA-256 of (schema | code version | job key), as one line appended to
+// one of 256 bucket files, <dir>/objects/<hh>.pack, named by the hash's
+// first byte. A cache directory therefore creates at most 256 files over
+// its life, not one per result: on ext4 a file creation costs tens to
+// hundreds of microseconds, an append to an existing file a few
+// (docs/perf.md, "One file per bucket").
 //
-// Atomicity protects against torn writes, not against the disk itself:
-// a bit flip, an fsck truncation, or an operator editing an object by
-// hand would otherwise JSON-decode into a zero result and silently
-// poison a sweep. Each object therefore carries a checksum header
+// A record is one line, written by a single O_APPEND write:
 //
-//	hifi1 <sha256(payload) hex>\n<payload>
+//	hifi2 <hash> <sha256(payload) hex> <payload>\n
 //
-// verified on every Get. A mismatch (or a missing/garbled header, or a
-// payload that is not valid JSON) returns ErrCorrupt and the object is
-// moved aside to <dir>/objects/quarantine/ for post-mortem; the engine
-// falls through to recomputation, so corruption costs one re-execution,
-// never a wrong table. See docs/engine.md ("failure modes & recovery").
+// Every write starts with a newline, so a torn earlier append, which
+// ends without one, becomes a damaged line of its own instead of
+// swallowing the record written after it. Only a newline-terminated line
+// was written whole: an unterminated last line is an append still in
+// flight, or a torn one, and readers skip it.
+//
+// The checksum guards against the disk itself: a bit flip, an fsck
+// truncation, or an operator editing a bucket by hand would otherwise
+// JSON-decode into a zero result and silently poison a sweep. A bucket
+// holding only damaged lines for a hash makes Get return ErrCorrupt and
+// copy the damaged line to <dir>/objects/quarantine/ for post-mortem;
+// the engine recomputes and appends a fresh record, which Get serves
+// from then on. Corruption costs one re-execution, never a wrong table.
+// See docs/engine.md ("failure modes & recovery").
 
 import (
 	"bytes"
@@ -27,7 +35,6 @@ import (
 	"errors"
 	"fmt"
 	"io/fs"
-	"os"
 	"path/filepath"
 	"runtime/debug"
 	"strconv"
@@ -39,12 +46,15 @@ import (
 
 // CacheSchema versions the object encoding; bump it to invalidate every
 // cached result when the canonical JSON projection — or, as with the
-// schema-2 checksum header, the on-disk framing — changes shape.
-const CacheSchema = 2
+// schema-3 bucket records, the on-disk framing — changes shape.
+const CacheSchema = 3
 
-// objectMagic prefixes every object file, followed by the payload
-// checksum and a newline.
-const objectMagic = "hifi1 "
+// recordMagic starts every record line, followed by the hash, the
+// payload checksum and the payload, separated by single spaces.
+const recordMagic = "hifi2 "
+
+// bucketExt names the bucket files under objects/.
+const bucketExt = ".pack"
 
 // ErrCorrupt marks a cache object that failed checksum or framing
 // verification. Callers match it with errors.Is and recompute.
@@ -85,14 +95,14 @@ func HashKey(version, jobKey string) string {
 }
 
 // Cache is an on-disk content-addressed payload store. Methods are safe
-// for concurrent use by the worker pool; concurrent Puts of the same
-// hash are idempotent because equal keys produce equal payloads.
+// for concurrent use by the worker pool and by other processes sharing
+// the directory; concurrent Puts of the same hash are idempotent because
+// equal keys produce equal payloads.
 type Cache struct {
 	dir     string
 	version string
 	fsys    FS
-	seq     atomic.Uint64 // unique temp-file suffixes
-	corrupt atomic.Uint64 // objects quarantined by Get
+	corrupt atomic.Uint64 // damaged records quarantined by Get
 
 	// Size-budget state (evict.go). maxBytes <= 0 means unlimited;
 	// bytes is the accounted usage (exact at the last scan, plus Puts
@@ -129,52 +139,84 @@ func OpenCacheFS(dir, version string, fsys FS) (*Cache, error) {
 // Version returns the code version mixed into every hash.
 func (c *Cache) Version() string { return c.version }
 
-// CorruptCount returns how many objects Get has quarantined.
+// CorruptCount returns how many damaged records Get has quarantined.
 func (c *Cache) CorruptCount() uint64 { return c.corrupt.Load() }
 
-func (c *Cache) path(hash string) string {
-	return filepath.Join(c.dir, "objects", hash[:2], hash+".json")
+// bucket is the file holding hash's records.
+func (c *Cache) bucket(hash string) string {
+	return filepath.Join(c.dir, "objects", hash[:2]+bucketExt)
 }
 
-// QuarantineDir is where corrupt objects are moved for post-mortem.
+// QuarantineDir is where damaged records are copied for post-mortem.
 func (c *Cache) QuarantineDir() string {
 	return filepath.Join(c.dir, "objects", "quarantine")
 }
 
-// Get returns the payload stored under hash after verifying its
-// checksum. A missing object returns an error matching fs.ErrNotExist;
-// a present-but-damaged object is quarantined and returns an error
-// matching ErrCorrupt. Any non-nil error means "not usable: recompute".
+// Get returns a copy of the payload stored under hash after verifying
+// its checksum. A hash with no complete record returns an error
+// matching fs.ErrNotExist; one whose only records are damaged is
+// quarantined and returns an error matching ErrCorrupt. Any non-nil
+// error means "not usable: recompute".
 func (c *Cache) Get(hash string) ([]byte, error) {
-	path := c.path(hash)
+	path := c.bucket(hash)
 	b, err := c.fsys.ReadFile(path)
 	if err != nil {
 		return nil, err
 	}
-	payload, err := verifyObject(b)
-	if err != nil {
-		c.quarantine(hash, path)
-		return nil, fmt.Errorf("%w: %s: %v", ErrCorrupt, hash[:12], err)
+	payload, damaged, verr := findRecord(b, hash)
+	switch {
+	case payload != nil:
+		// Under a size budget, a served bucket is a recently-useful
+		// bucket: refresh its mtime so eviction order is access order.
+		c.touch(path)
+		// A copy, so a caller that keeps the payload does not pin the
+		// whole bucket's buffer.
+		return bytes.Clone(payload), nil
+	case damaged != nil:
+		c.quarantine(hash, damaged)
+		return nil, fmt.Errorf("%w: %s: %v", ErrCorrupt, hash[:12], verr)
 	}
-	// Under a size budget, a served object is a recently-useful object:
-	// refresh its mtime so eviction order is access order.
-	c.touch(path)
-	return payload, nil
+	return nil, fs.ErrNotExist
 }
 
-// verifyObject checks the framing and checksum of one object file and
-// returns the payload.
-func verifyObject(b []byte) ([]byte, error) {
-	rest, ok := bytes.CutPrefix(b, []byte(objectMagic))
-	if !ok {
-		return nil, errors.New("missing object header")
+// findRecord scans a bucket's complete lines for hash. It returns the
+// payload of the first line that verifies; failing that, the first line
+// that names hash but does not verify, with the reason. Both are nil
+// when no complete line names hash.
+func findRecord(bucket []byte, hash string) (payload, damaged []byte, err error) {
+	for {
+		i := bytes.IndexByte(bucket, '\n')
+		if i < 0 {
+			// The unterminated tail: an append in flight, or a torn one.
+			return nil, damaged, err
+		}
+		line := bucket[:i]
+		bucket = bucket[i+1:]
+		rest, ok := bytes.CutPrefix(line, []byte(recordMagic))
+		if !ok || len(rest) <= len(hash) || string(rest[:len(hash)]) != hash || rest[len(hash)] != ' ' {
+			continue
+		}
+		p, lerr := verifyRecord(rest[len(hash)+1:])
+		if lerr == nil {
+			return p, nil, nil
+		}
+		if damaged == nil {
+			damaged, err = line, lerr
+		}
 	}
-	sum, payload, ok := bytes.Cut(rest, []byte{'\n'})
+}
+
+// verifyRecord checks the checksum and JSON of one record's
+// "<sum> <payload>" tail and returns the payload.
+func verifyRecord(rest []byte) ([]byte, error) {
+	sum, payload, ok := bytes.Cut(rest, []byte{' '})
 	if !ok {
-		return nil, errors.New("truncated object header")
+		return nil, errors.New("truncated record header")
 	}
-	want := sha256.Sum256(payload)
-	if string(sum) != hex.EncodeToString(want[:]) {
+	var want [2 * sha256.Size]byte
+	s := sha256.Sum256(payload)
+	hex.Encode(want[:], s[:])
+	if !bytes.Equal(sum, want[:]) {
 		return nil, errors.New("checksum mismatch")
 	}
 	// Belt and braces: the engine only stores canonical JSON, so a
@@ -185,61 +227,59 @@ func verifyObject(b []byte) ([]byte, error) {
 	return payload, nil
 }
 
-// quarantine moves a damaged object out of the addressable tree so the
-// evidence survives but the next Get recomputes. Best effort: if the
-// move fails the object is deleted instead, and if that fails too the
-// corrupt bytes will simply be re-detected next read.
-func (c *Cache) quarantine(hash, path string) {
+// quarantine counts a damaged record and copies its line out of the
+// bucket, so the evidence survives the bucket's eviction. The line
+// itself stays in the append-only bucket, where the recomputed record
+// appended after it takes over. Best effort: a failed copy is logged
+// and costs only the evidence.
+func (c *Cache) quarantine(hash string, line []byte) {
 	c.corrupt.Add(1)
 	qdir := c.QuarantineDir()
-	if err := c.fsys.MkdirAll(qdir); err == nil {
-		if err := c.fsys.Rename(path, filepath.Join(qdir, hash+".json")); err == nil {
-			return
-		}
+	err := c.fsys.MkdirAll(qdir)
+	if err == nil {
+		err = c.fsys.WriteFile(filepath.Join(qdir, hash+".line"), append(bytes.Clone(line), '\n'))
 	}
-	if err := c.fsys.Remove(path); err != nil {
-		log.Errorf("engine: quarantine %s: cannot move or remove: %v", hash[:12], err)
+	if err != nil {
+		log.Errorf("engine: quarantine %s: cannot copy the damaged record: %v", hash[:12], err)
 	}
 }
 
-// Put stores payload under hash atomically, framed with the checksum
-// header Get verifies.
+// Put appends payload's record to hash's bucket in one O_APPEND write.
 //
-// The temp-file name mixes the PID and a per-Cache sequence number, and
-// the temp file is created exclusively (O_CREATE|O_EXCL): two processes
-// sharing the cache directory — a daemon and a CLI pointed at the same
-// -cache-dir, or a crashed writer's PID reused by a live one — can
-// therefore never interleave writes into the same temp file and rename
-// a torn hybrid into the addressable tree. A name collision just means
-// someone else holds that claim; we take a fresh sequence number and
-// try again. The final rename stays last-writer-wins, which is safe
-// because equal hashes carry equal payloads.
+// Appends of whole records never interleave: each is one write call on
+// a file opened with O_APPEND, which a local filesystem positions at the
+// end of the file and completes before the next append to that file
+// starts, whichever process makes it. Two processes sharing the cache
+// directory — a daemon and a CLI pointed at the same -cache-dir — can
+// therefore never mix their records, and a reader that catches an
+// append in flight sees an unterminated last line, which it skips. A
+// payload holding a newline could not be framed as one line and is
+// refused.
 func (c *Cache) Put(hash string, payload []byte) error {
-	path := c.path(hash)
-	if err := c.fsys.MkdirAll(filepath.Dir(path)); err != nil {
-		return err
+	if bytes.IndexByte(payload, '\n') >= 0 {
+		return fmt.Errorf("engine: cache put %s: payload contains a newline", hash[:12])
 	}
 	sum := sha256.Sum256(payload)
-	obj := make([]byte, 0, len(objectMagic)+hex.EncodedLen(len(sum))+1+len(payload))
-	obj = append(obj, objectMagic...)
-	obj = append(obj, hex.EncodeToString(sum[:])...)
-	obj = append(obj, '\n')
-	obj = append(obj, payload...)
-	var tmp string
-	for attempt := 0; ; attempt++ {
-		tmp = fmt.Sprintf("%s.tmp.%d.%d", path, os.Getpid(), c.seq.Add(1))
-		err := c.fsys.WriteFileExcl(tmp, obj)
-		if err == nil {
-			break
-		}
-		if !errors.Is(err, fs.ErrExist) || attempt >= 8 {
-			return err
-		}
-	}
-	if err := c.fsys.Rename(tmp, path); err != nil {
-		c.fsys.Remove(tmp)
+	rec := make([]byte, 0, 1+len(recordMagic)+len(hash)+1+hex.EncodedLen(len(sum))+1+len(payload)+1)
+	rec = append(rec, '\n')
+	rec = append(rec, recordMagic...)
+	rec = append(rec, hash...)
+	rec = append(rec, ' ')
+	rec = hex.AppendEncode(rec, sum[:])
+	rec = append(rec, ' ')
+	rec = append(rec, payload...)
+	rec = append(rec, '\n')
+	w, err := c.fsys.OpenAppend(c.bucket(hash))
+	if err != nil {
 		return err
 	}
-	c.accountPut(int64(len(obj)))
+	if _, err := w.Write(rec); err != nil {
+		_ = w.Close()
+		return err
+	}
+	if err := w.Close(); err != nil {
+		return err
+	}
+	c.accountPut(int64(len(rec)))
 	return nil
 }

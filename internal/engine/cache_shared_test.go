@@ -3,17 +3,20 @@ package engine
 import (
 	"errors"
 	"fmt"
+	"io"
 	"io/fs"
+	"os"
+	"path/filepath"
 	"sync"
 	"testing"
 )
 
 // Two Cache instances over one directory model two processes sharing
-// -cache-dir (a daemon and a CLI, or two daemons). With the O_EXCL
-// temp-file claim, concurrent writers of the same objects must never
-// make a reader observe a torn or mixed object: every Get sees either
-// "not there yet" or the exact checksummed payload — ErrCorrupt is a
-// protocol violation.
+// -cache-dir (a daemon and a CLI, or two daemons). With one O_APPEND
+// write per record, concurrent writers of the same objects into the
+// same buckets must never make a reader observe a torn or mixed object:
+// every Get sees either "not there yet" or the exact checksummed payload
+// — ErrCorrupt is a protocol violation.
 // The in-memory FS a CLI run without -cache-dir uses is held to the
 // same contract, with both caches sharing one MemFS.
 func TestCacheConcurrentWriters(t *testing.T) {
@@ -45,7 +48,8 @@ func concurrentWriters(t *testing.T, fsys FS) {
 	errc := make(chan error, 64)
 
 	// Writers: both "processes" race to publish every object, repeatedly
-	// — the same-key overwrite is the contended path the claim protects.
+	// — appends of the same records into shared buckets are the
+	// contended path.
 	for w := 0; w < 4; w++ {
 		wg.Add(1)
 		go func(w int) {
@@ -110,23 +114,68 @@ func concurrentWriters(t *testing.T, fsys FS) {
 	}
 }
 
-// The exclusive-create claim itself: a pre-existing temp path makes
-// WriteFileExcl fail with fs.ErrExist, and Put retries onto a fresh
-// sequence number instead of clobbering the other writer's file.
-func TestWriteFileExclRefusesExisting(t *testing.T) {
+// createCountingFS counts the files an FS call brings into existence.
+type createCountingFS struct {
+	FS
+	creates int
+}
+
+func (f *createCountingFS) count(path string) {
+	if _, err := os.Lstat(path); errors.Is(err, fs.ErrNotExist) {
+		f.creates++
+	}
+}
+
+func (f *createCountingFS) WriteFile(path string, data []byte) error {
+	f.count(path)
+	return f.FS.WriteFile(path, data)
+}
+
+func (f *createCountingFS) OpenAppend(path string) (io.WriteCloser, error) {
+	f.count(path)
+	return f.FS.OpenAppend(path)
+}
+
+// A cache directory pays at most one file creation per bucket over its
+// life: 600 distinct results land in at most 256 files, and a second
+// cache over the directory reads every one of them back.
+func TestCacheCreatesAtMostOneFilePerBucket(t *testing.T) {
+	const n = 600
 	dir := t.TempDir()
-	for _, fsys := range []FS{OS(), MemFS()} {
-		path := dir + fmt.Sprintf("/claim-%T", fsys)
-		if err := fsys.WriteFileExcl(path, []byte("first")); err != nil {
+	fsys := &createCountingFS{FS: OS()}
+	c, err := OpenCacheFS(dir, "v-count", fsys)
+	if err != nil {
+		t.Fatal(err)
+	}
+	hashes := make([]string, n)
+	for i := range hashes {
+		hashes[i] = HashKey("v-count", fmt.Sprintf("count-job-%d", i))
+		if err := c.Put(hashes[i], payload(i, 16)); err != nil {
 			t.Fatal(err)
 		}
-		err := fsys.WriteFileExcl(path, []byte("second"))
-		if !errors.Is(err, fs.ErrExist) {
-			t.Fatalf("%T: second exclusive create: got %v, want fs.ErrExist", fsys, err)
+	}
+	if fsys.creates > 256 {
+		t.Errorf("%d distinct Puts created %d files, want at most 256", n, fsys.creates)
+	}
+	entries, err := os.ReadDir(filepath.Join(dir, "objects"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(entries) > 256 {
+		t.Errorf("objects/ holds %d entries, want at most 256", len(entries))
+	}
+
+	c2, err := OpenCache(dir, "v-count")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, h := range hashes {
+		b, err := c2.Get(h)
+		if err != nil {
+			t.Fatalf("object %d: %v", i, err)
 		}
-		b, err := fsys.ReadFile(path)
-		if err != nil || string(b) != "first" {
-			t.Fatalf("%T: claimed file was disturbed: %q, %v", fsys, b, err)
+		if string(b) != string(payload(i, 16)) {
+			t.Fatalf("object %d: got %q", i, b)
 		}
 	}
 }

@@ -6,26 +6,28 @@ package engine
 // weeks, and without a budget the cache eventually fills the disk the
 // daemon also needs for its job index and logs.
 //
-// The design constraints come from the cache's concurrency story:
+// The unit of eviction is a whole bucket file, about 1/256 of the cache:
+// records are appended to their bucket and never rewritten, so a bucket
+// can only be kept or removed. The design constraints come from the
+// cache's concurrency story:
 //
-//   - Eviction only ever removes fully-renamed *.json objects. Temp
-//     files (the O_CREATE|O_EXCL claims of in-flight writers, named
-//     <hash>.json.tmp.<pid>.<seq>) and the quarantine directory are
-//     never touched, so a concurrent Put — in this process or another
-//     one sharing the directory — can never lose its claim mid-write.
-//   - Removing an object a concurrent reader just opened is safe: the
+//   - Eviction only ever removes objects/<hh>.pack bucket files. The
+//     quarantine directory and anything else under objects/ (a schema-2
+//     cache's <hh>/ directories, stray files) are never touched.
+//   - Removing a bucket a concurrent reader just opened is safe: the
 //     reader already has the bytes or gets fs.ErrNotExist and
-//     recomputes. Removing one a concurrent writer is about to rename
-//     over is also safe: the rename recreates it.
-//   - Ordering is by modification time. Get touches objects it serves
-//     (Chtimes, best effort), so "least recently used" survives across
-//     restarts without any sidecar state; a freshly-written object has
-//     the newest mtime and is evicted last.
+//     recomputes. Removing one a concurrent writer holds open loses at
+//     most that writer's record, which lands in the unlinked file: a
+//     later read misses and recomputes. Never a wrong result.
+//   - Ordering is by modification time. Get touches the bucket it serves
+//     from (Chtimes, best effort), so "least recently used" survives
+//     across restarts without any sidecar state; an append also sets
+//     the mtime, so a freshly-written bucket is evicted last.
 //
 // Eviction is triggered by Put once the accounted size exceeds the
 // budget, runs on at most one goroutine at a time (concurrent triggers
 // return immediately), and sweeps down to evictLowWater of the budget
-// so steady-state writes do not re-trigger it per object. See
+// so steady-state writes do not re-trigger it per record. See
 // docs/engine.md ("cache size budgets & eviction").
 
 import (
@@ -34,6 +36,7 @@ import (
 	"os"
 	"path/filepath"
 	"sort"
+	"strings"
 	"time"
 
 	"racetrack/hifi/internal/telemetry"
@@ -44,8 +47,8 @@ import (
 // so the cache does not thrash at exactly the limit.
 const evictLowWater = 0.9
 
-// SetMaxBytes arms the size budget: once the objects tree exceeds max
-// bytes, the least-recently-accessed objects are evicted until usage is
+// SetMaxBytes arms the size budget: once the bucket files exceed max
+// bytes, the least-recently-accessed buckets are evicted until usage is
 // back under evictLowWater of the budget. max <= 0 disables eviction.
 // The current usage is scanned immediately so a pre-filled directory is
 // brought under budget without waiting for the first Put.
@@ -59,12 +62,12 @@ func (c *Cache) SetMaxBytes(max int64) {
 // MaxBytes returns the configured budget (0 = unlimited).
 func (c *Cache) MaxBytes() int64 { return c.maxBytes.Load() }
 
-// SizeBytes returns the accounted size of the objects tree: exact as of
+// SizeBytes returns the accounted size of the bucket files: exact as of
 // the last eviction scan, plus every Put since. Only maintained once
 // SetMaxBytes has armed the budget.
 func (c *Cache) SizeBytes() int64 { return c.bytes.Load() }
 
-// EvictedCount returns how many objects eviction has removed.
+// EvictedCount returns how many bucket files eviction has removed.
 func (c *Cache) EvictedCount() uint64 { return c.evicted.Load() }
 
 // Instrument registers the cache's lifecycle series on reg (nil-safe):
@@ -72,12 +75,12 @@ func (c *Cache) EvictedCount() uint64 { return c.evicted.Load() }
 // before or after SetMaxBytes.
 func (c *Cache) Instrument(reg *telemetry.Registry) {
 	c.telEvictions = reg.Counter(telemetry.MetricEngineCacheEvictions,
-		"cache objects evicted by the size budget")
+		"cache bucket files evicted by the size budget")
 	c.telBytes = reg.Gauge(telemetry.MetricEngineCacheBytes,
-		"accounted bytes in the cache objects tree (budget accounting)")
+		"accounted bytes in the cache bucket files (budget accounting)")
 }
 
-// accountPut charges one stored object against the budget and triggers
+// accountPut charges one stored record against the budget and triggers
 // an eviction sweep when it tips usage over the limit.
 func (c *Cache) accountPut(n int64) {
 	max := c.maxBytes.Load()
@@ -91,7 +94,7 @@ func (c *Cache) accountPut(n int64) {
 	}
 }
 
-// touch refreshes an object's access time so eviction order tracks
+// touch refreshes a bucket's access time so eviction order tracks
 // reads, not just writes. Best effort: a read-only filesystem just
 // degrades ordering to write time.
 func (c *Cache) touch(path string) {
@@ -101,15 +104,15 @@ func (c *Cache) touch(path string) {
 	_ = c.fsys.Chtimes(path, time.Now())
 }
 
-// cacheObject is one evictable entry discovered by the scan.
-type cacheObject struct {
+// bucketFile is one evictable bucket discovered by the scan.
+type bucketFile struct {
 	path  string
 	size  int64
 	mtime time.Time
 }
 
-// evict rescans the objects tree and removes the oldest objects until
-// usage is under the low-water mark. At most one sweep runs at a time;
+// evict rescans the bucket files and removes the oldest until usage is
+// under the low-water mark. At most one sweep runs at a time;
 // concurrent triggers return immediately (the running sweep sees their
 // writes in its scan or the next trigger does).
 func (c *Cache) evict() {
@@ -122,27 +125,27 @@ func (c *Cache) evict() {
 	if max <= 0 {
 		return
 	}
-	objects, total := c.scanObjects()
+	buckets, total := c.scanBuckets()
 	target := int64(float64(max) * evictLowWater)
 	if total > target {
-		sort.Slice(objects, func(i, j int) bool { return objects[i].mtime.Before(objects[j].mtime) })
+		sort.Slice(buckets, func(i, j int) bool { return buckets[i].mtime.Before(buckets[j].mtime) })
 		removed := 0
-		for _, o := range objects {
+		for _, b := range buckets {
 			if total <= target {
 				break
 			}
-			if err := c.fsys.Remove(o.path); err != nil {
+			if err := c.fsys.Remove(b.path); err != nil {
 				// Already gone (another process evicted it) or a sick
 				// disk; either way the next scan re-reconciles.
 				continue
 			}
-			total -= o.size
+			total -= b.size
 			removed++
 		}
 		if removed > 0 {
 			c.evicted.Add(uint64(removed))
 			c.telEvictions.Add(float64(removed))
-			log.Debugf("engine: cache evicted %d object(s), %d bytes accounted (budget %d)",
+			log.Debugf("engine: cache evicted %d bucket(s), %d bytes accounted (budget %d)",
 				removed, total, max)
 		}
 	}
@@ -150,39 +153,40 @@ func (c *Cache) evict() {
 	c.telBytes.Set(float64(total))
 }
 
-// scanObjects walks the objects tree, skipping the quarantine directory
-// and anything that is not a fully-renamed object (temp-file claims of
-// in-flight writers keep their .tmp.<pid>.<seq> suffix and are never
-// candidates).
-func (c *Cache) scanObjects() ([]cacheObject, int64) {
+// scanBuckets lists the bucket files directly under objects/. Anything
+// else there — the quarantine directory, a schema-2 cache's <hh>/
+// directories, stray files — is never a candidate.
+func (c *Cache) scanBuckets() ([]bucketFile, int64) {
+	dir := filepath.Join(c.dir, "objects")
+	entries, err := os.ReadDir(dir)
+	if err != nil {
+		log.Debugf("engine: cache scan %s: %v", dir, err)
+		return nil, 0
+	}
 	var (
-		objects []cacheObject
+		buckets []bucketFile
 		total   int64
 	)
-	qdir := c.QuarantineDir()
-	_ = filepath.WalkDir(filepath.Join(c.dir, "objects"), func(path string, d fs.DirEntry, err error) error {
-		if err != nil {
-			return nil
-		}
-		if d.IsDir() {
-			if path == qdir {
-				return filepath.SkipDir
-			}
-			return nil
-		}
-		if filepath.Ext(path) != ".json" {
-			return nil
+	for _, d := range entries {
+		if !d.Type().IsRegular() || !isBucketName(d.Name()) {
+			continue
 		}
 		info, err := d.Info()
 		if err != nil {
-			if !errors.Is(err, os.ErrNotExist) {
-				log.Debugf("engine: cache scan %s: %v", path, err)
+			if !errors.Is(err, fs.ErrNotExist) {
+				log.Debugf("engine: cache scan %s: %v", d.Name(), err)
 			}
-			return nil
+			continue
 		}
-		objects = append(objects, cacheObject{path: path, size: info.Size(), mtime: info.ModTime()})
+		buckets = append(buckets, bucketFile{path: filepath.Join(dir, d.Name()), size: info.Size(), mtime: info.ModTime()})
 		total += info.Size()
-		return nil
-	})
-	return objects, total
+	}
+	return buckets, total
+}
+
+// isBucketName reports whether name is a bucket file's: two lower-case
+// hex digits and the bucket extension.
+func isBucketName(name string) bool {
+	hh, ok := strings.CutSuffix(name, bucketExt)
+	return ok && len(hh) == 2 && strings.Trim(hh, "0123456789abcdef") == ""
 }

@@ -1,8 +1,9 @@
 package engine
 
-// Size-budget eviction tests: access-ordered removal under an explicit
-// budget, safety of the never-evicted classes (quarantine, in-flight
-// temp claims), and Put/Get/evict running concurrently under -race.
+// Size-budget eviction tests: access-ordered removal of whole buckets
+// under an explicit budget, safety of the never-evicted classes
+// (quarantine, anything that is not a bucket file), and Put/Get/evict
+// running concurrently under -race.
 
 import (
 	"crypto/sha256"
@@ -41,12 +42,21 @@ func TestEvictionRemovesLeastRecentlyAccessed(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	// Deterministic access order: object i was last touched at base+i,
-	// so 0 is the coldest. (Explicit Chtimes, not sleeps.)
+	// The eight hashes fall in eight buckets, so ordering buckets orders
+	// objects. Deterministic access order: object i's bucket was last
+	// touched at base+i, so 0 is the coldest. (Explicit Chtimes, not
+	// sleeps.)
+	buckets := map[string]bool{}
+	for i := 0; i < n; i++ {
+		buckets[c.bucket(hashOf(i))] = true
+	}
+	if len(buckets) != n {
+		t.Fatalf("%d objects share %d buckets, want one bucket each", n, len(buckets))
+	}
 	base := time.Now().Add(-time.Hour)
 	var perObj int64
 	for i := 0; i < n; i++ {
-		path := c.path(hashOf(i))
+		path := c.bucket(hashOf(i))
 		if err := os.Chtimes(path, base.Add(time.Duration(i)*time.Minute), base.Add(time.Duration(i)*time.Minute)); err != nil {
 			t.Fatal(err)
 		}
@@ -57,7 +67,7 @@ func TestEvictionRemovesLeastRecentlyAccessed(t *testing.T) {
 		perObj = info.Size()
 	}
 
-	// Budget for ~4 objects; the low-water sweep keeps <= 3.6 → 3.
+	// Budget for ~4 buckets; the low-water sweep keeps <= 3.6 → 3.
 	c.SetMaxBytes(4 * perObj)
 
 	if got := c.EvictedCount(); got == 0 {
@@ -75,48 +85,56 @@ func TestEvictionRemovesLeastRecentlyAccessed(t *testing.T) {
 	}
 }
 
+// Only bucket files are evictable: quarantined records, a schema-2
+// cache's object and in-flight temp claim, and stray files beside the
+// buckets all survive a sweep that evicts every bucket.
 func TestEvictionSparesQuarantineAndTempClaims(t *testing.T) {
 	dir := t.TempDir()
 	c, err := OpenCache(dir, "test")
 	if err != nil {
 		t.Fatal(err)
 	}
-	// A quarantined object (post-mortem evidence) and an in-flight temp
-	// claim must both survive any sweep.
 	qdir := c.QuarantineDir()
 	if err := os.MkdirAll(qdir, 0o755); err != nil {
 		t.Fatal(err)
 	}
-	qfile := filepath.Join(qdir, hashOf(100)+".json")
-	if err := os.WriteFile(qfile, []byte("corrupt evidence"), 0o644); err != nil {
+	objects := filepath.Join(dir, "objects")
+	schema2 := filepath.Join(objects, hashOf(101)[:2])
+	if err := os.MkdirAll(schema2, 0o755); err != nil {
 		t.Fatal(err)
 	}
-	claim := c.path(hashOf(101)) + ".tmp.1234.1"
-	if err := os.MkdirAll(filepath.Dir(claim), 0o755); err != nil {
-		t.Fatal(err)
-	}
-	if err := os.WriteFile(claim, []byte("half-written claim"), 0o644); err != nil {
-		t.Fatal(err)
+	spared := []string{
+		filepath.Join(qdir, hashOf(100)+".line"),                 // post-mortem evidence
+		filepath.Join(schema2, hashOf(101)+".json"),              // a schema-2 object
+		filepath.Join(schema2, hashOf(101)+".json.tmp.1234.1"),   // a schema-2 temp claim
+		filepath.Join(objects, hashOf(102)[:2]+bucketExt+".bak"), // not a bucket name
+		filepath.Join(objects, "zz"+bucketExt),                   // not a bucket name
 	}
 	old := time.Now().Add(-24 * time.Hour)
-	_ = os.Chtimes(qfile, old, old)
-	_ = os.Chtimes(claim, old, old)
+	for _, path := range spared {
+		if err := os.WriteFile(path, []byte("not a bucket"), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		_ = os.Chtimes(path, old, old)
+	}
 
 	if err := c.Put(hashOf(0), payload(0, 1024)); err != nil {
 		t.Fatal(err)
 	}
 	c.SetMaxBytes(1) // evict everything evictable
 
-	if _, err := os.Stat(qfile); err != nil {
-		t.Fatalf("quarantined object evicted: %v", err)
+	if _, err := os.Stat(c.bucket(hashOf(0))); !errors.Is(err, fs.ErrNotExist) {
+		t.Fatalf("bucket survived a 1-byte budget: %v", err)
 	}
-	if _, err := os.Stat(claim); err != nil {
-		t.Fatalf("in-flight temp claim evicted: %v", err)
+	for _, path := range spared {
+		if _, err := os.Stat(path); err != nil {
+			t.Errorf("non-bucket file evicted: %v", err)
+		}
 	}
 }
 
 // Concurrent writers and readers race the sweeper; no Get may ever see
-// a torn object (ErrCorrupt) — missing is fine, wrong is not.
+// a torn record (ErrCorrupt) — missing is fine, wrong is not.
 func TestEvictionConcurrentWithPutsAndGets(t *testing.T) {
 	dir := t.TempDir()
 	c, err := OpenCache(dir, "test")

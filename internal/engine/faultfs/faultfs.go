@@ -1,12 +1,13 @@
 // Package faultfs is a test-only engine.FS wrapper that injects
-// filesystem failures — read errors, bit rot, torn writes, rename
-// failures, write stalls, and a fully read-only mode — on a
-// deterministic schedule, so the engine's detect/quarantine/retry and
-// cache-less degradation paths can be exercised under -race without a
-// real failing disk. Production code never imports this package.
+// filesystem failures — read errors, bit rot, torn writes and appends,
+// write stalls, and a fully read-only mode — on a deterministic
+// schedule, so the engine's detect/quarantine/retry and cache-less
+// degradation paths can be exercised under -race without a real failing
+// disk. Production code never imports this package.
 package faultfs
 
 import (
+	"bytes"
 	"fmt"
 	"io"
 	"io/fs"
@@ -22,29 +23,31 @@ import (
 type Options struct {
 	// FailReadEveryNth makes every Nth ReadFile return a synthetic EIO.
 	FailReadEveryNth int
-	// CorruptReadEveryNth makes every Nth (successful) ReadFile flip a
-	// byte in the returned content — bit rot without touching the disk.
+	// CorruptReadEveryNth makes every Nth (successful) ReadFile flip the
+	// last byte of every line in the returned content — bit rot without
+	// touching the disk. Every line is hit, so a cache bucket read is
+	// damaged whichever of its records the reader looks up.
 	CorruptReadEveryNth int
-	// TornWriteEveryNth makes every Nth WriteFile persist only the first
-	// half of the data and then report an error, like a crash mid-write.
+	// TornWriteEveryNth makes every Nth write — a WriteFile, or a Write
+	// on an OpenAppend writer (a cache record or a job-index line) —
+	// persist only the first half of the data and then report an error,
+	// like a crash mid-write.
 	TornWriteEveryNth int
-	// FailRenameEveryNth makes every Nth Rename fail, stranding the
-	// temp file the engine's atomic-put protocol just wrote.
-	FailRenameEveryNth int
-	// StallWriteEveryNth makes every Nth WriteFile sleep StallFor before
-	// proceeding — a hung disk, for exercising job timeouts.
+	// StallWriteEveryNth makes every Nth write, counted with the torn
+	// ones, sleep StallFor before proceeding — a hung disk, for
+	// exercising job timeouts.
 	StallWriteEveryNth int
 	StallFor           time.Duration
 	// ReadOnly fails every mutation (MkdirAll, WriteFile, Rename,
-	// Remove, OpenAppend) with fs.ErrPermission — the unwritable cache
-	// directory the engine must degrade around.
+	// Remove, Chtimes, OpenAppend) with fs.ErrPermission — the
+	// unwritable cache directory the engine must degrade around.
 	ReadOnly bool
 }
 
 // Counts reports how many operations ran and how many faults fired.
 type Counts struct {
-	Reads, Writes, Renames          uint64
-	EIO, Corrupted, Torn, RenameErr uint64
+	Reads, Writes        uint64
+	EIO, Corrupted, Torn uint64
 }
 
 // FS wraps a base engine.FS with fault injection. Safe for concurrent
@@ -54,8 +57,8 @@ type FS struct {
 	base engine.FS
 	opts Options
 
-	reads, writes, renames          atomic.Uint64
-	eio, corrupted, torn, renameErr atomic.Uint64
+	reads, writes        atomic.Uint64
+	eio, corrupted, torn atomic.Uint64
 }
 
 // New wraps base (engine.OS() when nil) with the given fault schedule.
@@ -71,11 +74,9 @@ func (f *FS) Counts() Counts {
 	return Counts{
 		Reads:     f.reads.Load(),
 		Writes:    f.writes.Load(),
-		Renames:   f.renames.Load(),
 		EIO:       f.eio.Load(),
 		Corrupted: f.corrupted.Load(),
 		Torn:      f.torn.Load(),
-		RenameErr: f.renameErr.Load(),
 	}
 }
 
@@ -104,8 +105,12 @@ func (f *FS) ReadFile(path string) ([]byte, error) {
 	}
 	if nth(n, f.opts.CorruptReadEveryNth) && len(b) > 0 {
 		f.corrupted.Add(1)
-		b = append([]byte(nil), b...) // never mutate the base's buffer
-		b[len(b)/2] ^= 0x40
+		b = bytes.Clone(b) // never mutate the base's buffer
+		for i := range b {
+			if b[i] != '\n' && (i+1 == len(b) || b[i+1] == '\n') {
+				b[i] ^= 0x40
+			}
+		}
 	}
 	return b, nil
 }
@@ -114,45 +119,31 @@ func (f *FS) WriteFile(path string, data []byte) error {
 	if f.opts.ReadOnly {
 		return fmt.Errorf("faultfs: write %s: %w", path, fs.ErrPermission)
 	}
-	n := f.writes.Add(1)
-	if f.opts.StallFor > 0 && nth(n, f.opts.StallWriteEveryNth) {
-		time.Sleep(f.opts.StallFor)
-	}
-	if nth(n, f.opts.TornWriteEveryNth) {
-		f.torn.Add(1)
+	if f.writeFault() {
 		f.base.WriteFile(path, data[:len(data)/2])
 		return fmt.Errorf("faultfs: write %s: injected torn write", path)
 	}
 	return f.base.WriteFile(path, data)
 }
 
-// WriteFileExcl shares WriteFile's fault schedule (both are "a write of
-// a whole file"): a scheduled torn write persists half the data through
-// the base's exclusive create and then reports the error.
-func (f *FS) WriteFileExcl(path string, data []byte) error {
-	if f.opts.ReadOnly {
-		return fmt.Errorf("faultfs: write %s: %w", path, fs.ErrPermission)
-	}
+// writeFault runs the write schedule for one write, a WriteFile or an
+// append: it sleeps when a stall is due and reports whether the write
+// is to be torn.
+func (f *FS) writeFault() (torn bool) {
 	n := f.writes.Add(1)
 	if f.opts.StallFor > 0 && nth(n, f.opts.StallWriteEveryNth) {
 		time.Sleep(f.opts.StallFor)
 	}
 	if nth(n, f.opts.TornWriteEveryNth) {
 		f.torn.Add(1)
-		f.base.WriteFileExcl(path, data[:len(data)/2])
-		return fmt.Errorf("faultfs: write %s: injected torn write", path)
+		return true
 	}
-	return f.base.WriteFileExcl(path, data)
+	return false
 }
 
 func (f *FS) Rename(oldpath, newpath string) error {
 	if f.opts.ReadOnly {
 		return fmt.Errorf("faultfs: rename %s: %w", oldpath, fs.ErrPermission)
-	}
-	n := f.renames.Add(1)
-	if nth(n, f.opts.FailRenameEveryNth) {
-		f.renameErr.Add(1)
-		return fmt.Errorf("faultfs: rename %s: injected failure", oldpath)
 	}
 	return f.base.Rename(oldpath, newpath)
 }
@@ -182,19 +173,17 @@ func (f *FS) OpenAppend(path string) (io.WriteCloser, error) {
 	return &tornWriter{f: f, w: w}, nil
 }
 
-// tornWriter applies the torn-write schedule to job-index appends: a
-// scheduled fault writes only half the record (with no trailing
-// newline) and reports an error — exactly the damage a power cut
-// leaves in an append-only log.
+// tornWriter applies the write schedule to appends, cache records and
+// job-index lines alike: a scheduled fault writes only half the record
+// (with no trailing newline) and reports an error — exactly the damage
+// a power cut leaves in an append-only file.
 type tornWriter struct {
 	f *FS
 	w io.WriteCloser
 }
 
 func (t *tornWriter) Write(p []byte) (int, error) {
-	n := t.f.writes.Add(1)
-	if nth(n, t.f.opts.TornWriteEveryNth) {
-		t.f.torn.Add(1)
+	if t.f.writeFault() {
 		half := len(p) / 2
 		t.w.Write(p[:half])
 		return half, fmt.Errorf("faultfs: append: injected torn write")

@@ -6,7 +6,11 @@ package faultfs_test
 // CI runs this package under -race (the `chaos` job).
 
 import (
+	"bytes"
 	"context"
+	"crypto/sha256"
+	"encoding/hex"
+	"encoding/json"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -53,15 +57,65 @@ func checkPayloads(t *testing.T, rep *engine.Report) {
 	}
 }
 
-// TestChaosSweep: tear cache writes, kill one worker mid-job, then
-// corrupt >=10% of the cache objects and rerun the sweep over them —
+// cachedRecord is one verified record line found in a bucket file.
+type cachedRecord struct {
+	path       string
+	hash       string
+	start, end int // the line's bytes, without its newline
+}
+
+// scanRecords lists the records under dir/objects whose checksum
+// verifies, parsing the bucket format independently of the engine.
+func scanRecords(t *testing.T, dir string) []cachedRecord {
+	t.Helper()
+	paths, err := filepath.Glob(filepath.Join(dir, "objects", "*.pack"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var recs []cachedRecord
+	for _, path := range paths {
+		raw, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for start := 0; ; {
+			n := bytes.IndexByte(raw[start:], '\n')
+			if n < 0 {
+				break
+			}
+			f := strings.SplitN(string(raw[start:start+n]), " ", 4)
+			if len(f) == 4 && f[0] == "hifi2" {
+				sum := sha256.Sum256([]byte(f[3]))
+				if f[2] == hex.EncodeToString(sum[:]) {
+					recs = append(recs, cachedRecord{path: path, hash: f[1], start: start, end: start + n})
+				}
+			}
+			start += n + 1
+		}
+	}
+	return recs
+}
+
+// chaosRecord is the record line job i's result is stored as.
+func chaosRecord(version string, i int) string {
+	p, _ := json.Marshal(map[string]int{"index": i, "cube": i * i * i})
+	sum := sha256.Sum256(p)
+	hash := engine.HashKey(version, fmt.Sprintf("chaos-job|%d", i))
+	return "hifi2 " + hash + " " + hex.EncodeToString(sum[:]) + " " + string(p)
+}
+
+// TestChaosSweep: tear cache appends, kill one worker mid-job, then
+// corrupt >=10% of the cache records and rerun the sweep over them —
 // both sweeps must complete with a nil error, byte-correct payloads,
-// and nonzero corruption/retry counters.
+// and nonzero corruption/retry counters, and every corruption the rerun
+// counts must be one the disk holds.
 func TestChaosSweep(t *testing.T) {
 	const n = 40
 	dir := t.TempDir()
-	// Tear every 7th write: the torn temp file is never renamed, so the
-	// job's object is simply missing and the rerun recomputes it.
+	// Tear every 7th append: the torn record has no newline, so the
+	// job's record is missing and the rerun recomputes it, or, once a
+	// later append to the bucket closes the line, damaged, which the
+	// rerun counts and recomputes.
 	ffs := faultfs.New(nil, faultfs.Options{TornWriteEveryNth: 7})
 	cache, err := engine.OpenCacheFS(dir, "v-chaos", ffs)
 	if err != nil {
@@ -87,28 +141,29 @@ func TestChaosSweep(t *testing.T) {
 		t.Errorf("status = %+v: the killed worker's job was not retried", s)
 	}
 
-	// Corrupt >=10% of the surviving cache objects on disk.
-	var objects []string
-	filepath.WalkDir(filepath.Join(dir, "objects"), func(path string, d os.DirEntry, err error) error {
-		if err == nil && !d.IsDir() && strings.HasSuffix(path, ".json") {
-			objects = append(objects, path)
-		}
-		return nil
-	})
-	if len(objects) < n/2 {
-		t.Fatalf("only %d objects cached, torn writes ate too many", len(objects))
+	// Corrupt >=10% of the surviving records on disk: flip a payload
+	// byte and keep the header, so the line still names its hash.
+	recs := scanRecords(t, dir)
+	if len(recs) < n/2 {
+		t.Fatalf("only %d records cached, torn writes ate too many", len(recs))
 	}
-	corrupted := 0
-	for i, path := range objects {
-		if i%5 == 0 { // 20% of objects
-			if err := os.WriteFile(path, []byte("{}garbage"), 0o644); err != nil {
-				t.Fatal(err)
-			}
-			corrupted++
+	damaged := map[string]string{} // hash -> damaged line
+	for i, r := range recs {
+		if i%5 != 0 { // 20% of records
+			continue
 		}
+		raw, err := os.ReadFile(r.path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		raw[r.end-2] ^= 0x01
+		if err := os.WriteFile(r.path, raw, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		damaged[r.hash] = string(raw[r.start:r.end])
 	}
-	if corrupted*10 < len(objects) {
-		t.Fatalf("corrupted %d of %d objects, need >=10%%", corrupted, len(objects))
+	if len(damaged)*10 < len(recs) {
+		t.Fatalf("corrupted %d of %d records, need >=10%%", len(damaged), len(recs))
 	}
 
 	// Rerun over the damaged cache with a fresh engine, still on the
@@ -128,21 +183,53 @@ func TestChaosSweep(t *testing.T) {
 	}
 	checkPayloads(t, rep2)
 	s := e2.Status()
-	if s.Corrupt == 0 {
-		t.Error("no corruption detected despite 20% of objects damaged")
-	}
-	if int(s.Corrupt) != corrupted {
-		t.Errorf("corrupt counter = %d, want %d", s.Corrupt, corrupted)
-	}
 	if rep2.Executed == 0 || rep2.CacheHits == 0 {
 		t.Errorf("rerun split executed/hits = %d/%d: want both nonzero", rep2.Executed, rep2.CacheHits)
 	}
 	if c := ffs.Counts(); c.Torn == 0 {
 		t.Errorf("faultfs counts = %+v: no torn writes fired", c)
 	}
-	if cache2.CorruptCount() != uint64(corrupted) {
-		t.Errorf("cache quarantined %d, want %d", cache2.CorruptCount(), corrupted)
+
+	// Every damaged record was caught and quarantined once; any other
+	// quarantined line is a torn append, a strict prefix of its job's
+	// record, that a later append closed off. The torn FS may tear the
+	// quarantine copy too, so a copy may hold a prefix of its line.
+	records := map[string]string{}
+	for i := 0; i < n; i++ {
+		rec := chaosRecord("v-chaos", i)
+		records[rec[len("hifi2 "):len("hifi2 ")+64]] = rec
 	}
+	quarantined, err := os.ReadDir(cache2.QuarantineDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	torn := 0
+	for _, q := range quarantined {
+		hash := strings.TrimSuffix(q.Name(), ".line")
+		b, err := os.ReadFile(filepath.Join(cache2.QuarantineDir(), q.Name()))
+		if err != nil {
+			t.Fatal(err)
+		}
+		line := strings.TrimSuffix(string(b), "\n")
+		want, isDamaged := damaged[hash]
+		if !isDamaged {
+			want = records[hash]
+			torn++
+		}
+		if line == "" || !strings.HasPrefix(want, line) || (!isDamaged && len(line) == len(want)) {
+			t.Errorf("quarantined %q for %s: neither the damaged line nor a torn append of %q", line, hash[:12], want)
+		}
+	}
+	for hash := range damaged {
+		if _, err := os.Stat(filepath.Join(cache2.QuarantineDir(), hash+".line")); err != nil {
+			t.Errorf("damaged record %s not quarantined: %v", hash[:12], err)
+		}
+	}
+	if want := len(damaged) + torn; int(s.Corrupt) != want || cache2.CorruptCount() != uint64(want) {
+		t.Errorf("corrupt counter = %d, cache quarantined %d; want %d (%d damaged + %d torn)",
+			s.Corrupt, cache2.CorruptCount(), want, len(damaged), torn)
+	}
+	t.Logf("%d records damaged, %d closed-off torn appends, %d quarantined", len(damaged), torn, len(quarantined))
 }
 
 // TestReadErrorsAreMisses proves injected EIO on cache reads degrades
@@ -215,7 +302,7 @@ func TestReadOnlyFilesystemDegrades(t *testing.T) {
 		t.Fatal("OpenCacheFS over a read-only FS must fail (cliutil's degrade signal)")
 	}
 
-	broken := faultfs.New(nil, faultfs.Options{TornWriteEveryNth: 1, FailRenameEveryNth: 1})
+	broken := faultfs.New(nil, faultfs.Options{TornWriteEveryNth: 1})
 	cache, err := engine.OpenCacheFS(dir, "v-ro", broken)
 	if err != nil {
 		t.Fatal(err)

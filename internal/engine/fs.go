@@ -1,6 +1,6 @@
 package engine
 
-// The engine's cache objects and hifi-serve's job index go through the
+// The engine's cache buckets and hifi-serve's job index go through the
 // narrow FS interface instead of the os package directly, so the fault
 // tests in engine/faultfs can interpose torn writes, read errors,
 // corruption, and stalls without touching the real filesystem code
@@ -9,7 +9,6 @@ package engine
 
 import (
 	"bytes"
-	"errors"
 	"io"
 	"io/fs"
 	"os"
@@ -23,19 +22,16 @@ type FS interface {
 	MkdirAll(dir string) error
 	ReadFile(path string) ([]byte, error)
 	WriteFile(path string, data []byte) error
-	// WriteFileExcl creates path exclusively (O_CREATE|O_EXCL) and
-	// writes data; an existing file fails with an error matching
-	// fs.ErrExist. The cache uses it to claim temp-file names, so two
-	// processes sharing a cache directory can never interleave writes
-	// into the same temp file.
-	WriteFileExcl(path string, data []byte) error
 	Rename(oldpath, newpath string) error
 	Remove(path string) error
 	// Chtimes sets path's access and modification times. The cache uses
-	// it to touch objects on read, so eviction under a size budget is
+	// it to touch buckets on read, so eviction under a size budget is
 	// access-ordered rather than write-ordered.
 	Chtimes(path string, t time.Time) error
-	// OpenAppend opens path for appending, creating it if needed.
+	// OpenAppend opens path for appending, creating it if needed. Each
+	// Write lands whole at the end of the file, after every write that
+	// completed before it: the cache's records and the job index's
+	// lines rely on it.
 	OpenAppend(path string) (io.WriteCloser, error)
 }
 
@@ -44,19 +40,8 @@ type osFS struct{}
 func (osFS) MkdirAll(dir string) error                { return os.MkdirAll(dir, 0o755) }
 func (osFS) ReadFile(path string) ([]byte, error)     { return os.ReadFile(path) }
 func (osFS) WriteFile(path string, data []byte) error { return os.WriteFile(path, data, 0o644) }
-func (osFS) WriteFileExcl(path string, data []byte) error {
-	f, err := os.OpenFile(path, os.O_CREATE|os.O_EXCL|os.O_WRONLY, 0o644)
-	if err != nil {
-		return err
-	}
-	if _, werr := f.Write(data); werr != nil {
-		_ = f.Close()
-		return werr
-	}
-	return f.Close()
-}
-func (osFS) Rename(oldpath, newpath string) error { return os.Rename(oldpath, newpath) }
-func (osFS) Remove(path string) error             { return os.Remove(path) }
+func (osFS) Rename(oldpath, newpath string) error     { return os.Rename(oldpath, newpath) }
+func (osFS) Remove(path string) error                 { return os.Remove(path) }
 func (osFS) Chtimes(path string, t time.Time) error {
 	return os.Chtimes(path, t, t)
 }
@@ -69,8 +54,7 @@ func OS() FS { return osFS{} }
 
 // MemFS returns an empty in-memory FS: a map from path to contents that
 // lives as long as the value. Directories are implicit, so MkdirAll
-// always succeeds; OpenAppend is unsupported, since only the job index
-// appends and it lives on disk.
+// always succeeds.
 func MemFS() FS { return &memFS{files: map[string][]byte{}} }
 
 type memFS struct {
@@ -93,16 +77,6 @@ func (m *memFS) ReadFile(path string) ([]byte, error) {
 func (m *memFS) WriteFile(path string, data []byte) error {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	m.files[path] = bytes.Clone(data)
-	return nil
-}
-
-func (m *memFS) WriteFileExcl(path string, data []byte) error {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	if _, ok := m.files[path]; ok {
-		return &fs.PathError{Op: "open", Path: path, Err: fs.ErrExist}
-	}
 	m.files[path] = bytes.Clone(data)
 	return nil
 }
@@ -139,5 +113,21 @@ func (m *memFS) Chtimes(path string, _ time.Time) error {
 }
 
 func (m *memFS) OpenAppend(path string) (io.WriteCloser, error) {
-	return nil, &fs.PathError{Op: "open", Path: path, Err: errors.ErrUnsupported}
+	return memAppender{m: m, path: path}, nil
 }
+
+// memAppender appends each Write to its file under the FS's lock, so a
+// reader sees every write whole or not at all.
+type memAppender struct {
+	m    *memFS
+	path string
+}
+
+func (a memAppender) Write(p []byte) (int, error) {
+	a.m.mu.Lock()
+	defer a.m.mu.Unlock()
+	a.m.files[a.path] = append(a.m.files[a.path], p...)
+	return len(p), nil
+}
+
+func (memAppender) Close() error { return nil }

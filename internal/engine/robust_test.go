@@ -9,6 +9,8 @@ package engine
 import (
 	"bytes"
 	"context"
+	"crypto/sha256"
+	"encoding/hex"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -24,6 +26,26 @@ import (
 	"racetrack/hifi/internal/telemetry/log"
 )
 
+// damageRecord flips a payload byte of hash's first record in its
+// bucket, leaving the header intact: bit rot the checksum must catch.
+func damageRecord(t *testing.T, c *Cache, hash string) {
+	t.Helper()
+	path := c.bucket(hash)
+	raw, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	i := bytes.Index(raw, []byte(recordMagic+hash+" "))
+	if i < 0 {
+		t.Fatalf("no record for %s in %s", hash[:12], path)
+	}
+	end := i + bytes.IndexByte(raw[i:], '\n')
+	raw[end-2] ^= 0x01
+	if err := os.WriteFile(path, raw, 0o644); err != nil {
+		t.Fatal(err)
+	}
+}
+
 func TestCacheGetVerifiesChecksum(t *testing.T) {
 	dir := t.TempDir()
 	c, err := OpenCache(dir, "v-test")
@@ -31,6 +53,9 @@ func TestCacheGetVerifiesChecksum(t *testing.T) {
 		t.Fatal(err)
 	}
 	hash := HashKey("v-test", "some-job")
+	if err := c.Put(hash, []byte("{\n}")); err == nil {
+		t.Fatal("Put framed a payload holding a newline")
+	}
 	payload := []byte(`{"value":42}`)
 	if err := c.Put(hash, payload); err != nil {
 		t.Fatal(err)
@@ -41,33 +66,36 @@ func TestCacheGetVerifiesChecksum(t *testing.T) {
 	}
 
 	// Flip one payload byte on disk: Get must refuse and quarantine.
-	path := c.path(hash)
-	raw, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	raw[len(raw)-3] ^= 0x01
-	if err := os.WriteFile(path, raw, 0o644); err != nil {
-		t.Fatal(err)
-	}
+	damageRecord(t, c, hash)
 	if _, err := c.Get(hash); !errors.Is(err, ErrCorrupt) {
 		t.Fatalf("corrupted object: err = %v, want ErrCorrupt", err)
 	}
 	if c.CorruptCount() != 1 {
 		t.Errorf("corrupt count = %d, want 1", c.CorruptCount())
 	}
-	if _, err := os.Stat(filepath.Join(c.QuarantineDir(), hash+".json")); err != nil {
+	q, err := os.ReadFile(filepath.Join(c.QuarantineDir(), hash+".line"))
+	if err != nil {
 		t.Errorf("corrupt object not quarantined: %v", err)
+	} else if !bytes.HasPrefix(q, []byte(recordMagic+hash+" ")) {
+		t.Errorf("quarantined %q, want the damaged record", q)
 	}
-	// The address is free again: the next read is a plain miss.
-	if _, err := c.Get(hash); !errors.Is(err, fs.ErrNotExist) {
-		t.Errorf("post-quarantine read: err = %v, want fs.ErrNotExist", err)
+	// The recomputed record, appended after the damaged one, is served
+	// from then on.
+	if err := c.Put(hash, payload); err != nil {
+		t.Fatal(err)
+	}
+	if got, err := c.Get(hash); err != nil || string(got) != string(payload) {
+		t.Errorf("read after the recomputed append: %q, %v", got, err)
+	}
+	if c.CorruptCount() != 1 {
+		t.Errorf("corrupt count = %d after recovery, want 1", c.CorruptCount())
 	}
 }
 
 // A schema-1 object (raw JSON, no checksum header) used to decode into
-// a zero result; under the checksum framing it is corrupt by
-// construction, never silently zero.
+// a zero result; under the checksum framing it is never served. A line
+// that names the hash without a checksum, or stops mid-header, is
+// corrupt; a headerless line names no hash and is a plain miss.
 func TestCacheGetRejectsHeaderlessObject(t *testing.T) {
 	dir := t.TempDir()
 	c, err := OpenCache(dir, "v-test")
@@ -75,23 +103,23 @@ func TestCacheGetRejectsHeaderlessObject(t *testing.T) {
 		t.Fatal(err)
 	}
 	hash := HashKey("v-test", "legacy-job")
-	path := c.path(hash)
-	if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
-		t.Fatal(err)
-	}
-	// Perfectly valid JSON — the failure mode is framing, not syntax.
-	if err := os.WriteFile(path, []byte(`{"value":0}`), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := c.Get(hash); !errors.Is(err, ErrCorrupt) {
-		t.Fatalf("headerless object: err = %v, want ErrCorrupt", err)
-	}
-	// Truncated mid-header is corrupt too, not a decode-to-zero.
-	if err := os.WriteFile(path, []byte(objectMagic+"abcd"), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := c.Get(hash); !errors.Is(err, ErrCorrupt) {
-		t.Fatalf("truncated object: err = %v, want ErrCorrupt", err)
+	path := c.bucket(hash)
+	for _, tc := range []struct {
+		name, bucket string
+		want         error
+	}{
+		{"headerless", `{"value":0}` + "\n", fs.ErrNotExist},
+		// Perfectly valid JSON — the failure mode is framing, not syntax.
+		{"no checksum", recordMagic + hash + ` {"value":0}` + "\n", ErrCorrupt},
+		// Truncated mid-header is corrupt too, not a decode-to-zero.
+		{"truncated header", recordMagic + hash + " abcd\n", ErrCorrupt},
+	} {
+		if err := os.WriteFile(path, []byte(tc.bucket), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		if b, err := c.Get(hash); !errors.Is(err, tc.want) {
+			t.Errorf("%s object: got %q, %v; want %v", tc.name, b, err, tc.want)
+		}
 	}
 }
 
@@ -107,11 +135,8 @@ func TestEngineRecomputesCorruptObject(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// Damage one object behind the cache's back.
-	victim := cache.path(HashKey("v-test", jobs[3].Key))
-	if err := os.WriteFile(victim, []byte("rotten"), 0o644); err != nil {
-		t.Fatal(err)
-	}
+	// Damage one record behind the cache's back.
+	damageRecord(t, cache, HashKey("v-test", jobs[3].Key))
 
 	cache2, _ := OpenCache(dir, "v-test")
 	e := New(Options{Workers: 2, Cache: cache2})
@@ -133,6 +158,18 @@ func TestEngineRecomputesCorruptObject(t *testing.T) {
 	}
 	if out[3]["square"] != 9 {
 		t.Errorf("recomputed payload = %v", out[3])
+	}
+
+	// The recomputed record is served from then on.
+	cache3, _ := OpenCache(dir, "v-test")
+	e3 := New(Options{Workers: 2, Cache: cache3})
+	rep3, err := e3.Run(context.Background(), jobs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rep3.Executed != 0 || rep3.CacheHits != 6 || e3.Status().Corrupt != 0 {
+		t.Errorf("third pass: executed %d hits %d corrupt %d, want 0/6/0",
+			rep3.Executed, rep3.CacheHits, e3.Status().Corrupt)
 	}
 }
 
@@ -228,6 +265,93 @@ this line is not JSON at all
 		}
 		if !slices.Equal(got, want) {
 			t.Fatalf("delivered %q, want %q", got, want)
+		}
+	})
+}
+
+// modelGet is the bucket format's read rule written out line by line:
+// the payload of the first complete line "hifi2 <h> <sum> <payload>"
+// whose sum is the payload's SHA-256 and whose payload is JSON; else
+// ErrCorrupt when a complete line starts "hifi2 <h> "; else
+// fs.ErrNotExist.
+func modelGet(bucket []byte, h string) ([]byte, error) {
+	lines := strings.Split(string(bucket), "\n")
+	named := false
+	for _, line := range lines[:len(lines)-1] { // the last is unterminated
+		rest, ok := strings.CutPrefix(line, recordMagic+h+" ")
+		if !ok {
+			continue
+		}
+		named = true
+		sum, p, ok := strings.Cut(rest, " ")
+		want := sha256.Sum256([]byte(p))
+		if ok && sum == hex.EncodeToString(want[:]) && json.Valid([]byte(p)) {
+			return []byte(p), nil
+		}
+	}
+	if named {
+		return nil, ErrCorrupt
+	}
+	return nil, fs.ErrNotExist
+}
+
+// FuzzCacheBucket writes arbitrary bytes as a bucket, appends one valid
+// record with Put, and holds Get to modelGet for every hash it probes:
+// the appended one, a foreign hash in the same bucket, and every hash a
+// line of the bucket names. Get must not panic, must find the appended
+// record, and must report a hash present only with the payload of a
+// complete line whose checksum and JSON verify. The seeds are a torn
+// tail, a damaged line followed by a valid copy, a headerless line and
+// a foreign hash's record.
+func FuzzCacheBucket(f *testing.F) {
+	hash := HashKey("v-fuzz", "appended")
+	foreign := hash[:2] + strings.Repeat("0", 62)
+	record := func(h, p string) string {
+		sum := sha256.Sum256([]byte(p))
+		return recordMagic + h + " " + hex.EncodeToString(sum[:]) + " " + p
+	}
+	valid := record(hash, `{"v":2}`)
+	f.Add([]byte("\n" + record(hash, `{"v":1}`)[:100]))
+	f.Add([]byte("\n" + valid[:len(valid)-2] + "3}\n\n" + valid + "\n"))
+	f.Add([]byte(`{"value":0}` + "\n"))
+	f.Add([]byte("\n" + record(foreign, `{"v":3}`) + "\n"))
+	prev := log.GetLevel()
+	log.SetLevel(log.Quiet) // every damaged line would log
+	f.Cleanup(func() { log.SetLevel(prev) })
+	f.Fuzz(func(t *testing.T, content []byte) {
+		c, err := OpenCacheFS("", "v-fuzz", MemFS())
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := c.fsys.WriteFile(c.bucket(hash), content); err != nil {
+			t.Fatal(err)
+		}
+		appended := []byte(`{"appended":true}`)
+		if err := c.Put(hash, appended); err != nil {
+			t.Fatal(err)
+		}
+		bucket, err := c.fsys.ReadFile(c.bucket(hash))
+		if err != nil {
+			t.Fatal(err)
+		}
+		probes := map[string]bool{hash: true, foreign: true}
+		for _, line := range bytes.Split(bucket, []byte{'\n'}) {
+			rest, ok := bytes.CutPrefix(line, []byte(recordMagic))
+			if ok && len(rest) >= len(hash) && string(rest[:2]) == hash[:2] {
+				probes[string(rest[:len(hash)])] = true
+			}
+		}
+		for h := range probes {
+			want, wantErr := modelGet(bucket, h)
+			got, err := c.Get(h)
+			switch {
+			case h == hash && err != nil:
+				t.Fatalf("appended record not found: %v", err)
+			case wantErr == nil && (err != nil || !bytes.Equal(got, want)):
+				t.Fatalf("hash %q: got %q, %v; want %q", h, got, err, want)
+			case wantErr != nil && !errors.Is(err, wantErr):
+				t.Fatalf("hash %q: got %q, %v; want %v", h, got, err, wantErr)
+			}
 		}
 	})
 }

@@ -34,7 +34,7 @@ type Options struct {
 	// Version overrides the cache code-version ("" = engine.CodeVersion).
 	Version string
 	// CacheMaxBytes arms the shared cache's size budget: once the
-	// objects tree exceeds it, least-recently-accessed results are
+	// bucket files exceed it, the least-recently-accessed buckets are
 	// evicted (engine/evict.go). 0 = unlimited — fine for a sweep,
 	// unwise for a daemon that lives for weeks.
 	CacheMaxBytes int64
@@ -622,7 +622,7 @@ func (s *Server) compactIndex() error {
 // completed job's results through the shared cache first. The sweep
 // already ran to completion once, so the engine resolves every job from
 // the content-addressed store and the job's ledger shows executed=0 —
-// unless eviction or corruption removed objects, in which case they are
+// unless eviction or corruption removed records, in which case they are
 // recomputed (slower, still byte-identical).
 func (s *Server) tablesFor(j *Job) (map[string]experiments.Table, []string, error) {
 	if j.needsMaterialize() {

@@ -1,5 +1,7 @@
 package telemetry
 
+import "strings"
+
 // Canonical series names shared by the instrumented packages and the
 // exporter consumers. Instrumentation must register through these
 // constants so docs/observability.md stays the single naming authority.
@@ -54,9 +56,9 @@ const (
 	// docs/engine.md ("failure modes").
 	MetricEngineCacheCorrupt = "hifi_engine_cache_corrupt_total"
 	MetricEngineJobTimeouts  = "hifi_engine_job_timeouts_total"
-	// Cache lifecycle under a -cache-max-bytes budget: objects evicted
-	// access-ordered, and the accounted size of the objects tree. See
-	// docs/engine.md ("cache size budgets & eviction").
+	// Cache lifecycle under a -cache-max-bytes budget: bucket files
+	// evicted access-ordered, and the accounted size of the bucket
+	// files. See docs/engine.md ("cache size budgets & eviction").
 	MetricEngineCacheEvictions = "hifi_engine_cache_evictions_total"
 	MetricEngineCacheBytes     = "hifi_engine_cache_bytes"
 	// Per-job resource accounting: process CPU, allocation, and GC work
@@ -119,3 +121,20 @@ const (
 	// phase (excluded from the Result statistics).
 	MetricSimWarmupAccesses = "hifi_sim_warmup_accesses_total"
 )
+
+// HostMeasured reports whether the series named name (labels ignored)
+// is measured on the host rather than counted by the model: the engine's
+// wall time, process CPU, allocation and GC work over executed jobs.
+// Two runs of one binary differ in these, so the access-clock sampler
+// leaves them out of its windows; /metrics and snapshots keep them.
+func HostMeasured(name string) bool {
+	if i := strings.IndexByte(name, '{'); i >= 0 {
+		name = name[:i]
+	}
+	switch name {
+	case MetricEngineJobMS, MetricEngineJobCPUMS, MetricEngineJobAllocBytes,
+		MetricEngineJobMallocs, MetricEngineJobGCCycles:
+		return true
+	}
+	return false
+}

@@ -18,9 +18,12 @@
 //     name, so identical tick sequences produce identical bytes.
 //
 // The simulated-access tick is the only clock, so identical runs cut
-// their windows at the same ticks. An export renders the still-open window as a
-// provisional tail and commits nothing, so polling the /timeseries
-// status route mid-run leaves the run's series unchanged.
+// their windows at the same ticks. Series the host measures (wall time,
+// CPU, allocation; telemetry.HostMeasured) stay out of the windows, so
+// identical serial runs export identical bytes. An export renders the
+// still-open window as a provisional tail and commits nothing, so
+// polling the /timeseries status route mid-run leaves the run's series
+// unchanged.
 package timeseries
 
 import (
@@ -223,7 +226,8 @@ func (s *Sampler) openLocked() (w Window, cur baseline, ok bool) {
 	return w, cur, ok
 }
 
-// capture copies the cumulative counter and histogram state.
+// capture copies the cumulative counter and histogram state, without
+// the host-measured series.
 func (s *Sampler) capture() baseline {
 	snap := s.reg.Snapshot()
 	b := baseline{
@@ -231,13 +235,17 @@ func (s *Sampler) capture() baseline {
 		hists:    make(map[string]histState, len(snap.Histograms)),
 	}
 	for _, c := range snap.Counters {
-		b.counters[c.Name] = c.Value
+		if !telemetry.HostMeasured(c.Name) {
+			b.counters[c.Name] = c.Value
+		}
 	}
 	for _, g := range snap.Gauges {
 		b.gauges = append(b.gauges, telemetry.SeriesValue{Name: g.Name, Value: g.Value})
 	}
 	for _, h := range snap.Histograms {
-		b.hists[h.Name] = histState{counts: h.Counts, sum: h.Sum, count: h.Count}
+		if !telemetry.HostMeasured(h.Name) {
+			b.hists[h.Name] = histState{counts: h.Counts, sum: h.Sum, count: h.Count}
+		}
 	}
 	return b
 }

@@ -2,12 +2,15 @@ package timeseries
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"fmt"
 	"strings"
 	"sync"
 	"testing"
+	"time"
 
+	"racetrack/hifi/internal/engine"
 	"racetrack/hifi/internal/telemetry"
 )
 
@@ -315,5 +318,42 @@ func TestConcurrentTicks(t *testing.T) {
 				t.Errorf("summed deltas = %v with %d dropped, want 4000 and 0", total, se.Dropped)
 			}
 		})
+	}
+}
+
+// TestEngineJobSeriesRepeat runs one engine job under a sampler twice,
+// the second time on a "slower host": the job takes longer and
+// allocates more. The exports must be byte-identical, because the
+// engine's host-measured series (wall time, CPU, allocation, GC) stay
+// out of the windows while its job counters are windowed as before.
+func TestEngineJobSeriesRepeat(t *testing.T) {
+	run := func(slow time.Duration, alloc int) []byte {
+		reg := telemetry.NewRegistry()
+		s := New(reg, Options{Every: 100})
+		e := engine.New(engine.Options{Workers: 1, Metrics: reg})
+		job := engine.Job{Key: "sampled-job", Fn: func(context.Context) (any, error) {
+			time.Sleep(slow)
+			buf := make([][]byte, alloc)
+			for i := range buf {
+				buf[i] = make([]byte, 1024)
+			}
+			s.Tick(150)
+			return len(buf) > 0, nil
+		}}
+		if _, err := e.Run(context.Background(), []engine.Job{job}); err != nil {
+			t.Fatal(err)
+		}
+		var b bytes.Buffer
+		if err := s.Export().WriteJSON(&b); err != nil {
+			t.Fatal(err)
+		}
+		if !strings.Contains(b.String(), telemetry.MetricEngineExecuted) {
+			t.Fatalf("export lacks the engine's job counters:\n%s", b.String())
+		}
+		return b.Bytes()
+	}
+	fast, slow := run(time.Millisecond, 1), run(30*time.Millisecond, 4096)
+	if !bytes.Equal(fast, slow) {
+		t.Errorf("exports differ:\nfast host:\n%s\nslow host:\n%s", fast, slow)
 	}
 }
