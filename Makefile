@@ -56,13 +56,15 @@ vet:
 # cache's shared-writer tests, where goroutines and two caches append to
 # and read one bucket file while eviction removes buckets, and the
 # sampler's concurrent-tick test, where an Export polls the open window
-# while four goroutines tick and cut.
+# while four goroutines tick and cut, and the simulation feed's tests,
+# where a producer goroutine draws the access streams the loop reads.
 race:
 	$(GO) test -race ./...
 	$(GO) test -race -count=10 -run 'Subscrib|Stalled|SSE' ./internal/telemetry/events/
 	$(GO) test -race -count=10 -run '^TestRunDecodedDecodesEachKeyOnce$$' ./internal/engine/
 	$(GO) test -race -count=10 -run '^(TestCacheConcurrentWriters|TestEvictionConcurrentWithPutsAndGets)$$' ./internal/engine/
 	$(GO) test -race -count=10 -run '^TestConcurrentTicks$$' ./internal/telemetry/timeseries/
+	$(GO) test -race -count=10 -run '^TestFeed' ./internal/memsim/
 
 # fuzz runs each fuzz target for 10s beyond its seed corpus: the NDJSON
 # replay rule behind the serve job index (engine.ReplayLines), the cache

@@ -34,6 +34,10 @@ func main() {
 
 	switch {
 	case *workload != "" && *out != "":
+		if err := checkCount(*n); err != nil {
+			log.Errorf("hifi-trace: %v", err)
+			os.Exit(2)
+		}
 		record(*workload, *core, *n, *seed, *out)
 		obs.AddOutput(*out)
 	case *in != "":
@@ -45,6 +49,14 @@ func main() {
 	if err := obs.Finish(); err != nil {
 		log.Fatalf("hifi-trace: %v", err)
 	}
+}
+
+// checkCount rejects a record length that names no access.
+func checkCount(n int) error {
+	if n <= 0 {
+		return fmt.Errorf("-n must be at least 1, got %d", n)
+	}
+	return nil
 }
 
 func record(name string, core, n int, seed uint64, path string) {

@@ -221,6 +221,25 @@ func TestZeroCoresRejected(t *testing.T) {
 	}
 }
 
+// A negative access count is an error, not an empty run with infinite
+// MTTFs; 0 still means the default length.
+func TestNegativeAccessesRejected(t *testing.T) {
+	w := smallWorkload("vips", 64<<10)
+	cfg := smallConfig(energy.SRAM, shiftctrl.Baseline)
+	cfg.AccessesPerCore = -1
+	if _, err := Run(w, cfg); err == nil || !strings.Contains(err.Error(), "must not be negative") {
+		t.Errorf("AccessesPerCore -1: err = %v, want a negative-count error", err)
+	}
+	cfg.AccessesPerCore = 0
+	r, err := Run(w, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := r.Config.AccessesPerCore; got != 200_000 {
+		t.Errorf("AccessesPerCore 0 ran %d accesses a core, want the default 200000", got)
+	}
+}
+
 // A Sources or Mix list needs one entry per core, and no nil source:
 // RunCtx reports any other list instead of indexing past it.
 func TestRunCtxRejectsStreamListsNotMatchingCores(t *testing.T) {
