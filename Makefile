@@ -1,7 +1,7 @@
 # Verification tiers and convenience targets. Plain `make` runs tier-1.
 #
 #   make tier1           build + unit tests (the seed gate)
-#   make ci              tier-1 plus vet, the race detector, the perfbench module and fuzzing
+#   make ci              tier-1 plus vet, the race detector, the perfbench module, fuzzing and cli-smoke
 #   make fuzz            10s of each fuzz target (the seeds alone run in tier-1)
 #   make bench           full benchmark sweep (go test -bench)
 #   make bench-snapshot  pinned hifi-bench suite -> BENCH_<utc-date>[_<n>].json
@@ -11,13 +11,14 @@
 #   make watch-smoke     event stream end-to-end: -events-out log + hifi-watch -once
 #   make serve-smoke     hifi-serve daemon end-to-end: submit, stream, drain
 #   make serve-crash-smoke  kill -9 / SIGTERM mid-job, restart -resume, recovery checks
+#   make cli-smoke       the analytic binaries: hifi-mttf, hifi-design, a hifi-trace round trip
 #   make chaos           fault-injection tests + seeded campaign + off==nominal
 #   make fidelity        scaled sweep scored against the paper anchors
 #   make report          render the evaluation report (scaled)
 
 GO ?= go
 
-.PHONY: all tier1 ci vet race fuzz test build bench bench-snapshot bench-smoke perf-smoke engine-smoke watch-smoke serve-smoke serve-crash-smoke chaos fidelity report fmt clean
+.PHONY: all tier1 ci vet race fuzz test build bench bench-snapshot bench-smoke perf-smoke engine-smoke watch-smoke serve-smoke serve-crash-smoke cli-smoke chaos fidelity report fmt clean
 
 all: tier1
 
@@ -31,7 +32,7 @@ test:
 
 # perfbench is a module of its own (perfbench/go.mod) that ./... never
 # reaches; ci vets and tests it against this checkout.
-ci: build vet race fuzz
+ci: build vet race fuzz cli-smoke
 	$(GO) -C perfbench vet ./...
 	$(GO) -C perfbench test ./...
 
@@ -201,6 +202,22 @@ serve-smoke:
 # in scripts/serve_crash_smoke.sh.
 serve-crash-smoke:
 	bash scripts/serve_crash_smoke.sh
+
+# cli-smoke is the local version of CI's analytic-binaries step: the
+# binaries no other target runs, each once at its defaults (hifi-trace
+# records at its default length), hifi-mttf's adapter table (Table 3b),
+# a hifi-trace record-then-inspect round trip, and an invalid flag that
+# must exit 2. Built, not run with `go run`, so exit codes are the
+# binaries' own.
+cli-smoke:
+	rm -rf /tmp/hifi-cli && mkdir -p /tmp/hifi-cli
+	$(GO) build -o /tmp/hifi-cli/ ./cmd/hifi-mttf ./cmd/hifi-design ./cmd/hifi-trace
+	cd /tmp/hifi-cli && ./hifi-mttf > mttf.txt && grep -q 'safe distance at 8.3e+07 ops/s' mttf.txt
+	cd /tmp/hifi-cli && ./hifi-mttf -table > table.txt && grep -q 'adaptive sequences for a 7-step shift' table.txt
+	cd /tmp/hifi-cli && ./hifi-design > design.txt && grep -q 'Pareto frontier' design.txt
+	cd /tmp/hifi-cli && ./hifi-trace -workload canneal -o canneal.hftr -q
+	cd /tmp/hifi-cli && ./hifi-trace -i canneal.hftr -stats > stats.txt && grep -q 'canneal.hftr: 100000 records' stats.txt
+	cd /tmp/hifi-cli && ./hifi-mttf -seglen 1 -q; test $$? = 2
 
 # chaos is the local version of CI's chaos job (docs/faults.md): the
 # storage-chaos tests under the race detector, a tiny seeded

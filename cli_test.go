@@ -1,0 +1,139 @@
+package hifi_test
+
+// End-to-end checks of the command-line surface: the binaries are built
+// from this checkout and run as a user would run them.
+
+import (
+	"bytes"
+	"errors"
+	"os/exec"
+	"path/filepath"
+	"strings"
+	"testing"
+
+	"racetrack/hifi/internal/experiments"
+)
+
+// buildCLIs builds the named cmd/ binaries into a temporary directory
+// and returns it.
+func buildCLIs(t *testing.T, names ...string) string {
+	t.Helper()
+	if testing.Short() {
+		t.Skip("builds and runs the binaries")
+	}
+	goTool, err := exec.LookPath("go")
+	if err != nil {
+		t.Skip("no go command to build the binaries with")
+	}
+	dir := t.TempDir()
+	args := []string{"build", "-o", dir + string(filepath.Separator)}
+	for _, n := range names {
+		args = append(args, "./cmd/"+n)
+	}
+	if out, err := exec.Command(goTool, args...).CombinedOutput(); err != nil {
+		t.Fatalf("go build: %v\n%s", err, out)
+	}
+	return dir
+}
+
+// runCLI runs one command line, e.g. "hifi-mttf -seglen 1", from dir and
+// returns its stdout, stderr and exit code.
+func runCLI(t *testing.T, dir, cmdline string) (stdout, stderr string, code int) {
+	t.Helper()
+	args := strings.Fields(cmdline)
+	cmd := exec.Command(filepath.Join(dir, args[0]), args[1:]...)
+	cmd.Dir = t.TempDir()
+	var out, errb bytes.Buffer
+	cmd.Stdout, cmd.Stderr = &out, &errb
+	err := cmd.Run()
+	var exit *exec.ExitError
+	switch {
+	case errors.As(err, &exit):
+		code = exit.ExitCode()
+	case err != nil:
+		t.Fatalf("%s: %v", cmdline, err)
+	}
+	return out.String(), errb.String(), code
+}
+
+// specError is the error hifi-serve answers 400 with for s.
+func specError(t *testing.T, s experiments.Spec) string {
+	t.Helper()
+	_, err := s.Normalize()
+	if err == nil {
+		t.Fatalf("spec %+v normalized without error", s)
+	}
+	return err.Error()
+}
+
+// Every invalid value a CLI takes exits 2 before anything runs, with a
+// message naming it, and nothing panics. The sweep CLIs answer with the
+// spec error hifi-serve answers 400 with.
+func TestCLIRejectsInvalidValues(t *testing.T) {
+	dir := buildCLIs(t, "hifi-experiments", "hifi-report", "hifi-chaos", "hifi-sim",
+		"hifi-mttf", "hifi-design", "hifi-trace")
+	negAccesses := specError(t, experiments.Spec{Accesses: -1})
+	negTrials := specError(t, experiments.Spec{MCTrials: -5})
+	unknown := specError(t, experiments.Spec{Run: []string{"fig99"}})
+	for _, tc := range []struct{ cmdline, want string }{
+		{"hifi-experiments -accesses -1", negAccesses},
+		{"hifi-experiments -mc-trials -5", negTrials},
+		{"hifi-experiments -run fig99", unknown},
+		{"hifi-experiments -run fig14,FIG99 -scaled", unknown},
+		{"hifi-report -accesses -1", negAccesses},
+		{"hifi-chaos -accesses -1", negAccesses},
+		{"hifi-chaos -intensities 0,NaN", `bad intensity "NaN"`},
+		{"hifi-chaos -schemes ,", "empty -schemes"},
+		{"hifi-sim -accesses -1", "accesses per core (-1) must not be negative"},
+		{"hifi-sim -accesses 100 -warmup 500", "warmup accesses (500) must be in [0, accesses per core = 100)"},
+		{"hifi-sim -warmup -5", "warmup accesses (-5)"},
+		{"hifi-mttf -table -distance 99", "-distance"},
+		{"hifi-mttf -table -distance -2", "-distance"},
+		{"hifi-mttf -table -distance 0", "-distance"},
+		{"hifi-mttf -stripes 0", "-stripes"},
+		{"hifi-mttf -stripes -3", "-stripes"},
+		{"hifi-mttf -target-years 0", "-target-years"},
+		{"hifi-mttf -seglen 0", "-seglen"},
+		{"hifi-mttf -seglen 1", "-seglen"},
+		{"hifi-mttf -intensity 0", "-intensity"},
+		{"hifi-mttf -intensity -5", "-intensity"},
+		{"hifi-design -intensity 0", "-intensity"},
+		{"hifi-design -intensity -5", "-intensity"},
+		{"hifi-trace -core 99 -workload canneal -o t.hftr", "-core"},
+		{"hifi-trace -core -1 -workload canneal -o t.hftr", "-core"},
+		{"hifi-trace -n -5 -workload canneal -o t.hftr", "-n"},
+	} {
+		stdout, stderr, code := runCLI(t, dir, tc.cmdline)
+		if code != 2 || !strings.Contains(stderr, tc.want) || stdout != "" ||
+			strings.Contains(stderr, "panic") || strings.Contains(stderr, "retrying") {
+			t.Errorf("%s: exit %d, stdout %q, stderr %q; want exit 2, no output and an error holding %q",
+				tc.cmdline, code, stdout, stderr, tc.want)
+		}
+	}
+}
+
+// Spellings of one sweep print the same tables: seed 0 is the default
+// seed 1 on every CLI, an all-blank -run is every experiment (the spec's
+// rule), and -fault-intensity 0 scales a plan to the nominal device
+// (the CLI's rule, which a spec's fault_intensity 0, read as 1, cannot
+// express).
+func TestCLISpellingsOfOneSweep(t *testing.T) {
+	dir := buildCLIs(t, "hifi-experiments", "hifi-report")
+	for _, tc := range []struct{ a, b string }{
+		{"hifi-report -scaled -accesses 200 -q -seed 0", "hifi-report -scaled -accesses 200 -q -seed 1"},
+		{"hifi-experiments -run fig4 -scaled -q -seed 0", "hifi-experiments -run fig4 -scaled -q"},
+		{"hifi-experiments -run , -scaled -accesses 200 -q", "hifi-experiments -scaled -accesses 200 -q"},
+		{"hifi-experiments -run fig10,fig11 -scaled -accesses 300 -q -faults temp -fault-intensity 0",
+			"hifi-experiments -run fig10,fig11 -scaled -accesses 300 -q"},
+	} {
+		outA, errA, codeA := runCLI(t, dir, tc.a)
+		outB, errB, codeB := runCLI(t, dir, tc.b)
+		if codeA != 0 || codeB != 0 || errA != "" || errB != "" {
+			t.Errorf("%s: exit %d %q; %s: exit %d %q", tc.a, codeA, errA, tc.b, codeB, errB)
+			continue
+		}
+		if outA == "" || outA != outB {
+			t.Errorf("%s printed %d bytes that differ from the %d of %s", tc.a, len(outA), len(outB), tc.b)
+		}
+	}
+}

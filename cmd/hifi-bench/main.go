@@ -57,17 +57,11 @@ func main() {
 		allocThr   = flag.Float64("alloc-threshold", bench.DefaultAllocThreshold, "relative allocs/op growth treated as a regression (negative disables the gate)")
 		trajectory = flag.Bool("trajectory", false, "trajectory mode: hifi-bench -trajectory SNAP.json... (>= 2 snapshots)")
 		svgOut     = flag.String("svg-out", "", "with -trajectory, write the trend chart SVG here")
-		verbose    = flag.Bool("v", false, "debug logging (overrides HIFI_LOG)")
-		quiet      = flag.Bool("q", false, "errors only (overrides HIFI_LOG)")
 	)
+	logLevel := cliutil.AddLogLevel(flag.CommandLine)
 	ev := cliutil.AddEventsOut(flag.CommandLine, "hifi-bench")
 	flag.Parse()
-	switch {
-	case *quiet:
-		log.SetLevel(log.Error)
-	case *verbose:
-		log.SetLevel(log.Debug)
-	}
+	logLevel.Apply()
 
 	// hifi-bench does not carry the full Obs surface (it has no status
 	// server and must not measure its own telemetry), so it drives the

@@ -14,14 +14,15 @@
 // Each (scheme, intensity, workload) simulation is one engine job, so
 // -cache-dir and -jobs behave exactly as in hifi-experiments; the
 // fault plan is part of each job's fingerprint, so injected and nominal
-// results never share cache entries.
+// results never share cache entries. -scaled, -accesses and -seed are
+// checked as hifi-serve checks a spec; any invalid flag value exits 2.
 package main
 
 import (
 	"flag"
 	"fmt"
+	"math"
 	"os"
-	"path/filepath"
 	"strconv"
 	"strings"
 
@@ -47,18 +48,22 @@ func main() {
 	faultFlags := cliutil.NewFaultFlags()
 	flag.Parse()
 
-	xs, err := parseIntensities(*intensities)
-	if err != nil {
-		log.Fatalf("hifi-chaos: %v", err)
+	_, run := cliutil.CheckSpec("hifi-chaos", experiments.Spec{Scaled: *scaled, Accesses: *accesses, Seed: *seed})
+	xs, err := parseList("-intensities", *intensities, parseIntensity)
+	var ss []shiftctrl.Scheme
+	if err == nil {
+		ss, err = parseList("-schemes", *schemes, parseScheme)
 	}
-	ss, err := parseSchemes(*schemes)
 	if err != nil {
-		log.Fatalf("hifi-chaos: %v", err)
+		log.Errorf("hifi-chaos: %v", err)
+		os.Exit(2)
 	}
 	plan, err := faultFlags.Plan()
 	if err != nil {
 		log.Fatalf("hifi-chaos: %v", err)
 	}
+
+	ctx := obs.Start()
 	if plan == nil {
 		// A chaos campaign with no faults is a no-op; default to the
 		// mixed preset rather than sweeping the nominal device N times.
@@ -68,56 +73,22 @@ func main() {
 		}
 		log.Infof("no fault plan given; using the mixed preset")
 	}
-
-	ctx := obs.Start()
 	eng, err := engFlags.Build(obs)
 	if err != nil {
 		log.Fatalf("hifi-chaos: %v", err)
 	}
 
-	run := experiments.DefaultRunOpts()
-	if *scaled {
-		run = experiments.QuickRunOpts()
-	}
-	if *accesses > 0 {
-		run.AccessesPerCore = *accesses
-	}
-	if *seed != 0 {
-		run.Seed = *seed
-	}
-	run.Metrics = obs.Reg
-	run.Sampler = obs.TS
-	run.Events = obs.Events
-	run.Eng = eng
-	run.Ctx = ctx
+	run.Metrics, run.Sampler, run.Events, run.Eng, run.Ctx = obs.Reg, obs.TS, obs.Events, eng, ctx
 
 	opts := experiments.ChaosOpts{RunOpts: run, Plan: plan, Intensities: xs, Schemes: ss}
 	log.Infof("campaign: %d injector(s) x %d intensities x %d schemes",
 		len(plan.Injectors), len(xs), len(ss))
 	tables := experiments.Degradation(opts)
 
-	if *outDir != "" {
-		if err := os.MkdirAll(*outDir, 0o755); err != nil {
-			log.Fatalf("hifi-chaos: %v", err)
-		}
-	}
 	names := []string{"due_mttf", "sdc_mttf", "exec_time"}
 	for i, tab := range tables {
-		switch {
-		case *outDir != "":
-			path := filepath.Join(*outDir, "chaos_"+names[i]+".csv")
-			if err := os.WriteFile(path, []byte(tab.CSV()), 0o644); err != nil {
-				log.Fatalf("hifi-chaos: %v", err)
-			}
-			obs.AddOutput(path)
-			log.Infof("wrote %s", path)
-		case *csv:
-			fmt.Print(tab.CSV())
-		default:
-			if i > 0 {
-				fmt.Println()
-			}
-			fmt.Print(tab.String())
+		if err := obs.EmitTable(*outDir, "chaos_"+names[i], i, tab, *csv); err != nil {
+			log.Fatalf("hifi-chaos: %v", err)
 		}
 	}
 
@@ -127,40 +98,34 @@ func main() {
 	}
 }
 
-func parseIntensities(s string) ([]float64, error) {
-	var out []float64
+// parseList parses a comma-separated flag value item by item, skipping
+// blank items; a list with no item is an error.
+func parseList[T any](flag, s string, parse func(string) (T, error)) ([]T, error) {
+	var out []T
 	for _, f := range strings.Split(s, ",") {
-		f = strings.TrimSpace(f)
-		if f == "" {
+		if f = strings.TrimSpace(f); f == "" {
 			continue
 		}
-		v, err := strconv.ParseFloat(f, 64)
-		if err != nil || v < 0 {
-			return nil, fmt.Errorf("bad intensity %q", f)
+		v, err := parse(f)
+		if err != nil {
+			return nil, err
 		}
 		out = append(out, v)
 	}
 	if len(out) == 0 {
-		return nil, fmt.Errorf("empty -intensities")
+		return nil, fmt.Errorf("empty %s", flag)
 	}
 	return out, nil
 }
 
-func parseSchemes(s string) ([]shiftctrl.Scheme, error) {
-	var out []shiftctrl.Scheme
-	for _, f := range strings.Split(s, ",") {
-		f = strings.TrimSpace(strings.ToLower(f))
-		if f == "" {
-			continue
-		}
-		sc, err := shiftctrl.ParseScheme(f)
-		if err != nil {
-			return nil, err
-		}
-		out = append(out, sc)
+func parseIntensity(f string) (float64, error) {
+	v, err := strconv.ParseFloat(f, 64)
+	if err != nil || !(v >= 0) || math.IsInf(v, 0) {
+		return 0, fmt.Errorf("bad intensity %q", f)
 	}
-	if len(out) == 0 {
-		return nil, fmt.Errorf("empty -schemes")
-	}
-	return out, nil
+	return v, nil
+}
+
+func parseScheme(f string) (shiftctrl.Scheme, error) {
+	return shiftctrl.ParseScheme(strings.ToLower(f))
 }

@@ -2,17 +2,23 @@
 // reliability, area, and latency requirements it evaluates stripe
 // geometries, protection schemes, and p-ECC strengths through the analytic
 // models and prints the feasible configurations and their Pareto frontier.
+// It simulates nothing, so it takes only its own flags and -v/-q.
 //
 // Usage:
 //
 //	hifi-design                                  # the paper's requirements
 //	hifi-design -due 100 -max-area 9.5           # stricter reliability, area cap
 //	hifi-design -intensity 20e6 -max-latency 10  # lighter duty cycle
+//
+// A negative or non-finite requirement, or an -intensity that is not
+// above zero, exits 2 with a message naming the flag.
 package main
 
 import (
 	"flag"
 	"fmt"
+	"math"
+	"os"
 
 	"racetrack/hifi/internal/cliutil"
 	"racetrack/hifi/internal/design"
@@ -29,19 +35,21 @@ func main() {
 		intensity = flag.Float64("intensity", 83e6, "sustained shift intensity, ops/s")
 		all       = flag.Bool("all", false, "print every feasible point, not just the Pareto frontier")
 	)
-	obs := cliutil.NewObs("hifi-design")
+	logLevel := cliutil.AddLogLevel(flag.CommandLine)
 	flag.Parse()
-	obs.Start()
+	logLevel.Apply()
 
 	req := design.Requirements{
-		MinDUEYears: *dueYears,
-		MinSDCYears: *sdcYears,
-		MaxAreaPerBit: func() float64 {
-			return *maxArea
-		}(),
-		MaxLatency: *maxLat,
-		Intensity:  *intensity,
-		Stripes:    512,
+		MinDUEYears:   *dueYears,
+		MinSDCYears:   *sdcYears,
+		MaxAreaPerBit: *maxArea,
+		MaxLatency:    *maxLat,
+		Intensity:     *intensity,
+		Stripes:       512,
+	}
+	if err := check(req); err != nil {
+		log.Errorf("hifi-design: %v", err)
+		os.Exit(2)
 	}
 
 	feasible, rejected := design.Search(design.DefaultSpace(), req)
@@ -72,7 +80,21 @@ func main() {
 	if len(points) == 0 {
 		fmt.Println("  (none — relax the requirements)")
 	}
-	if err := obs.Finish(); err != nil {
-		log.Fatalf("hifi-design: %v", err)
+}
+
+// check rejects requirements design.Search, which returns no error,
+// cannot take: a zero -intensity would list +Inf MTTFs.
+func check(req design.Requirements) error {
+	for _, f := range []struct {
+		flag string
+		v    float64
+	}{{"-due", req.MinDUEYears}, {"-sdc", req.MinSDCYears}, {"-max-area", req.MaxAreaPerBit}, {"-max-latency", req.MaxLatency}} {
+		if !(f.v >= 0) || math.IsInf(f.v, 1) {
+			return fmt.Errorf("%s must be finite and >= 0, got %g", f.flag, f.v)
+		}
 	}
+	if !(req.Intensity > 0) || math.IsInf(req.Intensity, 1) {
+		return fmt.Errorf("-intensity must be a finite rate > 0, got %g", req.Intensity)
+	}
+	return nil
 }

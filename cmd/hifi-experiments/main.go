@@ -22,19 +22,20 @@
 //
 // Rerunning an interrupted sweep over the same -cache-dir finishes it:
 // only the jobs whose results never reached the cache execute.
+//
+// The sweep flags fill an experiments.Spec, hifi-serve's POST /v1/jobs
+// body: an unknown -run key or a negative -accesses or -mc-trials exits
+// 2, before anything runs, with the message the daemon answers 400 with.
 package main
 
 import (
 	"flag"
 	"fmt"
 	"os"
-	"path/filepath"
 	"strings"
-	"time"
 
 	"racetrack/hifi/internal/cliutil"
 	"racetrack/hifi/internal/experiments"
-	"racetrack/hifi/internal/telemetry"
 	"racetrack/hifi/internal/telemetry/log"
 )
 
@@ -60,44 +61,23 @@ func main() {
 		}
 		return
 	}
-
-	keys, unknown := resolveKeys(*run)
-	if len(unknown) > 0 {
-		// Validate the whole selection before running anything: a typo at
-		// the end of a multi-hour sweep must fail in the first second.
-		log.Errorf("hifi-experiments: unknown experiment(s): %s", strings.Join(unknown, ", "))
-		log.Errorf("hifi-experiments: valid names: %s", strings.Join(experiments.Order(), " "))
-		os.Exit(2)
-	}
+	// The whole spec is checked before anything runs: a typo at the end
+	// of a multi-hour sweep must fail in the first second.
+	spec, opts := cliutil.CheckSpec("hifi-experiments", experiments.Spec{
+		Run: strings.Split(*run, ","), Scaled: *scaled, Accesses: *accesses, Seed: *seed, MCTrials: *trials,
+	})
 
 	ctx := obs.Start()
-	// SIGINT/SIGTERM cancels the run context: the engine drains, the loop
-	// below stops before its next experiment, and the observability
-	// artifacts still flush through obs.Finish.
+	// SIGINT/SIGTERM cancels the run context: the engine drains, the
+	// sweep stops before its next experiment, and the observability
+	// artifacts still flush.
 	ctx, stopSignals := cliutil.SignalContext(ctx, "hifi-experiments")
 	defer stopSignals()
 	eng, err := engFlags.Build(obs)
 	if err != nil {
 		log.Fatalf("hifi-experiments: %v", err)
 	}
-
-	opts := experiments.DefaultRunOpts()
-	if *scaled {
-		opts = experiments.QuickRunOpts()
-	}
-	if *accesses > 0 {
-		opts.AccessesPerCore = *accesses
-	}
-	if *seed != 0 {
-		opts.Seed = *seed
-	}
-	if *trials > 0 {
-		opts.MCTrials = *trials
-	}
-	opts.Metrics = obs.Reg
-	opts.Sampler = obs.TS
-	opts.Events = obs.Events
-	opts.Eng = eng
+	opts.Metrics, opts.Sampler, opts.Events, opts.Eng = obs.Reg, obs.TS, obs.Events, eng
 	plan, err := faultFlags.Plan()
 	if err != nil {
 		log.Fatalf("hifi-experiments: %v", err)
@@ -107,89 +87,19 @@ func main() {
 		log.Infof("fault injection active: %d injector(s), plan seed %d", len(plan.Injectors), plan.Seed)
 	}
 
-	if *outDir != "" {
+	if *outDir != "" { // fail before the sweep, not after its first table
 		if err := os.MkdirAll(*outDir, 0o755); err != nil {
 			log.Fatalf("hifi-experiments: %v", err)
 		}
 	}
-	interrupted := false
-	for i, k := range keys {
-		if ctx.Err() != nil {
-			log.Errorf("hifi-experiments: interrupted; skipping %d remaining experiment(s)", len(keys)-i)
-			interrupted = true
-			break
-		}
-		log.Infof("running %s (%d/%d)", k, i+1, len(keys))
-		obs.Phase(k)
-		// One span per experiment; the generators are keyed closures that
-		// capture opts by value, so rebuild the index with this
-		// experiment's span context threaded in.
-		kctx, ksp := telemetry.StartSpan(ctx, "experiment:"+k)
-		opts.Ctx = kctx
-		tab, err := experiments.Run(k, opts)
-		ksp.End()
-		if err != nil {
-			if ctx.Err() != nil {
-				// The cancellation surfaced inside the experiment; still
-				// flush artifacts below.
-				log.Errorf("hifi-experiments: %s interrupted; skipping %d remaining experiment(s)", k, len(keys)-i-1)
-				interrupted = true
-				break
-			}
-			log.Fatalf("hifi-experiments: %s: %v", k, err)
-		}
-		if el := ksp.Duration(); el > 0 {
-			log.Infof("finished %s in %v", k, el.Round(time.Millisecond))
-		} else {
-			log.Infof("finished %s", k)
-		}
-		switch {
-		case *outDir != "":
-			path := filepath.Join(*outDir, k+".csv")
-			if err := os.WriteFile(path, []byte(tab.CSV()), 0o644); err != nil {
-				log.Fatalf("hifi-experiments: %v", err)
-			}
-			obs.AddOutput(path)
-			log.Infof("wrote %s", path)
-		case *csv:
-			fmt.Print(tab.CSV())
-		default:
-			if i > 0 {
-				fmt.Println()
-			}
-			fmt.Print(tab.String())
-		}
-	}
-
+	_, err = obs.Sweep(ctx, spec.Run, opts, func(i int, k string, tab experiments.Table) error {
+		return obs.EmitTable(*outDir, k, i, tab, *csv)
+	})
 	engFlags.Finish(eng)
+	if err != nil {
+		obs.Abort(ctx, err)
+	}
 	if err := obs.Finish(); err != nil {
 		log.Fatalf("hifi-experiments: %v", err)
 	}
-	if interrupted {
-		os.Exit(130)
-	}
-}
-
-// resolveKeys expands the -run selection, returning the keys to run in
-// order and every name that does not exist.
-func resolveKeys(run string) (keys, unknown []string) {
-	if run == "" {
-		return experiments.Order(), nil
-	}
-	valid := make(map[string]bool)
-	for _, k := range experiments.Order() {
-		valid[k] = true
-	}
-	for _, k := range strings.Split(run, ",") {
-		k = strings.TrimSpace(strings.ToLower(k))
-		if k == "" {
-			continue
-		}
-		if !valid[k] {
-			unknown = append(unknown, k)
-			continue
-		}
-		keys = append(keys, k)
-	}
-	return keys, unknown
 }

@@ -14,12 +14,13 @@
 //	hifi-report -scaled -html report.html   # self-contained HTML report
 //	hifi-report -scaled -jobs 8 -cache-dir .hificache \
 //	    -fidelity-out fidelity.json -fidelity-gate
+//
+// -scaled, -accesses and -seed are checked as hifi-serve checks a spec:
+// a negative -accesses exits 2, and -seed 0 is the default seed 1.
 package main
 
 import (
-	"bufio"
 	"bytes"
-	"context"
 	"flag"
 	"fmt"
 	"os"
@@ -33,7 +34,6 @@ import (
 	"racetrack/hifi/internal/fidelity"
 	"racetrack/hifi/internal/profile"
 	"racetrack/hifi/internal/report"
-	"racetrack/hifi/internal/telemetry"
 	"racetrack/hifi/internal/telemetry/log"
 )
 
@@ -52,6 +52,7 @@ func main() {
 	obs := cliutil.NewObs("hifi-report")
 	engFlags := cliutil.NewEngineFlags()
 	flag.Parse()
+	spec, opts := cliutil.CheckSpec("hifi-report", experiments.Spec{Scaled: *scaled, Accesses: *accesses, Seed: *seed})
 	if *htmlOut != "" {
 		// The HTML report's Performance section folds the span tree into
 		// self-time tables, so spans are collected even without -spans-out.
@@ -67,31 +68,12 @@ func main() {
 		log.Fatalf("hifi-report: %v", err)
 	}
 
-	opts := experiments.DefaultRunOpts()
-	if *scaled {
-		opts = experiments.QuickRunOpts()
-	}
-	if *accesses > 0 {
-		opts.AccessesPerCore = *accesses
-	}
-	opts.Seed = *seed
-	opts.Metrics = obs.Reg
-	opts.Sampler = obs.TS
-	opts.Events = obs.Events
-	opts.Eng = eng
+	opts.Metrics, opts.Sampler, opts.Events, opts.Eng = obs.Reg, obs.TS, obs.Events, eng
 
-	order := experiments.Order()
-	tables, err := runTables(ctx, obs, opts, order)
+	tables, err := obs.Sweep(ctx, spec.Run, opts, nil)
 	engFlags.Finish(eng)
 	if err != nil {
-		log.Errorf("hifi-report: %v", err)
-		if ferr := obs.Finish(); ferr != nil {
-			log.Errorf("hifi-report: %v", ferr)
-		}
-		if ctx.Err() != nil {
-			os.Exit(130)
-		}
-		os.Exit(1)
+		obs.Abort(ctx, err)
 	}
 
 	// The scorecard derives from the tables alone, so it inherits the
@@ -109,20 +91,21 @@ func main() {
 		log.Infof("wrote %s", *fidelityOut)
 	}
 
-	md := renderMarkdown(order, tables, *scaled, opts)
+	// os.WriteFile reports a short write and a failed close alike.
+	md := renderMarkdown(spec.Run, tables, opts)
 	switch {
 	case *out != "":
-		if err := writeReport(*out, md); err != nil {
+		if err := os.WriteFile(*out, []byte(md), 0o666); err != nil {
 			log.Fatalf("hifi-report: %v", err)
 		}
 		obs.AddOutput(*out)
-		log.Infof("wrote %s (%d experiments)", *out, len(order))
+		log.Infof("wrote %s (%d experiments)", *out, len(spec.Run))
 	case *htmlOut == "":
 		fmt.Print(md)
 	}
 
 	if *htmlOut != "" {
-		if err := writeReport(*htmlOut, string(buildHTML(obs, eng, *benchGlob, order, tables, scorecard, *scaled, opts))); err != nil {
+		if err := os.WriteFile(*htmlOut, buildHTML(obs, eng, *benchGlob, spec.Run, tables, scorecard, opts), 0o666); err != nil {
 			log.Fatalf("hifi-report: %v", err)
 		}
 		obs.AddOutput(*htmlOut)
@@ -140,32 +123,6 @@ func main() {
 	}
 }
 
-// runTables runs the experiments in order, one phase and span each,
-// and stops at the first that fails or when ctx is cancelled.
-func runTables(ctx context.Context, obs *cliutil.Obs, opts experiments.RunOpts,
-	order []string) (map[string]experiments.Table, error) {
-	tables := make(map[string]experiments.Table, len(order))
-	for i, k := range order {
-		if err := ctx.Err(); err != nil {
-			return nil, fmt.Errorf("interrupted before %s: %w", k, err)
-		}
-		log.Infof("running %s (%d/%d)", k, i+1, len(order))
-		obs.Phase(k)
-		kctx, ksp := telemetry.StartSpan(ctx, "experiment:"+k)
-		opts.Ctx = kctx
-		tab, err := experiments.Run(k, opts)
-		ksp.End()
-		if err != nil {
-			return nil, err
-		}
-		tables[k] = tab
-		if el := ksp.Duration(); el > 0 {
-			log.Debugf("finished %s in %v", k, el)
-		}
-	}
-	return tables, nil
-}
-
 // buildHTML assembles the report.Data from everything the run
 // produced: tables, scorecard, sampled time-series, span tree, the
 // performance section (self-time analysis, bench trajectory, per-job
@@ -173,11 +130,11 @@ func runTables(ctx context.Context, obs *cliutil.Obs, opts experiments.RunOpts,
 // obs.Finish).
 func buildHTML(obs *cliutil.Obs, eng *engine.Engine, benchGlob string,
 	order []string, tables map[string]experiments.Table,
-	sc fidelity.Scorecard, scaled bool, opts experiments.RunOpts) []byte {
+	sc fidelity.Scorecard, opts experiments.RunOpts) []byte {
 	d := report.Data{
 		Title: "Hi-fi Playback reproduction report",
 		Params: []report.Param{
-			{Key: "scaled", Value: fmt.Sprint(scaled)},
+			{Key: "scaled", Value: fmt.Sprint(opts.Scaled)},
 			{Key: "accesses/core", Value: fmt.Sprint(opts.AccessesPerCore)},
 			{Key: "seed", Value: fmt.Sprint(opts.Seed)},
 		},
@@ -225,12 +182,11 @@ func loadTrajectory(glob string) *bench.Trajectory {
 	return tr
 }
 
-func renderMarkdown(order []string, tables map[string]experiments.Table,
-	scaled bool, opts experiments.RunOpts) string {
+func renderMarkdown(order []string, tables map[string]experiments.Table, opts experiments.RunOpts) string {
 	var b strings.Builder
 	b.WriteString("# Hi-fi Playback reproduction report\n\n")
 	fmt.Fprintf(&b, "Generated by hifi-report: scaled=%v, accesses/core=%d, seed=%d.\n\n",
-		scaled, opts.AccessesPerCore, opts.Seed)
+		opts.Scaled, opts.AccessesPerCore, opts.Seed)
 	b.WriteString("Each section reproduces one table or figure of the paper's\n")
 	b.WriteString("evaluation; see EXPERIMENTS.md for the paper-vs-measured analysis.\n\n")
 	for _, k := range order {
@@ -243,25 +199,6 @@ func renderMarkdown(order []string, tables map[string]experiments.Table,
 		b.WriteString("\n")
 	}
 	return b.String()
-}
-
-// writeReport streams the report to path, surfacing short writes and
-// close failures instead of swallowing them.
-func writeReport(path, content string) error {
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	w := bufio.NewWriter(f)
-	if _, err := w.WriteString(content); err != nil {
-		_ = f.Close()
-		return err
-	}
-	if err := w.Flush(); err != nil {
-		_ = f.Close()
-		return err
-	}
-	return f.Close()
 }
 
 func writeMarkdownTable(b *strings.Builder, t experiments.Table) {

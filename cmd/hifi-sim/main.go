@@ -24,6 +24,7 @@ import (
 	"context"
 	"flag"
 	"fmt"
+	"os"
 	"sync"
 	"time"
 
@@ -125,6 +126,12 @@ func main() {
 	cfg.Sampler = obs.TS
 	cfg.Events = obs.Events
 	cfg.FaultPlan = plan
+	// A configuration memsim refuses fails the same way on every attempt;
+	// refuse it here instead of letting the engine retry it.
+	if err := cfg.Validate(); err != nil {
+		log.Errorf("hifi-sim: %v", err)
+		os.Exit(2)
+	}
 
 	stopProgress := watchProgress(reg, *progress)
 	start := time.Now()

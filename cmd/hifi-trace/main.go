@@ -1,10 +1,14 @@
 // Command hifi-trace records, inspects, and summarizes workload traces.
+// It simulates nothing, so it takes only its own flags and -v/-q.
 //
 // Usage:
 //
 //	hifi-trace -workload canneal -n 100000 -o canneal.hftr   # record
 //	hifi-trace -i canneal.hftr -stats                         # summarize
 //	hifi-trace -i canneal.hftr -head 20                       # dump records
+//
+// A -core the simulated system does not have, an -n below 1 or a
+// negative -head exits 2 with a message naming the flag.
 package main
 
 import (
@@ -13,6 +17,7 @@ import (
 	"os"
 
 	"racetrack/hifi/internal/cliutil"
+	"racetrack/hifi/internal/memsim"
 	"racetrack/hifi/internal/telemetry/log"
 	"racetrack/hifi/internal/trace"
 )
@@ -28,27 +33,35 @@ func main() {
 		head     = flag.Int("head", 0, "dump the first N records")
 		stats    = flag.Bool("stats", false, "print summary statistics")
 	)
-	obs := cliutil.NewObs("hifi-trace")
+	logLevel := cliutil.AddLogLevel(flag.CommandLine)
 	flag.Parse()
-	obs.Start()
+	logLevel.Apply()
+	if err := checkFlags(*core, *n, *head); err != nil {
+		log.Errorf("hifi-trace: %v", err)
+		os.Exit(2)
+	}
 
 	switch {
 	case *workload != "" && *out != "":
-		if err := checkCount(*n); err != nil {
-			log.Errorf("hifi-trace: %v", err)
-			os.Exit(2)
-		}
 		record(*workload, *core, *n, *seed, *out)
-		obs.AddOutput(*out)
 	case *in != "":
 		inspect(*in, *head, *stats)
 	default:
 		log.Errorf("hifi-trace: use -workload/-o to record or -i to inspect")
 		os.Exit(2)
 	}
-	if err := obs.Finish(); err != nil {
-		log.Fatalf("hifi-trace: %v", err)
+}
+
+// checkFlags rejects values no trace has; the generator would draw a
+// stream for a core the simulated system lacks all the same.
+func checkFlags(core, n, head int) error {
+	if core < 0 || core >= memsim.DefaultCores {
+		return fmt.Errorf("-core must be in [0, %d), the simulated system's cores, got %d", memsim.DefaultCores, core)
 	}
+	if head < 0 {
+		return fmt.Errorf("-head must be >= 0, got %d", head)
+	}
+	return checkCount(n)
 }
 
 // checkCount rejects a record length that names no access.

@@ -47,16 +47,10 @@ func main() {
 		interval = flag.Duration("interval", time.Second, "live-mode redraw period (and the -once collection window for SSE sources)")
 		server   = flag.String("server", "", "hifi-serve base URL for client mode (use with -job)")
 		jobID    = flag.String("job", "", "job ID on -server to follow")
-		verbose  = flag.Bool("v", false, "debug logging (overrides HIFI_LOG)")
-		quiet    = flag.Bool("q", false, "errors only (overrides HIFI_LOG)")
 	)
+	logLevel := cliutil.AddLogLevel(flag.CommandLine)
 	flag.Parse()
-	switch {
-	case *quiet:
-		log.SetLevel(log.Error)
-	case *verbose:
-		log.SetLevel(log.Debug)
-	}
+	logLevel.Apply()
 	jobMode := *server != "" || *jobID != ""
 	if jobMode && (*server == "" || *jobID == "") {
 		log.Errorf("hifi-watch: -server and -job go together")

@@ -7,6 +7,7 @@
 package main
 
 import (
+	"context"
 	"flag"
 	"fmt"
 	"log"
@@ -69,10 +70,10 @@ func main() {
 	// Fidelity: generate two analytic tables and score them against
 	// the shipped paper-anchor set. Anchors for tables we did not
 	// generate skip; a full sweep (hifi-report) leaves no skips.
-	all := experiments.All(experiments.QuickRunOpts())
-	tables := map[string]experiments.Table{
-		"table2": all["table2"](),
-		"table5": all["table5"](),
+	tables, err := experiments.Sweep(context.Background(), []string{"table2", "table5"},
+		experiments.QuickRunOpts(), nil, nil)
+	if err != nil {
+		log.Fatal(err)
 	}
 	sc := fidelity.Evaluate(fidelity.Anchors(), tables)
 	fmt.Printf("\nfidelity vs the paper (analytic tables only): %d pass, %d warn, %d fail, %d skipped\n",

@@ -133,9 +133,11 @@ func TestIntegrationExperimentsPipeline(t *testing.T) {
 	analytic := []string{"fig1", "table2", "fig7", "table3", "fig12",
 		"fig13", "fig15", "table5", "abl-strength", "abl-becc", "abl-sts",
 		"abl-headpolicy", "abl-interleave", "abl-area"}
-	all := experiments.All(experiments.QuickRunOpts())
 	for _, k := range analytic {
-		tab := all[k]()
+		tab, err := experiments.Run(k, experiments.QuickRunOpts())
+		if err != nil {
+			t.Fatal(err)
+		}
 		if len(tab.Rows) == 0 {
 			t.Errorf("%s: no rows", k)
 		}

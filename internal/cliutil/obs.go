@@ -1,9 +1,12 @@
-// Package cliutil is the plumbing shared by every hifi-* binary: the
-// observability flag set (-metrics-out, -spans-out, -manifest-out, -pprof,
-// -v, -q), the wiring from those flags to the telemetry registry, span
-// collector, run manifest, and live status server, and the end-of-run
-// artifact writing. Keeping it in one place means every CLI exposes the
-// same surface and docs/observability.md documents all of them at once.
+// Package cliutil is the plumbing shared by the hifi-* binaries: the -v
+// and -q log switches every binary takes; for the five that simulate
+// or serve, the observability flag set (-metrics-out, -spans-out, -manifest-out,
+// -pprof, ...), the wiring from those flags to the telemetry registry,
+// span collector, run manifest, and live status server, and the
+// end-of-run artifact writing; and the sweep path of hifi-experiments,
+// hifi-report and hifi-chaos. Keeping it in one place means every CLI
+// exposes the same surface and docs/observability.md documents all of
+// them at once.
 package cliutil
 
 import (
@@ -38,8 +41,7 @@ type Obs struct {
 	profKinds   *string
 	profOut     *string
 	perfOut     *string
-	verbose     *bool
-	quiet       *bool
+	logLevel    *LogLevel
 
 	// Reg aggregates metrics (nil unless requested or forced), Col
 	// collects spans, Man is the run manifest (always present after
@@ -105,8 +107,7 @@ func AddFlags(fs *flag.FlagSet, tool string) *Obs {
 	o.perfOut = fs.String("perf-out", "",
 		"write the span self-time analysis (hifi_perf_v1 JSON) to this file")
 	o.ev = AddEventsOut(fs, tool)
-	o.verbose = fs.Bool("v", false, "debug logging (overrides HIFI_LOG)")
-	o.quiet = fs.Bool("q", false, "errors only (overrides HIFI_LOG)")
+	o.logLevel = AddLogLevel(fs)
 	return o
 }
 
@@ -133,12 +134,7 @@ func (o *Obs) EnableEvents() { o.forceEvents = true }
 // configuration into the manifest, and opens the root span. The returned
 // context carries the span collector; thread it through the run.
 func (o *Obs) Start() context.Context {
-	switch {
-	case *o.quiet:
-		log.SetLevel(log.Error)
-	case *o.verbose:
-		log.SetLevel(log.Debug)
-	}
+	o.logLevel.Apply()
 
 	if *o.metricsOut != "" || *o.statusAddr != "" || *o.manifestOut != "" || *o.tsOut != "" {
 		o.EnableMetrics()
@@ -292,63 +288,50 @@ func (o *Obs) Finish() error {
 		MS:   time.Since(o.started).Milliseconds(),
 	})
 
+	// failed keeps the first error and reports whether err is one.
 	var firstErr error
+	failed := func(err error) bool {
+		if err != nil && firstErr == nil {
+			firstErr = err
+		}
+		return err != nil
+	}
 	if *o.metricsOut != "" {
 		jsonPath, promPath, err := o.Reg.Snapshot().WriteFiles(*o.metricsOut)
-		if err != nil {
-			firstErr = err
-		} else {
+		if !failed(err) {
 			o.Man.AddOutput(jsonPath, promPath)
 			log.Infof("wrote metrics to %s and %s", jsonPath, promPath)
 		}
 	}
 	if *o.spansOut != "" && o.Col != nil {
 		jsonPath, foldedPath, err := o.Col.Export().WriteFiles(*o.spansOut)
-		if err != nil && firstErr == nil {
-			firstErr = err
-		} else if err == nil {
+		if !failed(err) {
 			o.Man.AddOutput(jsonPath, foldedPath)
 			log.Infof("wrote spans to %s and %s", jsonPath, foldedPath)
 		}
 	}
 	if o.Cap != nil {
 		files, err := o.Cap.Stop()
-		if err != nil && firstErr == nil {
-			firstErr = err
-		}
+		failed(err)
 		if len(files) > 0 {
 			o.Man.AddOutput(files...)
 			log.Infof("wrote %d profile(s) to %s.*.pprof", len(files), o.profileBase())
 		}
 	}
-	if *o.perfOut != "" && o.Perf != nil {
-		if err := o.Perf.Export().WriteFile(*o.perfOut); err != nil {
-			if firstErr == nil {
-				firstErr = err
-			}
-		} else {
-			o.Man.AddOutput(*o.perfOut)
-			log.Infof("wrote self-time analysis to %s", *o.perfOut)
-		}
+	if *o.perfOut != "" && o.Perf != nil && !failed(o.Perf.Export().WriteFile(*o.perfOut)) {
+		o.Man.AddOutput(*o.perfOut)
+		log.Infof("wrote self-time analysis to %s", *o.perfOut)
 	}
 	if o.ev.Path() != "" {
 		seq := o.Events.Seq()
-		if err := o.ev.Close(); err != nil {
-			if firstErr == nil {
-				firstErr = err
-			}
-		} else {
+		if !failed(o.ev.Close()) {
 			o.Man.AddOutput(o.ev.Path())
 			log.Infof("wrote %d event(s) to %s", seq, o.ev.Path())
 		}
 	}
 	if *o.tsOut != "" && o.TS != nil {
 		se := o.TS.Export()
-		if err := se.WriteFile(*o.tsOut); err != nil {
-			if firstErr == nil {
-				firstErr = err
-			}
-		} else {
+		if !failed(se.WriteFile(*o.tsOut)) {
 			o.Man.AddOutput(*o.tsOut)
 			log.Infof("wrote %d time-series windows to %s", len(se.Windows), *o.tsOut)
 		}
@@ -360,14 +343,8 @@ func (o *Obs) Finish() error {
 		snap = &s
 	}
 	o.Man.Finish(snap)
-	if path := o.manifestPath(); path != "" {
-		if err := o.Man.WriteFile(path); err != nil {
-			if firstErr == nil {
-				firstErr = err
-			}
-		} else {
-			log.Infof("wrote manifest to %s", path)
-		}
+	if path := o.manifestPath(); path != "" && !failed(o.Man.WriteFile(path)) {
+		log.Infof("wrote manifest to %s", path)
 	}
 	return firstErr
 }
@@ -375,3 +352,26 @@ func (o *Obs) Finish() error {
 // AddOutput records extra files the tool wrote (tables, traces, reports)
 // into the manifest.
 func (o *Obs) AddOutput(paths ...string) { o.Man.AddOutput(paths...) }
+
+// LogLevel holds the -v and -q switches every hifi-* binary takes.
+type LogLevel struct{ verbose, quiet *bool }
+
+// AddLogLevel registers -v and -q on fs; the binaries without the Obs
+// surface call it themselves. Call Apply after parsing.
+func AddLogLevel(fs *flag.FlagSet) *LogLevel {
+	return &LogLevel{
+		verbose: fs.Bool("v", false, "debug logging (overrides HIFI_LOG)"),
+		quiet:   fs.Bool("q", false, "errors only (overrides HIFI_LOG)"),
+	}
+}
+
+// Apply sets the level the parsed switches ask for; -q wins over -v,
+// and with neither HIFI_LOG keeps its say.
+func (l *LogLevel) Apply() {
+	switch {
+	case *l.quiet:
+		log.SetLevel(log.Error)
+	case *l.verbose:
+		log.SetLevel(log.Debug)
+	}
+}

@@ -245,3 +245,28 @@ func TestProfileBasePrecedence(t *testing.T) {
 		}
 	}
 }
+
+// -q wins over -v, and with neither the level HIFI_LOG set stays.
+func TestLogLevel(t *testing.T) {
+	defer log.SetLevel(log.GetLevel())
+	for _, tc := range []struct {
+		args []string
+		want log.Level
+	}{
+		{nil, log.Trace},
+		{[]string{"-v"}, log.Debug},
+		{[]string{"-q"}, log.Error},
+		{[]string{"-v", "-q"}, log.Error},
+	} {
+		fs := flag.NewFlagSet("t", flag.ContinueOnError)
+		l := AddLogLevel(fs)
+		if err := fs.Parse(tc.args); err != nil {
+			t.Fatal(err)
+		}
+		log.SetLevel(log.Trace)
+		l.Apply()
+		if got := log.GetLevel(); got != tc.want {
+			t.Errorf("%v: level %v, want %v", tc.args, got, tc.want)
+		}
+	}
+}

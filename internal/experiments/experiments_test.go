@@ -245,16 +245,3 @@ func TestTable5Content(t *testing.T) {
 		t.Error("sts cell overhead should be N/A")
 	}
 }
-
-func TestAllAndOrderConsistent(t *testing.T) {
-	m := All(QuickRunOpts())
-	order := Order()
-	if len(m) != len(order) {
-		t.Fatalf("All has %d entries, Order %d", len(m), len(order))
-	}
-	for _, k := range order {
-		if m[k] == nil {
-			t.Errorf("experiment %q missing from All", k)
-		}
-	}
-}

@@ -14,13 +14,23 @@ import (
 )
 
 // analyticTables generates the cheap closed-form tables.
-func analyticTables(opts experiments.RunOpts) map[string]experiments.Table {
-	all := experiments.All(opts)
+func analyticTables(t *testing.T, opts experiments.RunOpts) map[string]experiments.Table {
+	t.Helper()
 	out := make(map[string]experiments.Table)
 	for _, k := range []string{"fig1", "table2", "table3", "table5"} {
-		out[k] = all[k]()
+		out[k] = run(t, k, opts)
 	}
 	return out
+}
+
+// run generates one table, failing the test on an error.
+func run(t *testing.T, key string, opts experiments.RunOpts) experiments.Table {
+	t.Helper()
+	tab, err := experiments.Run(key, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return tab
 }
 
 func evaluate(t *testing.T, tables map[string]experiments.Table) fidelity.Scorecard {
@@ -42,7 +52,7 @@ func evaluate(t *testing.T, tables map[string]experiments.Table) fidelity.Scorec
 // Table 5 overhead numbers must match the paper without running a
 // simulation.
 func TestAnalyticAnchors(t *testing.T) {
-	sc := evaluate(t, analyticTables(experiments.QuickRunOpts()))
+	sc := evaluate(t, analyticTables(t, experiments.QuickRunOpts()))
 	if sc.Pass == 0 {
 		t.Fatal("no anchors evaluated")
 	}
@@ -66,10 +76,9 @@ func TestSimulationAnchorsScaled(t *testing.T) {
 		t.Skip("simulation-backed experiment")
 	}
 	opts := experiments.QuickRunOpts()
-	all := experiments.All(opts)
-	tables := analyticTables(opts)
+	tables := analyticTables(t, opts)
 	for _, k := range []string{"fig10", "fig11", "fig14", "fig16", "fig17", "fig18"} {
-		tables[k] = all[k]()
+		tables[k] = run(t, k, opts)
 		if n := len(tables[k].Rows); n != 12 {
 			t.Errorf("%s: rows = %d, want 12 workloads", k, n)
 		}

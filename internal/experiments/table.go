@@ -113,47 +113,3 @@ func (t Table) CSV() string {
 	}
 	return b.String()
 }
-
-// All returns every experiment generator keyed by its paper label, using
-// opts for the simulation-backed ones. The map is the experiment index the
-// CLI iterates over.
-func All(opts RunOpts) map[string]func() Table {
-	return map[string]func() Table{
-		"fig1":   Fig1,
-		"fig4":   func() Table { return Fig4(opts.ctx(), opts.MCTrials, opts.Seed) },
-		"table2": Table2,
-		"fig7":   Fig7,
-		"table3": Table3,
-		"fig10":  func() Table { return Fig10(opts) },
-		"fig11":  func() Table { return Fig11(opts) },
-		"fig12":  Fig12,
-		"fig13":  Fig13,
-		"fig14":  func() Table { return Fig14(opts) },
-		"fig15":  Fig15,
-		"fig16":  func() Table { return Fig16(opts) },
-		"fig17":  func() Table { return Fig17(opts) },
-		"fig18":  func() Table { return Fig18(opts) },
-		"table5": Table5,
-		// Ablations beyond the paper's figures.
-		"abl-strength":   AblationStrength,
-		"abl-drive":      AblationDrive,
-		"abl-material":   AblationMaterial,
-		"abl-becc":       AblationBECC,
-		"abl-sts":        AblationSTS,
-		"abl-headpolicy": AblationHeadPolicy,
-		"abl-interleave": AblationInterleave,
-		"abl-area":       AblationFig7Area,
-		"abl-promo":      func() Table { return AblationPromo(opts) },
-		"abl-temp":       AblationTemperature,
-	}
-}
-
-// Order lists experiment keys in paper order, followed by the ablations.
-func Order() []string {
-	return []string{"fig1", "fig4", "table2", "fig7", "table3", "fig10",
-		"fig11", "fig12", "fig13", "fig14", "fig15", "fig16", "fig17",
-		"fig18", "table5",
-		"abl-strength", "abl-drive", "abl-material", "abl-becc", "abl-sts",
-		"abl-headpolicy", "abl-interleave", "abl-area", "abl-promo",
-		"abl-temp"}
-}

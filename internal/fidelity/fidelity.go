@@ -139,10 +139,11 @@ type Scorecard struct {
 	Anchors []Result `json:"anchors"`
 }
 
-// Evaluate checks every anchor against the tables, keyed as in
-// experiments.All. Missing tables skip their anchors; malformed ones
-// (unknown column, non-numeric cell, no matching rows) fail them —
-// silence here would let a renamed header disable a gate unnoticed.
+// Evaluate checks every anchor against the tables, keyed by experiment
+// as experiments.Sweep returns them. Missing tables skip their
+// anchors; malformed ones (unknown column, non-numeric cell, no
+// matching rows) fail them — silence here would let a renamed header
+// disable a gate unnoticed.
 func Evaluate(anchors []Anchor, tables map[string]experiments.Table) Scorecard {
 	sc := Scorecard{Schema: SchemaV1}
 	for _, a := range anchors {

@@ -134,11 +134,15 @@ func (o *offsetSource) Next() trace.Access {
 	return a
 }
 
+// DefaultCores is the core count of the paper's Table 4 system, the one
+// a Config with Cores 0 simulates.
+const DefaultCores = 4
+
 // DefaultConfig returns the paper's Table 4 system for the given LLC
 // technology and scheme.
 func DefaultConfig(t energy.Tech, s shiftctrl.Scheme) Config {
 	return Config{
-		Cores:           4,
+		Cores:           DefaultCores,
 		ClockHz:         2e9,
 		Tech:            t,
 		Scheme:          s,
@@ -151,7 +155,7 @@ func DefaultConfig(t energy.Tech, s shiftctrl.Scheme) Config {
 
 func (c *Config) fillDefaults() {
 	if c.Cores == 0 {
-		c.Cores = 4
+		c.Cores = DefaultCores
 	}
 	if c.ClockHz == 0 {
 		c.ClockHz = 2e9
@@ -183,6 +187,42 @@ func (c *Config) fillDefaults() {
 	if c.AccessesPerCore == 0 {
 		c.AccessesPerCore = 200_000
 	}
+}
+
+// Validate reports why RunCtx would refuse the configuration, with
+// RunCtx's own message, or nil; zero fields count as their defaults.
+// It is cheap and deterministic, so a caller can check a configuration
+// before queueing a run of it: an engine retries a failed job.
+func (c Config) Validate() error {
+	c.fillDefaults()
+	if c.Cores < 1 {
+		return fmt.Errorf("memsim: need at least one core")
+	}
+	if c.AccessesPerCore < 0 {
+		return fmt.Errorf("memsim: accesses per core (%d) must not be negative", c.AccessesPerCore)
+	}
+	if c.Sources != nil && len(c.Sources) != c.Cores {
+		return fmt.Errorf("memsim: %d sources for %d cores", len(c.Sources), c.Cores)
+	}
+	for i, src := range c.Sources {
+		if src == nil {
+			return fmt.Errorf("memsim: source %d is nil", i)
+		}
+	}
+	if c.Mix != nil && len(c.Mix) != c.Cores {
+		return fmt.Errorf("memsim: %d mix workloads for %d cores", len(c.Mix), c.Cores)
+	}
+	if w := c.WarmupAccessesPerCore; w != 0 && (w < 0 || w >= c.AccessesPerCore) {
+		return fmt.Errorf("memsim: warmup accesses (%d) must be in [0, accesses per core = %d)",
+			w, c.AccessesPerCore)
+	}
+	if err := c.FaultPlan.Validate(); err != nil {
+		return fmt.Errorf("memsim: %w", err)
+	}
+	if err := c.checkHierarchy(); err != nil {
+		return fmt.Errorf("memsim: %w", err)
+	}
+	return nil
 }
 
 // checkHierarchy reports a cache level, or a racetrack array, that the
@@ -245,32 +285,8 @@ func Run(w trace.Workload, cfg Config) (Result, error) {
 // lookups per run — they are nowhere near the per-access hot path.
 func RunCtx(ctx context.Context, w trace.Workload, cfg Config) (Result, error) {
 	cfg.fillDefaults()
-	if cfg.Cores < 1 {
-		return Result{}, fmt.Errorf("memsim: need at least one core")
-	}
-	if cfg.AccessesPerCore < 0 {
-		return Result{}, fmt.Errorf("memsim: accesses per core (%d) must not be negative", cfg.AccessesPerCore)
-	}
-	if cfg.Sources != nil && len(cfg.Sources) != cfg.Cores {
-		return Result{}, fmt.Errorf("memsim: %d sources for %d cores", len(cfg.Sources), cfg.Cores)
-	}
-	for i, src := range cfg.Sources {
-		if src == nil {
-			return Result{}, fmt.Errorf("memsim: source %d is nil", i)
-		}
-	}
-	if cfg.Mix != nil && len(cfg.Mix) != cfg.Cores {
-		return Result{}, fmt.Errorf("memsim: %d mix workloads for %d cores", len(cfg.Mix), cfg.Cores)
-	}
-	if w := cfg.WarmupAccessesPerCore; w != 0 && (w < 0 || w >= cfg.AccessesPerCore) {
-		return Result{}, fmt.Errorf("memsim: warmup accesses (%d) must be in [0, accesses per core = %d)",
-			w, cfg.AccessesPerCore)
-	}
-	if err := cfg.FaultPlan.Validate(); err != nil {
-		return Result{}, fmt.Errorf("memsim: %w", err)
-	}
-	if err := cfg.checkHierarchy(); err != nil {
-		return Result{}, fmt.Errorf("memsim: %w", err)
+	if err := cfg.Validate(); err != nil {
+		return Result{}, err
 	}
 	ctx, sp := telemetry.StartSpan(ctx, "memsim:"+w.Name,
 		telemetry.A("tech", cfg.Tech.String()),

@@ -276,6 +276,32 @@ func TestRunCtxRejectsStreamListsNotMatchingCores(t *testing.T) {
 	}
 }
 
+// Validate refuses exactly what RunCtx refuses, with RunCtx's message,
+// so a caller can check a configuration before queueing a run of it.
+func TestValidateMatchesRunCtx(t *testing.T) {
+	w := smallWorkload("vips", 64<<10)
+	for _, edit := range []func(*Config){
+		func(c *Config) { c.AccessesPerCore = -1 },
+		func(c *Config) { c.AccessesPerCore, c.WarmupAccessesPerCore = 100, 500 },
+		func(c *Config) { c.WarmupAccessesPerCore = -5 },
+		func(c *Config) { c.L3Ways = 32 },
+		func(c *Config) { c.Sources = []Source{trace.NewGenerator(w, 0, 1)} },
+	} {
+		cfg := smallConfig(energy.SRAM, shiftctrl.Baseline)
+		edit(&cfg)
+		verr := cfg.Validate()
+		_, rerr := Run(w, cfg)
+		if verr == nil || rerr == nil || verr.Error() != rerr.Error() {
+			t.Errorf("Validate = %v, Run = %v; want the same error", verr, rerr)
+		}
+	}
+	cfg := smallConfig(energy.SRAM, shiftctrl.Baseline)
+	cfg.AccessesPerCore = 0 // the default
+	if err := cfg.Validate(); err != nil {
+		t.Errorf("Validate(defaults) = %v", err)
+	}
+}
+
 func TestSTTSlowWrites(t *testing.T) {
 	// STT-RAM's 41-cycle writes should make a write-heavy workload
 	// slower on STT than the write path alone on racetrack-ideal.

@@ -28,6 +28,7 @@ import (
 	"net/http"
 	"strings"
 
+	"racetrack/hifi/internal/experiments"
 	"racetrack/hifi/internal/fidelity"
 	"racetrack/hifi/internal/telemetry/events"
 	"racetrack/hifi/internal/telemetry/log"
@@ -166,11 +167,8 @@ func (s *Server) handleTables(w http.ResponseWriter, r *http.Request) {
 	case "csv":
 		w.Header().Set("Content-Type", "text/csv; charset=utf-8")
 		w.Header().Set("Cache-Control", "no-store")
-		for _, k := range runs {
-			if _, err := fmt.Fprint(w, tables[k].CSV()); err != nil {
-				log.Debugf("serve: tables write: %v", err)
-				return
-			}
+		if _, err := fmt.Fprint(w, experiments.Text(runs, tables, true)); err != nil {
+			log.Debugf("serve: tables write: %v", err)
 		}
 	case "json":
 		writeJSON(w, http.StatusOK, map[string]any{

@@ -233,9 +233,19 @@ func TestHTTPAdmissionStatusCodes(t *testing.T) {
 	if resp, _ := postJSON(t, ts.URL+"/v1/jobs", `{"run":["fig14"],"scaled":true,"accesses":300}`, nil); resp.StatusCode != http.StatusUnauthorized {
 		t.Fatalf("anonymous: %s, want 401", resp.Status)
 	}
-	// 400: invalid spec.
-	if resp, _ := postJSON(t, ts.URL+"/v1/jobs", `{"run":["fig99"]}`, auth); resp.StatusCode != http.StatusBadRequest {
-		t.Fatalf("bad spec: %s, want 400", resp.Status)
+	// 400: invalid spec. The body carries the spec's own error, the one
+	// the CLIs exit 2 with for the same values.
+	for _, bad := range []Spec{{Run: []string{"fig99"}}, {Accesses: -1}, {MCTrials: -5}} {
+		_, want := bad.Normalize()
+		enc, err := json.Marshal(bad)
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp, body := postJSON(t, ts.URL+"/v1/jobs", string(enc), auth)
+		var e struct{ Error string }
+		if resp.StatusCode != http.StatusBadRequest || json.Unmarshal(body, &e) != nil || want == nil || e.Error != want.Error() {
+			t.Fatalf("bad spec %s: %s %s, want 400 with %v", enc, resp.Status, body, want)
+		}
 	}
 	if resp, _ := postJSON(t, ts.URL+"/v1/jobs", `{"nope":1}`, auth); resp.StatusCode != http.StatusBadRequest {
 		t.Fatalf("unknown field: %s, want 400", resp.Status)

@@ -8,7 +8,6 @@ package serve
 
 import (
 	"context"
-	"strings"
 	"sync"
 	"time"
 
@@ -201,7 +200,7 @@ func (j *Job) markStarted(eng *engine.Engine) bool {
 // already terminal — the winner of the terminal transition owns the
 // finalize, so exactly one terminal event is ever emitted.
 func (j *Job) markDone(st engine.Status, tables map[string]experiments.Table) bool {
-	text := renderTables(j.Spec.Run, tables)
+	text := experiments.Text(j.Spec.Run, tables, false)
 	j.mu.Lock()
 	defer j.mu.Unlock()
 	if j.state.Terminal() {
@@ -214,21 +213,6 @@ func (j *Job) markDone(st engine.Status, tables map[string]experiments.Table) bo
 	j.engFinal = &st
 	j.eng = nil
 	return true
-}
-
-// renderTables produces the CLI's default rendering: one blank line
-// between tables, none at the end (hifi-experiments prints tab.String()
-// with fmt.Println() separators). markDone and re-materialization share
-// it so restored results stay byte-identical to a direct run.
-func renderTables(run []string, tables map[string]experiments.Table) string {
-	var b strings.Builder
-	for i, k := range run {
-		if i > 0 {
-			b.WriteByte('\n')
-		}
-		b.WriteString(tables[k].String())
-	}
-	return b.String()
 }
 
 // needsMaterialize reports whether a results read must first re-run the
@@ -245,7 +229,7 @@ func (j *Job) needsMaterialize() bool {
 // status (executed == 0 when the shared cache held every result) becomes
 // the job's final ledger.
 func (j *Job) setMaterialized(st engine.Status, tables map[string]experiments.Table) {
-	text := renderTables(j.Spec.Run, tables)
+	text := experiments.Text(j.Spec.Run, tables, false)
 	j.mu.Lock()
 	defer j.mu.Unlock()
 	if j.state != StateDone || len(j.tables) > 0 {

@@ -438,14 +438,7 @@ func (s *Server) runJob(j *Job) {
 		// Canceled while queued; already finalized.
 		return
 	}
-	eng := engine.New(engine.Options{
-		Workers:    s.opts.Workers,
-		Cache:      s.cache,
-		Retries:    s.opts.Retries,
-		JobTimeout: s.opts.JobTimeout,
-		Metrics:    s.opts.Metrics,
-		Events:     j.Bus,
-	})
+	eng := s.newEngine(j.Bus)
 	if !j.markStarted(eng) {
 		return
 	}
@@ -455,28 +448,7 @@ func (s *Server) runJob(j *Job) {
 	j.Bus.Emit(events.Event{Type: events.ServeJobStarted, Name: j.ID})
 	s.index.append(indexRecord{Op: opStarted, ID: j.ID, TMS: start.UnixMilli()})
 
-	opts, err := j.Spec.RunOpts()
-	tables := map[string]experiments.Table{}
-	if err == nil {
-		opts.Metrics = s.opts.Metrics
-		opts.Events = j.Bus
-		opts.Eng = eng
-		opts.Ctx = j.ctx
-		for _, k := range j.Spec.Run {
-			if cerr := j.ctx.Err(); cerr != nil {
-				err = context.Cause(j.ctx)
-				break
-			}
-			j.Bus.Emit(events.Event{Type: events.RunPhase, Name: k})
-			tab, rerr := experiments.Run(k, opts)
-			if rerr != nil {
-				err = rerr
-				break
-			}
-			tables[k] = tab
-		}
-	}
-
+	tables, err := s.sweep(j.ctx, j.Spec, eng, j.Bus)
 	st := eng.Status()
 	wall := time.Since(start).Milliseconds()
 	s.setRunning(-1)
@@ -644,30 +616,40 @@ func (s *Server) materialize(j *Job) error {
 	if !j.needsMaterialize() {
 		return nil
 	}
-	eng := engine.New(engine.Options{
+	eng := s.newEngine(nil)
+	tables, err := s.sweep(s.baseCtx, j.Spec, eng, nil)
+	if err != nil {
+		return fmt.Errorf("serve: re-materialize %s: %w", j.ID, err)
+	}
+	j.setMaterialized(eng.Status(), tables)
+	return nil
+}
+
+// newEngine builds a job's own engine over the shared cache; its events
+// go to bus (nil when re-materializing).
+func (s *Server) newEngine(bus *events.Bus) *engine.Engine {
+	return engine.New(engine.Options{
 		Workers:    s.opts.Workers,
 		Cache:      s.cache,
 		Retries:    s.opts.Retries,
 		JobTimeout: s.opts.JobTimeout,
 		Metrics:    s.opts.Metrics,
+		Events:     bus,
 	})
-	opts, err := j.Spec.RunOpts()
+}
+
+// sweep runs spec on eng through experiments.Sweep, the loop the CLIs
+// run. bus (nil when re-materializing) gets a run.phase event per
+// experiment and the simulations' events.
+func (s *Server) sweep(ctx context.Context, spec Spec, eng *engine.Engine, bus *events.Bus) (map[string]experiments.Table, error) {
+	opts, err := spec.RunOpts()
 	if err != nil {
-		return err
+		return nil, err
 	}
-	opts.Metrics = s.opts.Metrics
-	opts.Eng = eng
-	opts.Ctx = s.baseCtx
-	tables := map[string]experiments.Table{}
-	for _, k := range j.Spec.Run {
-		tab, rerr := experiments.Run(k, opts)
-		if rerr != nil {
-			return fmt.Errorf("serve: re-materialize %s: %w", j.ID, rerr)
-		}
-		tables[k] = tab
-	}
-	j.setMaterialized(eng.Status(), tables)
-	return nil
+	opts.Metrics, opts.Events, opts.Eng = s.opts.Metrics, bus, eng
+	return experiments.Sweep(ctx, spec.Run, opts, func(_ int, k string) {
+		bus.Emit(events.Event{Type: events.RunPhase, Name: k})
+	}, nil)
 }
 
 // Drain is the graceful-shutdown protocol: stop admitting, cancel every

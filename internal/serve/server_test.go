@@ -86,6 +86,34 @@ func waitDone(t *testing.T, j *Job) {
 	}
 }
 
+// A job's stream tells its sweep in order: accepted, started, one
+// run.phase per experiment key before that experiment's simulations,
+// then the terminal event last.
+func TestJobStreamOrder(t *testing.T) {
+	srv := newTestServer(t, testOptions(t))
+	j, _, err := srv.Submit(Spec{Run: []string{"table3", "fig14"}, Scaled: true, Accesses: 300}, "c")
+	if err != nil {
+		t.Fatal(err)
+	}
+	waitDone(t, j)
+	evs, _ := j.Bus.Since(0, nil)
+	var got []string
+	for _, e := range evs {
+		switch {
+		case strings.HasPrefix(string(e.Type), "serve.job."):
+			got = append(got, string(e.Type))
+		case e.Type == events.RunPhase && !strings.HasPrefix(e.Name, "memsim:"):
+			got = append(got, "phase:"+e.Name)
+		case e.Type == events.JobQueued && (len(got) == 0 || got[len(got)-1] != "phase:fig14"):
+			t.Fatalf("a simulation was queued before fig14's phase: %v", got)
+		}
+	}
+	want := "serve.job.accepted,serve.job.started,phase:table3,phase:fig14,serve.job.finished"
+	if strings.Join(got, ",") != want {
+		t.Fatalf("job stream = %v, want %s", got, want)
+	}
+}
+
 // The core determinism claim: the daemon's rendered tables are
 // byte-identical to a direct experiments run with the same knobs, and a
 // spec resubmitted after completion runs entirely from the shared cache

@@ -64,6 +64,14 @@ func TestNormalizeEmptyRunMeansAll(t *testing.T) {
 	if n.Seed != 1 || n.Faults != "off" || n.FaultIntensity != 1 {
 		t.Fatalf("defaults not made explicit: %+v", n)
 	}
+	// A list of blank keys (the CLI's `-run ,`) is empty too.
+	b, err := Spec{Run: []string{"", " "}}.Normalize()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if b.Fingerprint() != n.Fingerprint() {
+		t.Fatalf("blank run normalized to %q, want every experiment", b.Run)
+	}
 }
 
 func TestNormalizeRejects(t *testing.T) {
@@ -81,7 +89,32 @@ func TestNormalizeRejects(t *testing.T) {
 	}
 }
 
-// RunOpts must mirror the CLI's flag application: a scaled spec starts
+// The fingerprint is the key of job indexes and dedup tables written by
+// earlier daemons, so its bytes are pinned: the spec's JSON shape, its
+// normalization, the schema prefix and the registry's key order (an
+// empty run expands to every key in order) all feed it.
+func TestFingerprintPinned(t *testing.T) {
+	for _, tc := range []struct{ body, want string }{
+		{`{"run":["fig14"],"scaled":true,"accesses":300}`, "738f10a68c60c9bd908fb3f422b073b3a564f53496cedc7f4f4441ab6e4d4974"},
+		{`{}`, "0fcb972a5312c31460dc7510f54a0389983c0b1325b406add862252a1dd3010e"},
+		{`{"run":["fig10","fig14"],"scaled":true,"seed":7,"faults":"temp","fault_intensity":2}`,
+			"8ba53c095f853c30e38d7130b7d94ae68b6be67ef508bdf50faf69484ce2a6b6"},
+	} {
+		var s Spec
+		if err := json.Unmarshal([]byte(tc.body), &s); err != nil {
+			t.Fatal(err)
+		}
+		n, err := s.Normalize()
+		if err != nil {
+			t.Fatalf("%s: %v", tc.body, err)
+		}
+		if got := n.Fingerprint(); got != tc.want {
+			t.Errorf("%s: fingerprint %s, want %s", tc.body, got, tc.want)
+		}
+	}
+}
+
+// RunOpts is how every entry point sizes a sweep: a scaled spec starts
 // from QuickRunOpts, overrides land on top.
 func TestRunOptsMirrorsCLI(t *testing.T) {
 	n, err := Spec{Run: []string{"fig14"}, Scaled: true, Accesses: 300, Seed: 7, MCTrials: 9}.Normalize()
