@@ -11,7 +11,7 @@
 #   make watch-smoke     event stream end-to-end: -events-out log + hifi-watch -once
 #   make serve-smoke     hifi-serve daemon end-to-end: submit, stream, drain
 #   make serve-crash-smoke  kill -9 / SIGTERM mid-job, restart -resume, recovery checks
-#   make cli-smoke       the analytic binaries: hifi-mttf, hifi-design, a hifi-trace round trip
+#   make cli-smoke       the analytic binaries (hifi-mttf, hifi-design, a hifi-trace round trip) and invalid flags
 #   make chaos           fault-injection tests + seeded campaign + off==nominal
 #   make fidelity        scaled sweep scored against the paper anchors
 #   make report          render the evaluation report (scaled)
@@ -203,21 +203,30 @@ serve-smoke:
 serve-crash-smoke:
 	bash scripts/serve_crash_smoke.sh
 
-# cli-smoke is the local version of CI's analytic-binaries step: the
+# cli-smoke is the local version of CI's CLI smoke step: the analytic
 # binaries no other target runs, each once at its defaults (hifi-trace
 # records at its default length), hifi-mttf's adapter table (Table 3b),
-# a hifi-trace record-then-inspect round trip, and an invalid flag that
-# must exit 2. Built, not run with `go run`, so exit codes are the
-# binaries' own.
+# a hifi-trace record-then-inspect round trip, and invalid flags that
+# must exit 2 before anything runs: hifi-serve must not start (nor make
+# its cache dir), hifi-watch must not tick, hifi-bench must not read its
+# snapshots, hifi-experiments must not sweep. Built, not run with
+# `go run`, so exit codes are the binaries' own.
 cli-smoke:
 	rm -rf /tmp/hifi-cli && mkdir -p /tmp/hifi-cli
-	$(GO) build -o /tmp/hifi-cli/ ./cmd/hifi-mttf ./cmd/hifi-design ./cmd/hifi-trace
+	$(GO) build -o /tmp/hifi-cli/ ./cmd/hifi-mttf ./cmd/hifi-design ./cmd/hifi-trace \
+		./cmd/hifi-serve ./cmd/hifi-watch ./cmd/hifi-bench ./cmd/hifi-experiments
 	cd /tmp/hifi-cli && ./hifi-mttf > mttf.txt && grep -q 'safe distance at 8.3e+07 ops/s' mttf.txt
 	cd /tmp/hifi-cli && ./hifi-mttf -table > table.txt && grep -q 'adaptive sequences for a 7-step shift' table.txt
 	cd /tmp/hifi-cli && ./hifi-design > design.txt && grep -q 'Pareto frontier' design.txt
 	cd /tmp/hifi-cli && ./hifi-trace -workload canneal -o canneal.hftr -q
 	cd /tmp/hifi-cli && ./hifi-trace -i canneal.hftr -stats > stats.txt && grep -q 'canneal.hftr: 100000 records' stats.txt
 	cd /tmp/hifi-cli && ./hifi-mttf -seglen 1 -q; test $$? = 2
+	cd /tmp/hifi-cli && timeout 20 ./hifi-serve -q -rate NaN; test $$? = 2 && test ! -e .hifi-serve-cache
+	cd /tmp/hifi-cli && touch events.ndjson && timeout 20 ./hifi-watch -q -interval 0 events.ndjson 2> watch.err; \
+		test $$? = 2 && grep -q -- '-interval must be positive' watch.err
+	cd /tmp/hifi-cli && ./hifi-bench -q -threshold NaN -compare $(CURDIR)/BENCH_2026-10-18.json $(CURDIR)/BENCH_2026-10-19_2.json; test $$? = 2
+	cd /tmp/hifi-cli && ./hifi-experiments -q -faults nope; test $$? = 2
+	cd /tmp/hifi-cli && ./hifi-experiments -q -job-retries 1; test $$? = 2
 
 # chaos is the local version of CI's chaos job (docs/faults.md): the
 # storage-chaos tests under the race detector, a tiny seeded

@@ -71,7 +71,7 @@ func specError(t *testing.T, s experiments.Spec) string {
 // spec error hifi-serve answers 400 with.
 func TestCLIRejectsInvalidValues(t *testing.T) {
 	dir := buildCLIs(t, "hifi-experiments", "hifi-report", "hifi-chaos", "hifi-sim",
-		"hifi-mttf", "hifi-design", "hifi-trace")
+		"hifi-mttf", "hifi-design", "hifi-trace", "hifi-serve", "hifi-watch", "hifi-bench")
 	negAccesses := specError(t, experiments.Spec{Accesses: -1})
 	negTrials := specError(t, experiments.Spec{MCTrials: -5})
 	unknown := specError(t, experiments.Spec{Run: []string{"fig99"}})
@@ -102,6 +102,41 @@ func TestCLIRejectsInvalidValues(t *testing.T) {
 		{"hifi-trace -core 99 -workload canneal -o t.hftr", "-core"},
 		{"hifi-trace -core -1 -workload canneal -o t.hftr", "-core"},
 		{"hifi-trace -n -5 -workload canneal -o t.hftr", "-n"},
+		// A job runs once: the retry and deadline flags are gone.
+		{"hifi-experiments -job-retries 1", "-job-retries"},
+		{"hifi-experiments -retry-backoff 1ms", "-retry-backoff"},
+		{"hifi-experiments -job-timeout 1s", "-job-timeout"},
+		{"hifi-report -job-retries 0", "-job-retries"},
+		{"hifi-chaos -retry-backoff 0", "-retry-backoff"},
+		{"hifi-sim -job-timeout 1ns", "-job-timeout"},
+		{"hifi-serve -retries 1", "-retries"},
+		{"hifi-serve -job-timeout 1s", "-job-timeout"},
+		// The fault flags are resolved as the daemon resolves a spec's.
+		{"hifi-experiments -faults nope -run table3", `-faults nope -fault-intensity 1: faults: unknown preset "nope"`},
+		{"hifi-experiments -fault-plan missing.json", "-fault-plan"},
+		{"hifi-experiments -faults temp -fault-intensity NaN -run fig10 -scaled", "-fault-intensity NaN"},
+		{"hifi-sim -faults nope", "-faults nope"},
+		{"hifi-sim -faults temp -fault-intensity NaN", "-fault-intensity NaN"},
+		{"hifi-sim -faults temp -fault-intensity -1", "-fault-intensity -1"},
+		{"hifi-chaos -faults nope", "-faults nope"},
+		{"hifi-chaos -faults temp -fault-intensity NaN", "-fault-intensity NaN"},
+		{"hifi-chaos -faults temp -fault-intensity 1e308 -intensities 0,10", "-intensities point 10"},
+		// The daemon, the dashboard and the bench gate check theirs before
+		// anything listens or is read.
+		{"hifi-serve -rate NaN", "-rate"},
+		{"hifi-serve -rate -1", "-rate"},
+		{"hifi-serve -runners -1", "-runners"},
+		{"hifi-serve -queue -1", "-queue"},
+		{"hifi-serve -workers -1", "-workers"},
+		{"hifi-serve -burst -1", "-burst"},
+		{"hifi-serve -max-accesses -1", "-max-accesses"},
+		{"hifi-serve -cache-max-bytes -1", "-cache-max-bytes"},
+		{"hifi-watch -interval 0 events.ndjson", "-interval"},
+		{"hifi-watch -interval -1s events.ndjson", "-interval"},
+		{"hifi-bench -threshold NaN -alloc-threshold NaN -compare a.json b.json", "-threshold"},
+		{"hifi-bench -threshold -0.1 -compare a.json b.json", "-threshold"},
+		{"hifi-bench -threshold +Inf -compare a.json b.json", "-threshold"},
+		{"hifi-bench -alloc-threshold NaN -compare a.json b.json", "-alloc-threshold"},
 	} {
 		stdout, stderr, code := runCLI(t, dir, tc.cmdline)
 		if code != 2 || !strings.Contains(stderr, tc.want) || stdout != "" ||

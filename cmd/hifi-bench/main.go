@@ -14,6 +14,10 @@
 //	hifi-bench -compare BENCH_old.json BENCH_new.json   # compare two files
 //	hifi-bench -trajectory BENCH_*.json         # first-vs-last deltas over >= 2 snapshots
 //	hifi-bench -trajectory -svg-out trend.svg BENCH_*.json   # plus the trend chart
+//
+// A -threshold that is negative or not finite, or a NaN
+// -alloc-threshold, exits 2 with a message naming the flag: either
+// would turn the regression gate off.
 package main
 
 import (
@@ -24,6 +28,7 @@ import (
 	"flag"
 	"fmt"
 	"io"
+	"math"
 	"net/http"
 	"net/http/httptest"
 	"os"
@@ -62,6 +67,10 @@ func main() {
 	ev := cliutil.AddEventsOut(flag.CommandLine, "hifi-bench")
 	flag.Parse()
 	logLevel.Apply()
+	if err := checkThresholds(*threshold, *allocThr); err != nil {
+		log.Errorf("hifi-bench: %v", err)
+		os.Exit(2)
+	}
 
 	// hifi-bench does not carry the full Obs surface (it has no status
 	// server and must not measure its own telemetry), so it drives the
@@ -103,6 +112,19 @@ func main() {
 	log.Infof("wrote %s (%d benchmarks)", path, len(snap.Results))
 	printSnapshot(os.Stdout, snap)
 	finish()
+}
+
+// checkThresholds rejects gate settings no slowdown can breach: a NaN
+// compares false with every ratio. A negative -alloc-threshold is the
+// documented way to turn the allocation gate off.
+func checkThresholds(threshold, allocThr float64) error {
+	if !(threshold >= 0) || math.IsInf(threshold, 1) {
+		return fmt.Errorf("-threshold must be a finite number >= 0, got %g", threshold)
+	}
+	if math.IsNaN(allocThr) {
+		return fmt.Errorf("-alloc-threshold must be a number (negative disables the gate), got %g", allocThr)
+	}
+	return nil
 }
 
 // runCompare loads the baseline, obtains the candidate (second file or a

@@ -2,6 +2,8 @@ package main
 
 import (
 	"bytes"
+	"math"
+	"strings"
 	"testing"
 
 	"racetrack/hifi/internal/bench"
@@ -24,6 +26,35 @@ func TestPrintSnapshotSortsRates(t *testing.T) {
 		printSnapshot(&buf, snap)
 		if got := buf.String(); got != want {
 			t.Fatalf("print %d:\n%q\nwant\n%q", i, got, want)
+		}
+	}
+}
+
+// A threshold that would turn the regression gate off without saying so
+// is refused with a message naming the flag; a negative
+// -alloc-threshold keeps its documented meaning, gate off.
+func TestCheckThresholds(t *testing.T) {
+	nan, inf := math.NaN(), math.Inf(1)
+	for _, tc := range []struct {
+		threshold, alloc float64
+		flag             string // "" = valid
+	}{
+		{bench.DefaultThreshold, bench.DefaultAllocThreshold, ""},
+		{0, 0, ""},
+		{0.5, -1, ""},
+		{0.1, math.Inf(-1), ""},
+		{nan, 0.1, "-threshold"},
+		{inf, 0.1, "-threshold"},
+		{-0.1, 0.1, "-threshold"},
+		{0.1, nan, "-alloc-threshold"},
+		{nan, nan, "-threshold"},
+	} {
+		err := checkThresholds(tc.threshold, tc.alloc)
+		switch {
+		case tc.flag == "" && err != nil:
+			t.Errorf("checkThresholds(%g, %g) = %v", tc.threshold, tc.alloc, err)
+		case tc.flag != "" && (err == nil || !strings.HasPrefix(err.Error(), tc.flag+" ")):
+			t.Errorf("checkThresholds(%g, %g) = %v, want an error naming %s", tc.threshold, tc.alloc, err, tc.flag)
 		}
 	}
 }

@@ -15,7 +15,9 @@
 // -cache-dir and -jobs behave exactly as in hifi-experiments; the
 // fault plan is part of each job's fingerprint, so injected and nominal
 // results never share cache entries. -scaled, -accesses and -seed are
-// checked as hifi-serve checks a spec; any invalid flag value exits 2.
+// checked as hifi-serve checks a spec, and the fault flags as it checks
+// a spec's plan, at every -intensities point; any invalid flag value
+// exits 2.
 package main
 
 import (
@@ -54,23 +56,23 @@ func main() {
 	if err == nil {
 		ss, err = parseList("-schemes", *schemes, parseScheme)
 	}
+	plan := faultFlags.Check("hifi-chaos")
+	mixed := plan == nil
+	if mixed && err == nil {
+		// A chaos campaign with no faults is a no-op; default to the
+		// mixed preset rather than sweeping the nominal device N times.
+		plan, err = faults.Preset("mixed")
+	}
+	if err == nil {
+		err = checkPoints(plan, xs)
+	}
 	if err != nil {
 		log.Errorf("hifi-chaos: %v", err)
 		os.Exit(2)
 	}
-	plan, err := faultFlags.Plan()
-	if err != nil {
-		log.Fatalf("hifi-chaos: %v", err)
-	}
 
 	ctx := obs.Start()
-	if plan == nil {
-		// A chaos campaign with no faults is a no-op; default to the
-		// mixed preset rather than sweeping the nominal device N times.
-		plan, err = faults.Preset("mixed")
-		if err != nil {
-			log.Fatalf("hifi-chaos: %v", err)
-		}
+	if mixed {
 		log.Infof("no fault plan given; using the mixed preset")
 	}
 	eng, err := engFlags.Build(obs)
@@ -124,6 +126,17 @@ func parseIntensity(f string) (float64, error) {
 		return 0, fmt.Errorf("bad intensity %q", f)
 	}
 	return v, nil
+}
+
+// checkPoints refuses a sweep point at which the scaled plan is invalid:
+// a plan intensity times a point can overflow to +Inf.
+func checkPoints(plan *faults.Plan, xs []float64) error {
+	for _, x := range xs {
+		if err := plan.Scale(x).Validate(); err != nil {
+			return fmt.Errorf("-intensities point %g: %w", x, err)
+		}
+	}
+	return nil
 }
 
 func parseScheme(f string) (shiftctrl.Scheme, error) {

@@ -26,6 +26,9 @@
 // The sweep flags fill an experiments.Spec, hifi-serve's POST /v1/jobs
 // body: an unknown -run key or a negative -accesses or -mc-trials exits
 // 2, before anything runs, with the message the daemon answers 400 with.
+// So does a fault flag the daemon would refuse: an unknown -faults
+// preset, a bad -fault-plan, or a -fault-intensity that leaves the plan
+// negative or not finite.
 package main
 
 import (
@@ -66,6 +69,7 @@ func main() {
 	spec, opts := cliutil.CheckSpec("hifi-experiments", experiments.Spec{
 		Run: strings.Split(*run, ","), Scaled: *scaled, Accesses: *accesses, Seed: *seed, MCTrials: *trials,
 	})
+	plan := faultFlags.Check("hifi-experiments")
 
 	ctx := obs.Start()
 	// SIGINT/SIGTERM cancels the run context: the engine drains, the
@@ -77,12 +81,7 @@ func main() {
 	if err != nil {
 		log.Fatalf("hifi-experiments: %v", err)
 	}
-	opts.Metrics, opts.Sampler, opts.Events, opts.Eng = obs.Reg, obs.TS, obs.Events, eng
-	plan, err := faultFlags.Plan()
-	if err != nil {
-		log.Fatalf("hifi-experiments: %v", err)
-	}
-	opts.FaultPlan = plan
+	opts.Metrics, opts.Sampler, opts.Events, opts.Eng, opts.FaultPlan = obs.Reg, obs.TS, obs.Events, eng, plan
 	if plan != nil {
 		log.Infof("fault injection active: %d injector(s), plan seed %d", len(plan.Injectors), plan.Seed)
 	}

@@ -18,12 +18,18 @@
 // finish (bounded by -drain-timeout). Jobs still queued, and jobs the
 // deadline interrupts, stay queued in the crash-safe job index, which
 // -resume replays, as it does after a kill -9. See docs/serve.md.
+//
+// A flag value the daemon cannot use (a negative count or size, a
+// -rate that is negative or not finite) exits 2 with a message naming
+// the flag, before anything listens.
 package main
 
 import (
 	"context"
 	"flag"
+	"fmt"
 	"io"
+	"math"
 	"net/http"
 	"os"
 	"time"
@@ -46,8 +52,6 @@ func main() {
 		burst        = flag.Int("burst", 4, "per-client token-bucket size")
 		requireToken = flag.Bool("require-token", false, "reject submissions without Authorization: Bearer or X-API-Key")
 		maxAccesses  = flag.Int("max-accesses", 0, "reject specs asking for more than this many accesses per core (0 = unbounded)")
-		retries      = flag.Int("retries", 0, "engine retries per failed experiment job")
-		jobTimeout   = flag.Duration("job-timeout", 0, "engine per-job timeout (0 = none)")
 		resume       = flag.Bool("resume", false, "recover jobs from the crash-safe job index before serving (completed jobs restored; jobs a crash or drain interrupted re-queued under their original IDs)")
 		drainTO      = flag.Duration("drain-timeout", time.Minute, "how long a shutdown waits for running jobs before canceling them")
 		accessLog    = flag.String("access-log", "-", "hifi_access_v1 NDJSON access-log destination: \"-\" = stderr, \"\" disables, else a file path (appended)")
@@ -57,6 +61,23 @@ func main() {
 	obs.EnableMetrics() // /metrics must work without -metrics-out
 	obs.EnableEvents()  // /events and per-job SSE need the bus
 	flag.Parse()
+	opts := serve.Options{
+		Workers:       *workers,
+		CacheDir:      *cacheDir,
+		CacheMaxBytes: *cacheMax,
+		Version:       *version,
+		Runners:       *runners,
+		Queue:         *queueCap,
+		Rate:          *rate,
+		Burst:         *burst,
+		RequireToken:  *requireToken,
+		MaxAccesses:   *maxAccesses,
+		TraceSeed:     *traceSeed,
+	}
+	if err := checkOptions(opts); err != nil {
+		log.Errorf("hifi-serve: %v", err)
+		os.Exit(2)
+	}
 	_ = obs.Start()
 
 	var accessW io.Writer
@@ -73,24 +94,8 @@ func main() {
 		accessW = f
 	}
 
-	srv := serve.New(serve.Options{
-		Workers:       *workers,
-		CacheDir:      *cacheDir,
-		CacheMaxBytes: *cacheMax,
-		Version:       *version,
-		Runners:       *runners,
-		Queue:         *queueCap,
-		Rate:          *rate,
-		Burst:         *burst,
-		RequireToken:  *requireToken,
-		MaxAccesses:   *maxAccesses,
-		Retries:       *retries,
-		JobTimeout:    *jobTimeout,
-		Metrics:       obs.Reg,
-		Events:        obs.Events,
-		AccessLog:     accessW,
-		TraceSeed:     *traceSeed,
-	})
+	opts.Metrics, opts.Events, opts.AccessLog = obs.Reg, obs.Events, accessW
+	srv := serve.New(opts)
 	if *resume {
 		if n := srv.Resume(); n > 0 {
 			log.Infof("hifi-serve: %d recovered job(s) re-queued for execution", n)
@@ -130,4 +135,26 @@ func main() {
 	if err := obs.Finish(); err != nil {
 		log.Fatalf("hifi-serve: %v", err)
 	}
+}
+
+// checkOptions rejects the flag values serve.New would quietly replace
+// with a default, and a -rate whose token buckets could not refill.
+func checkOptions(o serve.Options) error {
+	switch {
+	case o.Workers < 0:
+		return fmt.Errorf("-workers must be >= 0 (0 = all cores), got %d", o.Workers)
+	case o.Runners < 1:
+		return fmt.Errorf("-runners must be at least 1, got %d", o.Runners)
+	case o.Queue < 1:
+		return fmt.Errorf("-queue must be at least 1, got %d", o.Queue)
+	case !(o.Rate >= 0) || math.IsInf(o.Rate, 1):
+		return fmt.Errorf("-rate must be a finite number >= 0 (0 disables quotas), got %g", o.Rate)
+	case o.Burst < 1:
+		return fmt.Errorf("-burst must be at least 1, got %d", o.Burst)
+	case o.MaxAccesses < 0:
+		return fmt.Errorf("-max-accesses must be >= 0 (0 = unbounded), got %d", o.MaxAccesses)
+	case o.CacheMaxBytes < 0:
+		return fmt.Errorf("-cache-max-bytes must be >= 0 (0 = unlimited), got %d", o.CacheMaxBytes)
+	}
+	return nil
 }

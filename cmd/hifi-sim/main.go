@@ -92,6 +92,7 @@ func main() {
 	engFlags := cliutil.AddEngineFlags(flag.CommandLine)
 	faultFlags := cliutil.NewFaultFlags()
 	flag.Parse()
+	plan := faultFlags.Check("hifi-sim")
 	obs.EnableMetrics() // the progress line reads the run gauges
 	ctx := obs.Start()
 	eng, err := engFlags.Build(obs)
@@ -111,11 +112,6 @@ func main() {
 	if err != nil {
 		log.Fatalf("hifi-sim: %v", err)
 	}
-	plan, err := faultFlags.Plan()
-	if err != nil {
-		log.Fatalf("hifi-sim: %v", err)
-	}
-
 	reg := obs.Reg
 	cfg := memsim.DefaultConfig(t, s)
 	cfg.AccessesPerCore = *accesses
@@ -126,8 +122,8 @@ func main() {
 	cfg.Sampler = obs.TS
 	cfg.Events = obs.Events
 	cfg.FaultPlan = plan
-	// A configuration memsim refuses fails the same way on every attempt;
-	// refuse it here instead of letting the engine retry it.
+	// A configuration memsim refuses is bad input, like a bad flag: exit
+	// 2 before the engine runs it.
 	if err := cfg.Validate(); err != nil {
 		log.Errorf("hifi-sim: %v", err)
 		os.Exit(2)

@@ -1,6 +1,6 @@
 // Command hifi-watch renders a live terminal dashboard from the
 // structured event stream (hifi_events_v1): sweep progress, per-worker
-// utilization, cache hit rate, open fault windows, retry/timeout
+// utilization, cache hit rate, open fault windows, panic and failure
 // counts, and an ETA. It consumes the SSE /events route of a running
 // hifi-* process (started with -pprof), an NDJSON event log written
 // with -events-out, or — in client mode — one job's stream on a
@@ -20,7 +20,8 @@
 // hifi-serve daemon (client mode, or its /events URL), the dashboard
 // also polls GET /slo and renders the burn-rate panel. In live mode
 // the screen redraws every -interval; -once renders a single frame and
-// exits 0, which is what CI's smoke jobs use. See docs/events.md and
+// exits 0, which is what CI's smoke jobs use. An -interval that is not
+// positive exits 2 with a message naming it. See docs/events.md and
 // docs/serve.md.
 package main
 
@@ -51,6 +52,10 @@ func main() {
 	logLevel := cliutil.AddLogLevel(flag.CommandLine)
 	flag.Parse()
 	logLevel.Apply()
+	if err := checkInterval(*interval); err != nil {
+		log.Errorf("hifi-watch: %v", err)
+		os.Exit(2)
+	}
 	jobMode := *server != "" || *jobID != ""
 	if jobMode && (*server == "" || *jobID == "") {
 		log.Errorf("hifi-watch: -server and -job go together")
@@ -163,4 +168,12 @@ func main() {
 			}
 		}
 	}
+}
+
+// checkInterval rejects a redraw period time.NewTicker cannot take.
+func checkInterval(d time.Duration) error {
+	if d <= 0 {
+		return fmt.Errorf("-interval must be positive, got %v", d)
+	}
+	return nil
 }

@@ -1,15 +1,14 @@
 package cliutil
 
 // Shared flag surface for the parallel experiment engine: every binary
-// that runs sweeps registers -jobs, -cache-dir, and the retry flags through
-// EngineFlags so the flags, their defaults, and the wiring to the
-// telemetry registry and the /engine status route stay uniform across
-// the CLI fleet. See docs/engine.md.
+// that runs sweeps registers -jobs, -cache-dir and -cache-max-bytes
+// through EngineFlags so the flags, their defaults, and the wiring to
+// the telemetry registry and the /engine status route stay uniform
+// across the CLI fleet. See docs/engine.md.
 
 import (
 	"flag"
 	"runtime"
-	"time"
 
 	"racetrack/hifi/internal/engine"
 	"racetrack/hifi/internal/telemetry/log"
@@ -20,9 +19,6 @@ type EngineFlags struct {
 	jobs          *int
 	cacheDir      *string
 	cacheMaxBytes *int64
-	retries       *int
-	backoff       *time.Duration
-	jobTimeout    *time.Duration
 }
 
 // NewEngineFlags registers the engine flags on the default flag set.
@@ -38,12 +34,6 @@ func AddEngineFlags(fs *flag.FlagSet) *EngineFlags {
 		"content-addressed result cache directory (empty keeps the cache in memory for this run)")
 	ef.cacheMaxBytes = fs.Int64("cache-max-bytes", 0,
 		"size budget for the result cache; least-recently-accessed cache buckets are evicted above it (0 = unlimited)")
-	ef.retries = fs.Int("job-retries", 1,
-		"re-executions of a failed job before the failure is permanent")
-	ef.backoff = fs.Duration("retry-backoff", 250*time.Millisecond,
-		"base delay before retrying a failed job (doubles per retry, jittered; 0 retries immediately)")
-	ef.jobTimeout = fs.Duration("job-timeout", 0,
-		"per-job execution deadline; a timed-out attempt is retried (0 disables)")
 	return ef
 }
 
@@ -59,12 +49,7 @@ func AddEngineFlags(fs *flag.FlagSet) *EngineFlags {
 // same in-memory cache, so a sweep on a sick machine still completes —
 // it just cannot keep its results past the run.
 func (ef *EngineFlags) Build(o *Obs) (*engine.Engine, error) {
-	opts := engine.Options{
-		Workers:      *ef.jobs,
-		Retries:      *ef.retries,
-		RetryBackoff: *ef.backoff,
-		JobTimeout:   *ef.jobTimeout,
-	}
+	opts := engine.Options{Workers: *ef.jobs}
 	if o != nil {
 		opts.Metrics = o.Reg
 		opts.Events = o.Events

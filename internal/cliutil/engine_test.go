@@ -2,6 +2,7 @@ package cliutil
 
 import (
 	"context"
+	"errors"
 	"flag"
 	"os"
 	"path/filepath"
@@ -76,7 +77,7 @@ func TestBuildKeepsCacheInMemory(t *testing.T) {
 // nothing in it but the object store.
 func TestBuildWiresRobustnessOptions(t *testing.T) {
 	dir := t.TempDir()
-	ef := parse(t, "-cache-dir", dir, "-retry-backoff", "1ms", "-job-timeout", "5s", "-job-retries", "3")
+	ef := parse(t, "-cache-dir", dir, "-cache-max-bytes", "1048576")
 	eng, err := ef.Build(nil)
 	if err != nil {
 		t.Fatal(err)
@@ -95,5 +96,33 @@ func TestBuildWiresRobustnessOptions(t *testing.T) {
 	}
 	if len(names) != 1 || names[0] != "objects" || !entries[0].IsDir() {
 		t.Errorf("cache dir holds %q, want only objects/", names)
+	}
+}
+
+// Under the CLI defaults a job runs once: one that returns an error and
+// one that panics each fail their batch after a single call.
+func TestDefaultEngineRunsFailingJobsOnce(t *testing.T) {
+	eng, err := parse(t).Build(nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for name, fail := range map[string]func() (any, error){
+		"error": func() (any, error) { return nil, errors.New("deterministic failure") },
+		"panic": func() (any, error) { panic("deterministic failure") },
+	} {
+		var calls atomic.Int64
+		job := engine.Job{Key: "failing-" + name, Fn: func(context.Context) (any, error) {
+			calls.Add(1)
+			return fail()
+		}}
+		if _, err := eng.Run(context.Background(), []engine.Job{job}); err == nil {
+			t.Errorf("%s: the failing job's batch returned no error", name)
+		}
+		if n := calls.Load(); n != 1 {
+			t.Errorf("%s: the failing job ran %d times, want 1", name, n)
+		}
+	}
+	if st := eng.Status(); st.Failures != 2 || st.Executed != 0 {
+		t.Errorf("status %+v, want 2 failures and nothing executed", st)
 	}
 }

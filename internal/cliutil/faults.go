@@ -12,6 +12,7 @@ import (
 	"strings"
 
 	"racetrack/hifi/internal/faults"
+	"racetrack/hifi/internal/telemetry/log"
 )
 
 // FaultFlags holds the parsed fault-injection flags for one CLI.
@@ -36,12 +37,24 @@ func AddFaultFlags(fs *flag.FlagSet) *FaultFlags {
 	return ff
 }
 
-// Plan resolves the flags into a fault plan: an explicit -fault-plan
+// Check resolves the flags into a fault plan: an explicit -fault-plan
 // file wins over the -faults preset, and -fault-intensity scales the
-// result. Returns nil (the nominal device) when injection is off.
-// Resolution itself lives in faults.Resolve so the serve API's spec
-// path composes the sources with exactly the same precedence.
-func (ff *FaultFlags) Plan() (*faults.Plan, error) {
+// result. Returns nil (the nominal device) when injection is off. An
+// unknown preset, an unreadable or invalid plan, or an intensity that
+// leaves a plan negative or not finite exits 2 before anything runs,
+// like CheckSpec. Resolution itself lives in faults.Resolve so the
+// serve API's spec path composes the sources with exactly the same
+// precedence.
+func (ff *FaultFlags) Check(tool string) *faults.Plan {
+	plan, err := ff.plan()
+	if err != nil {
+		log.Errorf("%s: %v", tool, err)
+		os.Exit(2)
+	}
+	return plan
+}
+
+func (ff *FaultFlags) plan() (*faults.Plan, error) {
 	var planJSON []byte
 	if *ff.planPath != "" {
 		b, err := os.ReadFile(*ff.planPath)
@@ -52,10 +65,11 @@ func (ff *FaultFlags) Plan() (*faults.Plan, error) {
 	}
 	plan, err := faults.Resolve(*ff.preset, planJSON, *ff.intensity)
 	if err != nil {
+		source := "-faults " + *ff.preset
 		if *ff.planPath != "" {
-			return nil, fmt.Errorf("-fault-plan %s: %w", *ff.planPath, err)
+			source = "-fault-plan " + *ff.planPath
 		}
-		return nil, err
+		return nil, fmt.Errorf("%s -fault-intensity %g: %w", source, *ff.intensity, err)
 	}
 	return plan, nil
 }

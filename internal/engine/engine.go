@@ -4,9 +4,12 @@
 //
 // The two pillars, each optional and composable:
 //
-//   - A worker pool (default runtime.NumCPU()) executes jobs with
-//     per-job panic isolation and a bounded retry budget, so one bad
-//     configuration cannot take down a multi-hour sweep.
+//   - A worker pool (default runtime.NumCPU()) executes each job once,
+//     with per-job panic isolation: a job that errors or panics fails
+//     its batch with an error naming it, instead of taking the process
+//     down. Jobs are deterministic in their Key, so a second execution
+//     would fail the same way; rerunning the sweep over the cache
+//     executes only the jobs that never finished.
 //   - A content-addressed on-disk cache (Cache) keyed by a canonical
 //     hash of the resolved job inputs plus the code version, so
 //     re-running a sweep only executes jobs whose inputs changed. The
@@ -26,6 +29,7 @@ import (
 	"fmt"
 	"io/fs"
 	"runtime"
+	"runtime/metrics"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -84,23 +88,12 @@ type Options struct {
 	Workers int
 	// Cache enables content-addressed result reuse; nil disables it.
 	Cache *Cache
-	// Retries is how many times a failed (error or panic) job is
-	// re-executed before the failure is permanent. Negative means 0.
-	Retries int
-	// RetryBackoff is the base delay before the first retry; each
-	// further retry doubles it (capped at 30s) and adds a deterministic
-	// jitter derived from the job hash. Zero retries immediately.
-	RetryBackoff time.Duration
-	// JobTimeout bounds each execution attempt; an attempt that exceeds
-	// it is abandoned (counted in the timeout metric) and retried like
-	// any other failure. Zero means no per-job deadline.
-	JobTimeout time.Duration
 	// Metrics optionally receives the engine counters and pool gauges
 	// named in telemetry/names.go. Nil disables instrumentation.
 	Metrics *telemetry.Registry
 	// Events optionally receives the job lifecycle as structured events
-	// (job.queued/started/finished/cache_hit/retry/timeout/panic/failed;
-	// see docs/events.md). Nil disables emission at zero cost.
+	// (job.queued/started/finished/cache_hit/panic/failed; see
+	// docs/events.md). Nil disables emission at zero cost.
 	Events *events.Bus
 }
 
@@ -115,10 +108,8 @@ type Engine struct {
 	total    atomic.Uint64
 	executed atomic.Uint64
 	hits     atomic.Uint64
-	retries  atomic.Uint64
 	failures atomic.Uint64
 	corrupt  atomic.Uint64
-	timeouts atomic.Uint64
 
 	queued  atomic.Int64
 	running atomic.Int64
@@ -146,18 +137,50 @@ type Engine struct {
 	tel engineTelemetry
 }
 
-// jobResources is the measured cost of one executed job: wall time of
-// the successful attempt, plus the process-wide CPU, allocation, and GC
-// deltas over that attempt. With one worker the deltas are exact; under
-// parallel workers concurrent jobs bleed into each other's process-wide
-// counters, so per-job numbers are attributions, not isolations — their
-// sweep-wide totals remain meaningful either way.
+// jobResources is the measured cost of one executed job: its wall time
+// plus the process-wide CPU, allocation, and GC deltas over its
+// execution. With one worker the deltas are exact. Under parallel
+// workers each job's deltas include the work of the jobs running beside
+// it, so per-job numbers are attributions, not isolations, and the
+// sweep-wide totals count the work of overlapping jobs more than once.
 type jobResources struct {
 	WallMS     int64
 	CPUMS      int64
 	AllocBytes uint64
 	Mallocs    uint64
-	GCCycles   uint32
+	GCCycles   uint64
+}
+
+// usageSamples name the runtime/metrics counters a job's allocation and
+// GC deltas are read from: MemStats.TotalAlloc, MemStats.Mallocs (the
+// heap objects plus the tiny ones, which the first objects counter
+// leaves out) and MemStats.NumGC. Reading them takes a runtime lock;
+// runtime.ReadMemStats would stop the world, twice a job.
+var usageSamples = [...]string{
+	"/gc/heap/allocs:bytes",
+	"/gc/heap/allocs:objects",
+	"/gc/heap/tiny/allocs:objects",
+	"/gc/cycles/total:gc-cycles",
+}
+
+// usage is one reading of the process-wide counters behind jobResources.
+type usage struct {
+	cpuSeconds                    float64
+	allocBytes, mallocs, gcCycles uint64
+}
+
+func readUsage() usage {
+	var s [len(usageSamples)]metrics.Sample
+	for i, name := range usageSamples {
+		s[i].Name = name
+	}
+	metrics.Read(s[:])
+	return usage{
+		cpuSeconds: telemetry.CPUSeconds(),
+		allocBytes: s[0].Value.Uint64(),
+		mallocs:    s[1].Value.Uint64() + s[2].Value.Uint64(),
+		gcCycles:   s[3].Value.Uint64(),
+	}
 }
 
 // memoEntry is one resolved result: its canonical payload and, once
@@ -179,10 +202,8 @@ type engineTelemetry struct {
 	executed *telemetry.Counter
 	hits     *telemetry.Counter
 	misses   *telemetry.Counter
-	retries  *telemetry.Counter
 	failures *telemetry.Counter
 	corrupt  *telemetry.Counter
-	timeouts *telemetry.Counter
 	queue    *telemetry.Gauge
 	busy     *telemetry.Gauge
 	jobMS    *telemetry.Histogram
@@ -198,9 +219,6 @@ func New(opts Options) *Engine {
 	if opts.Workers <= 0 {
 		opts.Workers = runtime.NumCPU()
 	}
-	if opts.Retries < 0 {
-		opts.Retries = 0
-	}
 	e := &Engine{opts: opts, inFlite: map[int]runningJob{}, memo: map[string]*memoEntry{}}
 	if reg := opts.Metrics; reg != nil {
 		e.tel = engineTelemetry{
@@ -208,10 +226,8 @@ func New(opts Options) *Engine {
 			executed: reg.Counter(telemetry.MetricEngineExecuted, "jobs actually executed (cache misses)"),
 			hits:     reg.Counter(telemetry.MetricEngineCacheHits, "jobs served from the result cache"),
 			misses:   reg.Counter(telemetry.MetricEngineCacheMiss, "jobs not found in the result cache"),
-			retries:  reg.Counter(telemetry.MetricEngineRetries, "job re-executions after a panic or error"),
-			failures: reg.Counter(telemetry.MetricEngineFailures, "jobs failed permanently"),
+			failures: reg.Counter(telemetry.MetricEngineFailures, "jobs whose execution returned an error or panicked"),
 			corrupt:  reg.Counter(telemetry.MetricEngineCacheCorrupt, "cache objects that failed checksum verification"),
-			timeouts: reg.Counter(telemetry.MetricEngineJobTimeouts, "job attempts abandoned at the per-job deadline"),
 			queue:    reg.Gauge(telemetry.MetricEngineQueueLen, "jobs waiting for a worker"),
 			busy:     reg.Gauge(telemetry.MetricEngineBusy, "workers currently executing a job"),
 			jobMS: reg.Histogram(telemetry.MetricEngineJobMS,
@@ -237,13 +253,12 @@ type Report struct {
 	Payloads  [][]byte
 	Executed  int
 	CacheHits int
-	Retried   int
 }
 
 // Run executes every job and returns their canonical payloads in
-// submission order. Jobs are pulled by up to Workers goroutines; a job
-// that panics or errors is retried up to Retries times and a permanent
-// failure cancels the jobs still queued (in-flight jobs finish) and is
+// submission order. Jobs are pulled by up to Workers goroutines and
+// each runs once; a job that panics or errors cancels the jobs still
+// queued (in-flight jobs finish, and are cached) and its error is
 // returned after the pool drains. Run may be called repeatedly on one
 // engine; the cache and counters carry across calls.
 //
@@ -365,7 +380,6 @@ func (e *Engine) run(ctx context.Context, jobs []Job) (*Report, []outcome, error
 		case o.hit:
 			rep.CacheHits++
 		}
-		rep.Retried += o.retried
 		if o.err != nil && firstErr == nil {
 			firstErr = fmt.Errorf("engine: job %q: %w", label(jobs[i]), o.err)
 		}
@@ -384,16 +398,15 @@ func label(j Job) string {
 }
 
 // outcome is one job's bookkeeping: its result, how it was resolved and
-// whether it failed permanently.
+// whether it failed.
 type outcome struct {
 	res           *memoEntry // nil when the job failed
 	executed, hit bool
-	retried       int
 	err           error
 }
 
-// process resolves one job: memo and cache, then execution with panic
-// isolation and retry.
+// process resolves one job: memo and cache, else one execution with
+// panic isolation.
 func (e *Engine) process(ctx context.Context, slot int, j Job) (o outcome) {
 	if ctx.Err() != nil {
 		o.err = ctx.Err()
@@ -429,85 +442,48 @@ func (e *Engine) process(ctx context.Context, slot int, j Job) (o outcome) {
 	jctx, sp := telemetry.StartSpan(ctx, "job:"+label(j), telemetry.A("hash", hash[:12]))
 	defer sp.End()
 	e.opts.Events.Emit(events.Event{Type: events.JobStarted, Name: label(j), Worker: slot})
-	jobStart := time.Now()
-
-	var lastErr error
-	for attempt := 0; attempt <= e.opts.Retries; attempt++ {
-		if attempt > 0 {
-			e.retries.Add(1)
-			e.tel.retries.Inc()
-			o.retried++
-			log.Infof("engine: retrying %s (attempt %d/%d): %v",
-				label(j), attempt+1, e.opts.Retries+1, lastErr)
-			e.opts.Events.Emit(events.Event{
-				Type: events.JobRetried, Name: label(j),
-				N: int64(attempt), Detail: firstLine(lastErr),
-			})
-			if err := e.backoff(ctx, hash, attempt); err != nil {
-				lastErr = err
-				break
-			}
+	u0 := readUsage()
+	start := time.Now()
+	result, err := runIsolated(jctx, j)
+	var payload []byte
+	if err == nil {
+		if payload, err = json.Marshal(result); err != nil {
+			err = fmt.Errorf("marshal result: %w", err)
 		}
-		var ms0, ms1 runtime.MemStats
-		runtime.ReadMemStats(&ms0)
-		cpu0 := telemetry.CPUSeconds()
-		started := time.Now()
-		result, err := e.runAttempt(jctx, j)
-		if err != nil {
-			lastErr = err
-			if errors.Is(err, errAttemptTimeout) {
-				e.timeouts.Add(1)
-				e.tel.timeouts.Inc()
-				e.opts.Events.Emit(events.Event{
-					Type: events.JobTimeout, Name: label(j),
-					MS: e.opts.JobTimeout.Milliseconds(),
-				})
-			}
-			var pe *panicError
-			if errors.As(err, &pe) {
-				e.opts.Events.Emit(events.Event{
-					Type: events.JobPanic, Name: label(j), Detail: pe.value,
-				})
-			}
-			if ctx.Err() != nil {
-				break // the sweep is being cancelled; stop burning retries
-			}
-			continue
+	}
+	if err != nil {
+		var pe *panicError
+		if errors.As(err, &pe) {
+			e.opts.Events.Emit(events.Event{Type: events.JobPanic, Name: label(j), Detail: pe.value})
 		}
-		payload, err := json.Marshal(result)
-		if err != nil {
-			// Marshal failures are deterministic; retrying cannot help.
-			lastErr = fmt.Errorf("marshal result: %w", err)
-			break
-		}
-		dur := time.Since(started)
-		runtime.ReadMemStats(&ms1)
-		res := jobResources{
-			WallMS:     dur.Milliseconds(),
-			CPUMS:      int64((telemetry.CPUSeconds() - cpu0) * 1e3),
-			AllocBytes: ms1.TotalAlloc - ms0.TotalAlloc,
-			Mallocs:    ms1.Mallocs - ms0.Mallocs,
-			GCCycles:   ms1.NumGC - ms0.NumGC,
-		}
-		e.account(label(j), res)
-		e.tel.jobMS.Observe(float64(res.WallMS))
-		o.res = e.cachePut(j, hash, payload)
-		e.executed.Add(1)
-		e.tel.executed.Inc()
-		e.opts.Events.Emit(events.Event{
-			Type: events.JobFinished, Name: label(j), Worker: slot,
-			MS: time.Since(jobStart).Milliseconds(), N: int64(attempt + 1),
-		})
-		o.executed = true
+		e.failures.Add(1)
+		e.tel.failures.Inc()
+		sp.SetAttr("error", fmt.Sprint(err))
+		e.opts.Events.Emit(events.Event{Type: events.JobFailed, Name: label(j), Detail: firstLine(err)})
+		o.err = err
 		return o
 	}
-	e.failures.Add(1)
-	e.tel.failures.Inc()
-	sp.SetAttr("error", fmt.Sprint(lastErr))
+	wall := time.Since(start)
+	u1 := readUsage()
+	res := jobResources{
+		WallMS:     wall.Milliseconds(),
+		CPUMS:      int64((u1.cpuSeconds - u0.cpuSeconds) * 1e3),
+		AllocBytes: u1.allocBytes - u0.allocBytes,
+		Mallocs:    u1.mallocs - u0.mallocs,
+		GCCycles:   u1.gcCycles - u0.gcCycles,
+	}
+	e.account(label(j), res)
+	e.tel.jobMS.Observe(float64(res.WallMS))
+	o.res = e.cachePut(j, hash, payload)
+	e.executed.Add(1)
+	e.tel.executed.Inc()
+	// N stays 1, the executions a job gets, so event logs keep their
+	// shape.
 	e.opts.Events.Emit(events.Event{
-		Type: events.JobFailed, Name: label(j), Detail: firstLine(lastErr),
+		Type: events.JobFinished, Name: label(j), Worker: slot,
+		MS: time.Since(start).Milliseconds(), N: 1,
 	})
-	o.err = lastErr
+	o.executed = true
 	return o
 }
 
@@ -586,66 +562,6 @@ func (e *Engine) remember(key string, payload []byte) *memoEntry {
 	return m
 }
 
-// backoff sleeps before a retry: exponential in the attempt number from
-// the configured base, capped at 30s, with a deterministic jitter
-// derived from the job hash so a stampede of retrying workers
-// de-synchronizes reproducibly. Returns early if the sweep is
-// cancelled mid-sleep.
-func (e *Engine) backoff(ctx context.Context, hash string, attempt int) error {
-	base := e.opts.RetryBackoff
-	if base <= 0 {
-		return nil
-	}
-	d := base << (attempt - 1)
-	if max := 30 * time.Second; d > max || d <= 0 {
-		d = max
-	}
-	// Jitter in [0, d/2), seeded by (hash, attempt) — deterministic for
-	// a given job, different across jobs and attempts.
-	frac := float64(SubSeed(uint64(attempt), hash)%1024) / 1024
-	d += time.Duration(frac * float64(d) / 2)
-	t := time.NewTimer(d)
-	defer t.Stop()
-	select {
-	case <-t.C:
-		return nil
-	case <-ctx.Done():
-		return fmt.Errorf("engine: cancelled during retry backoff: %w", context.Cause(ctx))
-	}
-}
-
-// errAttemptTimeout is the cancel cause installed by the per-job
-// deadline, distinguishable from a sweep-wide cancellation.
-var errAttemptTimeout = errors.New("engine: job attempt deadline exceeded")
-
-// runAttempt executes one attempt, bounded by Options.JobTimeout when
-// set. A timed-out attempt is abandoned: its goroutine keeps running
-// until the job function honours ctx (or leaks, if it never does — the
-// engine cannot preempt it), but the worker moves on and the attempt
-// counts as a retryable failure.
-func (e *Engine) runAttempt(ctx context.Context, j Job) (any, error) {
-	if e.opts.JobTimeout <= 0 {
-		return runIsolated(ctx, j)
-	}
-	actx, cancel := context.WithTimeoutCause(ctx, e.opts.JobTimeout, errAttemptTimeout)
-	defer cancel()
-	type res struct {
-		result any
-		err    error
-	}
-	ch := make(chan res, 1)
-	go func() {
-		r, err := runIsolated(actx, j)
-		ch <- res{r, err}
-	}()
-	select {
-	case r := <-ch:
-		return r.result, r.err
-	case <-actx.Done():
-		return nil, fmt.Errorf("after %v: %w", e.opts.JobTimeout, context.Cause(actx))
-	}
-}
-
 // account folds one executed job's resources into the engine-lifetime
 // totals and the telemetry counters.
 func (e *Engine) account(jobLabel string, r jobResources) {
@@ -653,7 +569,7 @@ func (e *Engine) account(jobLabel string, r jobResources) {
 	e.jobCPUMS.Add(r.CPUMS)
 	e.allocBytes.Add(r.AllocBytes)
 	e.mallocs.Add(r.Mallocs)
-	e.gcCycles.Add(uint64(r.GCCycles))
+	e.gcCycles.Add(r.GCCycles)
 	e.tel.cpuMS.Add(float64(r.CPUMS))
 	e.tel.alloc.Add(float64(r.AllocBytes))
 	e.tel.mallocs.Add(float64(r.Mallocs))

@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"net/http/httptest"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -121,38 +122,39 @@ func TestCacheReuse(t *testing.T) {
 	}
 }
 
-func TestPanicIsolationAndRetry(t *testing.T) {
-	var attempts atomic.Int64
-	flaky := Job{
-		Key:   "flaky",
-		Label: "flaky",
-		Fn: func(ctx context.Context) (any, error) {
-			if attempts.Add(1) == 1 {
-				panic("transient explosion")
-			}
-			return "ok", nil
-		},
-	}
-	rep, err := New(Options{Workers: 2, Retries: 1}).Run(context.Background(), []Job{flaky})
-	if err != nil {
-		t.Fatalf("retry should have recovered the panic: %v", err)
-	}
-	if rep.Retried != 1 {
-		t.Errorf("retried = %d, want 1", rep.Retried)
-	}
-	v, err := Decode[string](rep.Payloads[0])
-	if err != nil || v != "ok" {
-		t.Errorf("payload = %q, %v", v, err)
-	}
-
-	// Retries exhausted: the failure is permanent and reported.
-	always := Job{
+// A job that panics runs once: the panic is recovered into one error
+// naming the job and holding the panic value, with one job.panic event,
+// and the process carries on.
+func TestPanicIsolation(t *testing.T) {
+	bus := events.New(0)
+	var calls atomic.Int64
+	bad := Job{
 		Key:   "always-bad",
 		Label: "always-bad",
-		Fn:    func(ctx context.Context) (any, error) { panic("permanent") },
+		Fn: func(ctx context.Context) (any, error) {
+			calls.Add(1)
+			panic("permanent explosion")
+		},
 	}
-	if _, err := New(Options{Workers: 1, Retries: 1}).Run(context.Background(), []Job{always}); err == nil {
-		t.Fatal("permanent failure not reported")
+	e := New(Options{Events: bus})
+	_, err := e.Run(context.Background(), []Job{bad})
+	if err == nil || !strings.Contains(err.Error(), `job "always-bad"`) ||
+		!strings.Contains(err.Error(), "panic: permanent explosion") {
+		t.Fatalf("err = %v, want one naming the job and its panic", err)
+	}
+	if n := calls.Load(); n != 1 {
+		t.Errorf("panicking job ran %d times, want 1", n)
+	}
+	all, _ := bus.Since(0, nil)
+	count := map[events.Type]int{}
+	for _, ev := range all {
+		count[ev.Type]++
+	}
+	if count[events.JobPanic] != 1 || count[events.JobFailed] != 1 || count[events.JobFinished] != 0 {
+		t.Errorf("events = %v, want one job.panic and one job.failed", count)
+	}
+	if s := e.Status(); s.Failures != 1 || s.Executed != 0 {
+		t.Errorf("status = %+v, want 1 failure and nothing executed", s)
 	}
 }
 
@@ -172,7 +174,7 @@ func TestFailureCancelsQueuedJobs(t *testing.T) {
 			},
 		}
 	}
-	e := New(Options{Workers: 1, Retries: 0})
+	e := New(Options{Workers: 1})
 	rep, err := e.Run(context.Background(), jobs)
 	if err == nil {
 		t.Fatal("expected error")
@@ -322,7 +324,7 @@ func TestMetricsAndStatus(t *testing.T) {
 	if s.Jobs != 12 || s.Executed != 6 || s.CacheHits != 6 || s.Failures != 0 {
 		t.Errorf("status = %+v", s)
 	}
-	want := "engine: 12 jobs, 6 executed, 6 cache hits, 0 retries, 0 failures, 0 corrupt, 0 timeouts"
+	want := "engine: 12 jobs, 6 executed, 6 cache hits, 0 failures, 0 corrupt"
 	if e.Summary() != want {
 		t.Errorf("summary = %q, want %q", e.Summary(), want)
 	}

@@ -1,9 +1,9 @@
 // Package faultfs is a test-only engine.FS wrapper that injects
 // filesystem failures — read errors, bit rot, torn writes and appends,
-// write stalls, and a fully read-only mode — on a deterministic
-// schedule, so the engine's detect/quarantine/retry and cache-less
-// degradation paths can be exercised under -race without a real failing
-// disk. Production code never imports this package.
+// and a fully read-only mode — on a deterministic schedule, so the
+// engine's detect/quarantine/recompute and cache-less degradation paths
+// can be exercised under -race without a real failing disk. Production
+// code never imports this package.
 package faultfs
 
 import (
@@ -33,11 +33,6 @@ type Options struct {
 	// persist only the first half of the data and then report an error,
 	// like a crash mid-write.
 	TornWriteEveryNth int
-	// StallWriteEveryNth makes every Nth write, counted with the torn
-	// ones, sleep StallFor before proceeding — a hung disk, for
-	// exercising job timeouts.
-	StallWriteEveryNth int
-	StallFor           time.Duration
 	// ReadOnly fails every mutation (MkdirAll, WriteFile, Rename,
 	// Remove, Chtimes, OpenAppend) with fs.ErrPermission — the
 	// unwritable cache directory the engine must degrade around.
@@ -127,14 +122,9 @@ func (f *FS) WriteFile(path string, data []byte) error {
 }
 
 // writeFault runs the write schedule for one write, a WriteFile or an
-// append: it sleeps when a stall is due and reports whether the write
-// is to be torn.
+// append: it reports whether the write is to be torn.
 func (f *FS) writeFault() (torn bool) {
-	n := f.writes.Add(1)
-	if f.opts.StallFor > 0 && nth(n, f.opts.StallWriteEveryNth) {
-		time.Sleep(f.opts.StallFor)
-	}
-	if nth(n, f.opts.TornWriteEveryNth) {
+	if nth(f.writes.Add(1), f.opts.TornWriteEveryNth) {
 		f.torn.Add(1)
 		return true
 	}

@@ -3,8 +3,8 @@ package engine
 // The engine's cache buckets and hifi-serve's job index go through the
 // narrow FS interface instead of the os package directly, so the fault
 // tests in engine/faultfs can interpose torn writes, read errors,
-// corruption, and stalls without touching the real filesystem code
-// paths. A cache on disk uses OS(), the trivial passthrough; a CLI run
+// corruption and a read-only disk without touching the real filesystem
+// code paths. A cache on disk uses OS(), the trivial passthrough; a CLI run
 // without a cache directory keeps its cache in MemFS().
 
 import (

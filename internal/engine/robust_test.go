@@ -1,8 +1,8 @@
 package engine
 
 // Robustness tests: checksum verification and quarantine on cache
-// reads, skip-and-log for corrupt log records, per-job timeouts, and
-// retry backoff. The end-to-end chaos sweep (filesystem faults via
+// reads, skip-and-log for corrupt log records, and cache writes that
+// fail. The end-to-end chaos sweep (filesystem faults via
 // engine/faultfs) lives in faultfs's own tests to keep the import
 // graph acyclic.
 
@@ -13,7 +13,6 @@ import (
 	"encoding/hex"
 	"encoding/json"
 	"errors"
-	"fmt"
 	"io/fs"
 	"os"
 	"path/filepath"
@@ -21,7 +20,6 @@ import (
 	"strings"
 	"sync/atomic"
 	"testing"
-	"time"
 
 	"racetrack/hifi/internal/telemetry/log"
 )
@@ -354,92 +352,6 @@ func FuzzCacheBucket(f *testing.F) {
 			}
 		}
 	})
-}
-
-func TestJobTimeoutAbandonsHungAttempt(t *testing.T) {
-	var attempts atomic.Int64
-	hang := Job{
-		Key:   "hang-once",
-		Label: "hang-once",
-		Fn: func(ctx context.Context) (any, error) {
-			if attempts.Add(1) == 1 {
-				<-ctx.Done() // hung until the per-job deadline fires
-				return nil, context.Cause(ctx)
-			}
-			return "recovered", nil
-		},
-	}
-	e := New(Options{Workers: 1, Retries: 1, JobTimeout: 30 * time.Millisecond})
-	rep, err := e.Run(context.Background(), []Job{hang})
-	if err != nil {
-		t.Fatalf("timeout + retry should recover: %v", err)
-	}
-	if rep.Retried != 1 {
-		t.Errorf("retried = %d, want 1", rep.Retried)
-	}
-	if s := e.Status(); s.Timeouts != 1 {
-		t.Errorf("timeouts = %d, want 1", s.Timeouts)
-	}
-	v, err := Decode[string](rep.Payloads[0])
-	if err != nil || v != "recovered" {
-		t.Errorf("payload = %q, %v", v, err)
-	}
-
-	// A job that always hangs exhausts retries with a timeout error.
-	stuck := Job{
-		Key: "always-hung",
-		Fn: func(ctx context.Context) (any, error) {
-			<-ctx.Done()
-			return nil, context.Cause(ctx)
-		},
-	}
-	_, err = New(Options{Workers: 1, Retries: 1, JobTimeout: 10 * time.Millisecond}).
-		Run(context.Background(), []Job{stuck})
-	if !errors.Is(err, errAttemptTimeout) {
-		t.Errorf("permanently hung job: err = %v, want attempt-timeout cause", err)
-	}
-}
-
-func TestRetryBackoffDelaysAndCancels(t *testing.T) {
-	var attempts atomic.Int64
-	flaky := Job{
-		Key: "flaky-timed",
-		Fn: func(ctx context.Context) (any, error) {
-			if attempts.Add(1) <= 2 {
-				return nil, fmt.Errorf("transient")
-			}
-			return "ok", nil
-		},
-	}
-	start := time.Now()
-	_, err := New(Options{Workers: 1, Retries: 2, RetryBackoff: 20 * time.Millisecond}).
-		Run(context.Background(), []Job{flaky})
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Two backoffs: >= 20ms + 40ms before jitter.
-	if elapsed := time.Since(start); elapsed < 60*time.Millisecond {
-		t.Errorf("elapsed %v, want >= 60ms of backoff", elapsed)
-	}
-
-	// Cancellation mid-backoff returns promptly instead of sleeping out.
-	ctx, cancel := context.WithCancel(context.Background())
-	always := Job{
-		Key: "always-bad-timed",
-		Fn: func(ctx context.Context) (any, error) {
-			cancel() // fail and take the sweep down while backing off
-			return nil, fmt.Errorf("boom")
-		},
-	}
-	start = time.Now()
-	_, err = New(Options{Workers: 1, Retries: 3, RetryBackoff: 10 * time.Second}).
-		Run(ctx, []Job{always})
-	if err == nil {
-		t.Fatal("cancelled sweep reported success")
-	}
-	if elapsed := time.Since(start); elapsed > 5*time.Second {
-		t.Errorf("cancellation took %v; backoff did not honour ctx", elapsed)
-	}
 }
 
 func TestCachePutFailureWarnsOnceAndContinues(t *testing.T) {

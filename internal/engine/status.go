@@ -29,10 +29,8 @@ type Status struct {
 	Jobs      uint64       `json:"jobs"`
 	Executed  uint64       `json:"executed"`
 	CacheHits uint64       `json:"cache_hits"`
-	Retries   uint64       `json:"retries"`
 	Failures  uint64       `json:"failures"`
 	Corrupt   uint64       `json:"corrupt"`
-	Timeouts  uint64       `json:"timeouts"`
 }
 
 // Status snapshots the engine's counters and in-flight jobs.
@@ -43,10 +41,8 @@ func (e *Engine) Status() Status {
 		Jobs:      e.total.Load(),
 		Executed:  e.executed.Load(),
 		CacheHits: e.hits.Load(),
-		Retries:   e.retries.Load(),
 		Failures:  e.failures.Load(),
 		Corrupt:   e.corrupt.Load(),
-		Timeouts:  e.timeouts.Load(),
 	}
 	now := time.Now()
 	e.mu.Lock()
@@ -117,9 +113,9 @@ func (e *Engine) StatusHandler() http.Handler {
 // that CI greps to assert cache reuse — greps match a prefix, so new
 // fields append at the end):
 //
-//	engine: 84 jobs, 0 executed, 84 cache hits, 0 retries, 0 failures, 0 corrupt, 0 timeouts
+//	engine: 84 jobs, 0 executed, 84 cache hits, 0 failures, 0 corrupt
 func (e *Engine) Summary() string {
 	s := e.Status()
-	return fmt.Sprintf("engine: %d jobs, %d executed, %d cache hits, %d retries, %d failures, %d corrupt, %d timeouts",
-		s.Jobs, s.Executed, s.CacheHits, s.Retries, s.Failures, s.Corrupt, s.Timeouts)
+	return fmt.Sprintf("engine: %d jobs, %d executed, %d cache hits, %d failures, %d corrupt",
+		s.Jobs, s.Executed, s.CacheHits, s.Failures, s.Corrupt)
 }

@@ -5,34 +5,38 @@ import (
 	"errors"
 	"strings"
 	"testing"
-	"time"
 
 	"racetrack/hifi/internal/engine"
+	"racetrack/hifi/internal/faults"
 )
 
 // A simulation that fails must come back as one error from Sweep, not a
 // panic, and the sweep must stop at the failing experiment; a cancelled
 // context stops it before the next one.
 func TestSweepReturnsJobFailure(t *testing.T) {
-	eng := engine.New(engine.Options{Workers: 1, JobTimeout: time.Nanosecond})
+	eng := engine.New(engine.Options{Workers: 1})
 	opts := QuickRunOpts()
 	opts.AccessesPerCore = 500
 	opts.Eng = eng
+	// memsim refuses a plan with an unknown injector kind, so every
+	// simulation fails the same way, and table3, which simulates
+	// nothing, runs.
+	opts.FaultPlan = &faults.Plan{Injectors: []faults.Injector{{Kind: "unknown-kind"}}}
 	var ran []string
 	tables, err := Sweep(context.Background(), []string{"table3", "fig10", "fig14"}, opts,
 		func(_ int, k string) { ran = append(ran, k) }, nil)
 	if err == nil {
-		t.Fatal("a sweep whose jobs time out returned no error")
+		t.Fatal("a sweep whose jobs fail returned no error")
 	}
 	if tables != nil {
 		t.Errorf("tables = %v, want none after a failure", tables)
 	}
-	if msg := err.Error(); !strings.Contains(msg, "fig10") || !strings.Contains(msg, "deadline exceeded") || strings.Contains(msg, "\n") {
-		t.Errorf("error = %q, want one line naming fig10 and the deadline", msg)
+	if msg := err.Error(); !strings.Contains(msg, "fig10") || !strings.Contains(msg, "unknown injector kind") || strings.Contains(msg, "\n") {
+		t.Errorf("error = %q, want one line naming fig10 and the refused plan", msg)
 	}
 	// fig10's first batch of 12 jobs failed; fig14 never started.
-	if st := eng.Status(); st.Jobs != 12 || st.Timeouts == 0 {
-		t.Errorf("engine status = %+v, want 12 jobs and timeouts", st)
+	if st := eng.Status(); st.Jobs != 12 || st.Failures == 0 || st.Executed != 0 {
+		t.Errorf("engine status = %+v, want 12 jobs, failures and nothing executed", st)
 	}
 	if got := strings.Join(ran, ","); got != "table3,fig10" {
 		t.Errorf("before ran for %s, want table3,fig10", got)

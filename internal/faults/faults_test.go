@@ -49,6 +49,35 @@ func TestParseRejectsGarbage(t *testing.T) {
 	}
 }
 
+// A non-finite intensity, given or reached by scaling, is refused where
+// the plan is resolved; the canonical form could not encode it.
+func TestResolveRejectsNonFiniteIntensity(t *testing.T) {
+	huge := []byte(`{"injectors":[{"kind":"stuck","period":100,"intensity":1e308}]}`)
+	for _, tc := range []struct {
+		preset    string
+		plan      []byte
+		intensity float64
+	}{
+		{"temp", nil, math.NaN()},
+		{"temp", nil, math.Inf(1)},
+		{"", huge, 10},
+		{"", huge, math.NaN()},
+	} {
+		p, err := Resolve(tc.preset, tc.plan, tc.intensity)
+		if err == nil || !strings.Contains(err.Error(), "not finite") {
+			t.Errorf("Resolve(%q, %s, %g) = %v, %v; want a not-finite error", tc.preset, tc.plan, tc.intensity, p.Canonical(), err)
+		}
+	}
+	if p, err := Resolve("", huge, 1); err != nil || p == nil {
+		t.Errorf("a finite 1e308 intensity: %v", err)
+	}
+	// Intensity 0 keeps its meaning: the plan, every injector disabled.
+	p, err := Resolve("temp", nil, 0)
+	if err != nil || p == nil || !p.Injectors[0].Disabled {
+		t.Errorf("Resolve(temp, 0) = %+v, %v; want the disabled plan", p, err)
+	}
+}
+
 func TestNewNilForEmpty(t *testing.T) {
 	d, err := New(nil)
 	if d != nil || err != nil {

@@ -30,6 +30,7 @@ import (
 	"bytes"
 	"encoding/json"
 	"fmt"
+	"math"
 )
 
 // Injector kinds. Each kind reads a different subset of the Injector
@@ -121,10 +122,15 @@ func (in Injector) intensity() float64 {
 	return in.Intensity
 }
 
-// Validate checks one injector's parameters.
+// Validate checks one injector's parameters. An intensity must be
+// finite as well as non-negative: a plan's canonical JSON, its cache
+// key, has no encoding for NaN or infinity.
 func (in Injector) Validate() error {
 	if in.Intensity < 0 {
 		return fmt.Errorf("faults: %s: negative intensity %g", in.Kind, in.Intensity)
+	}
+	if math.IsNaN(in.Intensity) || math.IsInf(in.Intensity, 0) {
+		return fmt.Errorf("faults: %s: intensity %g is not finite", in.Kind, in.Intensity)
 	}
 	switch in.Kind {
 	case KindBurst:

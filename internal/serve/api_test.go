@@ -234,8 +234,13 @@ func TestHTTPAdmissionStatusCodes(t *testing.T) {
 		t.Fatalf("anonymous: %s, want 401", resp.Status)
 	}
 	// 400: invalid spec. The body carries the spec's own error, the one
-	// the CLIs exit 2 with for the same values.
-	for _, bad := range []Spec{{Run: []string{"fig99"}}, {Accesses: -1}, {MCTrials: -5}} {
+	// the CLIs exit 2 with for the same values. The last plan scales to
+	// an infinite intensity.
+	for _, bad := range []Spec{{Run: []string{"fig99"}}, {Accesses: -1}, {MCTrials: -5}, {
+		Run:            []string{"fig10"},
+		FaultPlan:      json.RawMessage(`{"injectors":[{"kind":"stuck","period":100,"intensity":1e308}]}`),
+		FaultIntensity: 10,
+	}} {
 		_, want := bad.Normalize()
 		enc, err := json.Marshal(bad)
 		if err != nil {

@@ -55,9 +55,6 @@ type Options struct {
 	// MaxAccesses caps Spec.Accesses at admission (0 = unbounded), so a
 	// public daemon can refuse arbitrarily large sweeps outright.
 	MaxAccesses int
-	// Retries and JobTimeout pass through to each job's engine.
-	Retries    int
-	JobTimeout time.Duration
 	// RingCap is the most events each job bus's SSE replay ring holds
 	// (0 = events default); a ring grows to it only as its job emits.
 	// Tests shrink it to force replay gaps.
@@ -629,12 +626,10 @@ func (s *Server) materialize(j *Job) error {
 // go to bus (nil when re-materializing).
 func (s *Server) newEngine(bus *events.Bus) *engine.Engine {
 	return engine.New(engine.Options{
-		Workers:    s.opts.Workers,
-		Cache:      s.cache,
-		Retries:    s.opts.Retries,
-		JobTimeout: s.opts.JobTimeout,
-		Metrics:    s.opts.Metrics,
-		Events:     bus,
+		Workers: s.opts.Workers,
+		Cache:   s.cache,
+		Metrics: s.opts.Metrics,
+		Events:  bus,
 	})
 }
 

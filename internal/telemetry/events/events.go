@@ -58,12 +58,10 @@ const (
 	// Engine job lifecycle (internal/engine). Name is the job label.
 	JobQueued   Type = "job.queued"    // N: batch size the job arrived in
 	JobStarted  Type = "job.started"   // Worker: pool slot
-	JobFinished Type = "job.finished"  // Worker, MS: wall ms, N: attempts
+	JobFinished Type = "job.finished"  // Worker, MS: wall ms, N: 1 (a job runs once)
 	JobCacheHit Type = "job.cache_hit" // served from the result cache
-	JobRetried  Type = "job.retry"     // N: attempt number, Detail: error
-	JobTimeout  Type = "job.timeout"   // MS: the deadline that fired
 	JobPanic    Type = "job.panic"     // Detail: first line of the panic value
-	JobFailed   Type = "job.failed"    // Detail: the permanent error
+	JobFailed   Type = "job.failed"    // Detail: the job's error
 
 	// Device fault-plan windows (internal/faults): a window opens when
 	// the composed modulation leaves identity and closes when it
@@ -122,7 +120,7 @@ type Event struct {
 	TraceID string `json:"trace_id,omitempty"`
 	// Worker is the engine pool slot (job.started / job.finished).
 	Worker int `json:"worker,omitempty"`
-	// N is a small integer fact: attempts, batch size, operation index.
+	// N is a small integer fact: batch size, operation index, executions.
 	N int64 `json:"n,omitempty"`
 	// MS is a duration in milliseconds (job wall time, run wall time).
 	MS int64 `json:"ms,omitempty"`

@@ -46,16 +46,13 @@ const (
 	MetricEngineExecuted  = "hifi_engine_jobs_executed_total"
 	MetricEngineCacheHits = "hifi_engine_cache_hits_total"
 	MetricEngineCacheMiss = "hifi_engine_cache_misses_total"
-	MetricEngineRetries   = "hifi_engine_retries_total"
 	MetricEngineFailures  = "hifi_engine_failures_total"
 	MetricEngineQueueLen  = "hifi_engine_queue_depth"
 	MetricEngineBusy      = "hifi_engine_workers_busy"
 	MetricEngineJobMS     = "hifi_engine_job_ms"
-	// Robustness counters: corrupt cache objects quarantined on read,
-	// and job attempts abandoned at the per-job deadline. See
-	// docs/engine.md ("failure modes").
+	// Robustness counter: corrupt cache objects quarantined on read.
+	// See docs/engine.md ("failure modes").
 	MetricEngineCacheCorrupt = "hifi_engine_cache_corrupt_total"
-	MetricEngineJobTimeouts  = "hifi_engine_job_timeouts_total"
 	// Cache lifecycle under a -cache-max-bytes budget: bucket files
 	// evicted access-ordered, and the accounted size of the bucket
 	// files. See docs/engine.md ("cache size budgets & eviction").

@@ -22,7 +22,7 @@
 // x.Done() whose body returns an explicit trailing nil without
 // consulting x.Err() or context.Cause. A worker loop written that way
 // reports success for a job that was actually cancelled or timed out —
-// the engine's retry accounting then never sees the failure:
+// the engine's failure accounting then never sees the failure:
 //
 //	case <-ctx.Done():
 //		return res, nil              // flagged: cancellation swallowed

@@ -173,8 +173,6 @@ func (m *Model) ApplyStatus(st serve.JobStatus) {
 		m.Queued = int(eng.Jobs)
 		m.Done = int(eng.Executed)
 		m.CacheHits = int(eng.CacheHits)
-		m.Retries = int(eng.Retries)
-		m.Timeouts = int(eng.Timeouts)
 		m.Failed = int(eng.Failures)
 	}
 	if st.State.Terminal() {

@@ -66,8 +66,6 @@ type Model struct {
 	Started      int
 	Done         int // job.finished
 	CacheHits    int
-	Retries      int
-	Timeouts     int
 	Panics       int
 	Failed       int
 	ExecMSTotal  int64 // summed job.finished MS, for the ETA's mean
@@ -159,10 +157,6 @@ func (m *Model) Apply(e events.Event) {
 		w.BusySinceMS = 0
 	case events.JobCacheHit:
 		m.CacheHits++
-	case events.JobRetried:
-		m.Retries++
-	case events.JobTimeout:
-		m.Timeouts++
 	case events.JobPanic:
 		m.Panics++
 	case events.JobFailed:

@@ -52,8 +52,8 @@ func (m *Model) Render() string {
 			fmt.Fprintf(&b, "  in-flight %d", inflight)
 		}
 		b.WriteByte('\n')
-		fmt.Fprintf(&b, "      cache %d (%.0f%% hit)  retry %d  timeout %d  panic %d  failed %d\n",
-			m.CacheHits, 100*m.CacheHitRate(), m.Retries, m.Timeouts, m.Panics, m.Failed)
+		fmt.Fprintf(&b, "      cache %d (%.0f%% hit)  panic %d  failed %d\n",
+			m.CacheHits, 100*m.CacheHitRate(), m.Panics, m.Failed)
 		if eta := m.ETA(); eta > 0 {
 			mean := time.Duration(float64(m.ExecMSTotal)/float64(m.Done)) * time.Millisecond
 			fmt.Fprintf(&b, "      avg job %s  eta ~%s\n", round(mean), round(eta))

@@ -16,8 +16,8 @@ import (
 )
 
 // feed applies a representative event sequence: a four-job sweep on two
-// workers with one cache hit, one retry, an open fault window, and a
-// fidelity verdict.
+// workers with one cache hit, an open fault window, and a fidelity
+// verdict.
 func feed(m *Model) {
 	seq := uint64(0)
 	emit := func(e events.Event) {
@@ -34,8 +34,7 @@ func feed(m *Model) {
 	emit(events.Event{Type: events.JobCacheHit, Name: "j0"})
 	emit(events.Event{Type: events.JobStarted, Name: "j1", Worker: 0})
 	emit(events.Event{Type: events.JobStarted, Name: "j2", Worker: 1})
-	emit(events.Event{Type: events.JobRetried, Name: "j1", N: 1, Detail: "flaky"})
-	emit(events.Event{Type: events.JobFinished, Name: "j1", Worker: 0, MS: 200, N: 2})
+	emit(events.Event{Type: events.JobFinished, Name: "j1", Worker: 0, MS: 200, N: 1})
 	emit(events.Event{Type: events.JobFinished, Name: "j2", Worker: 1, MS: 400, N: 1})
 	emit(events.Event{Type: events.JobStarted, Name: "j3", Worker: 0})
 	emit(events.Event{Type: events.FaultOpen, Name: "memsim:ferret", N: 1200, V: 3})
@@ -61,8 +60,8 @@ func TestModelAggregates(t *testing.T) {
 	if got := m.CacheHitRate(); got < 0.32 || got > 0.34 {
 		t.Errorf("CacheHitRate = %v, want ~1/3", got)
 	}
-	if m.Retries != 1 {
-		t.Errorf("Retries = %d", m.Retries)
+	if m.Panics != 0 || m.Failed != 0 {
+		t.Errorf("Panics, Failed = %d, %d, want none", m.Panics, m.Failed)
 	}
 	if m.InFlight() != 1 { // j3 on w0
 		t.Errorf("InFlight = %d, want 1", m.InFlight())
@@ -94,7 +93,7 @@ func TestRenderMentionsKeyFacts(t *testing.T) {
 	out := m.Render()
 	for _, want := range []string{
 		"hifi-experiments", "phase fig10", "3/4", "cache 1",
-		"retry 1", "w0:1", "w1:1", "memsim:ferret", "ok=1",
+		"panic 0  failed 0", "w0:1", "w1:1", "memsim:ferret", "ok=1",
 	} {
 		if !strings.Contains(out, want) {
 			t.Errorf("frame missing %q:\n%s", want, out)
