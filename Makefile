@@ -52,8 +52,9 @@ vet:
 
 # race also repeats the event-delivery tests ten times: Emit, the bus
 # readers and the SSE handlers reach the ring's read path at once. The
-# engine's decode-once test repeats too: its workers write memo entries
-# while the batches running beside them decode those entries. So do the
+# engine's decode-once tests repeat too: workers write memo entries while
+# the batches running beside them decode those entries, on one engine
+# and on engines sharing one cache's memo. So do the
 # cache's shared-writer tests, where goroutines and two caches append to
 # and read one bucket file while eviction removes buckets, and the
 # sampler's concurrent-tick test, where an Export polls the open window
@@ -63,6 +64,7 @@ race:
 	$(GO) test -race ./...
 	$(GO) test -race -count=10 -run 'Subscrib|Stalled|SSE' ./internal/telemetry/events/
 	$(GO) test -race -count=10 -run '^TestRunDecodedDecodesEachKeyOnce$$' ./internal/engine/
+	$(GO) test -race -count=10 -run '^TestEnginesOverOneCacheDecodeEachKeyOnce$$' ./internal/engine/
 	$(GO) test -race -count=10 -run '^(TestCacheConcurrentWriters|TestEvictionConcurrentWithPutsAndGets)$$' ./internal/engine/
 	$(GO) test -race -count=10 -run '^TestConcurrentTicks$$' ./internal/telemetry/timeseries/
 	$(GO) test -race -count=10 -run '^TestFeed' ./internal/memsim/
@@ -207,9 +209,10 @@ serve-crash-smoke:
 # binaries no other target runs, each once at its defaults (hifi-trace
 # records at its default length), hifi-mttf's adapter table (Table 3b),
 # a hifi-trace record-then-inspect round trip, and invalid flags that
-# must exit 2 before anything runs: hifi-serve must not start (nor make
-# its cache dir), hifi-watch must not tick, hifi-bench must not read its
-# snapshots, hifi-experiments must not sweep. Built, not run with
+# must exit 2 before anything runs: hifi-trace must not write its file,
+# hifi-serve must not start (nor make its cache dir), hifi-watch must not
+# tick, hifi-bench must not read its snapshots, hifi-experiments must not
+# sweep. Built, not run with
 # `go run`, so exit codes are the binaries' own.
 cli-smoke:
 	rm -rf /tmp/hifi-cli && mkdir -p /tmp/hifi-cli
@@ -221,6 +224,7 @@ cli-smoke:
 	cd /tmp/hifi-cli && ./hifi-trace -workload canneal -o canneal.hftr -q
 	cd /tmp/hifi-cli && ./hifi-trace -i canneal.hftr -stats > stats.txt && grep -q 'canneal.hftr: 100000 records' stats.txt
 	cd /tmp/hifi-cli && ./hifi-mttf -seglen 1 -q; test $$? = 2
+	cd /tmp/hifi-cli && ./hifi-trace -q -workload nope -n 10 -o nope.hftr; test $$? = 2 && test ! -e nope.hftr
 	cd /tmp/hifi-cli && timeout 20 ./hifi-serve -q -rate NaN; test $$? = 2 && test ! -e .hifi-serve-cache
 	cd /tmp/hifi-cli && touch events.ndjson && timeout 20 ./hifi-watch -q -interval 0 events.ndjson 2> watch.err; \
 		test $$? = 2 && grep -q -- '-interval must be positive' watch.err

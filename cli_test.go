@@ -87,6 +87,9 @@ func TestCLIRejectsInvalidValues(t *testing.T) {
 		{"hifi-sim -accesses -1", "accesses per core (-1) must not be negative"},
 		{"hifi-sim -accesses 100 -warmup 500", "warmup accesses (500) must be in [0, accesses per core = 100)"},
 		{"hifi-sim -warmup -5", "warmup accesses (-5)"},
+		{"hifi-sim -workload nope", "-workload nope"},
+		{"hifi-sim -tech nope", "-tech nope"},
+		{"hifi-sim -scheme nope", "-scheme nope"},
 		{"hifi-mttf -table -distance 99", "-distance"},
 		{"hifi-mttf -table -distance -2", "-distance"},
 		{"hifi-mttf -table -distance 0", "-distance"},
@@ -102,6 +105,7 @@ func TestCLIRejectsInvalidValues(t *testing.T) {
 		{"hifi-trace -core 99 -workload canneal -o t.hftr", "-core"},
 		{"hifi-trace -core -1 -workload canneal -o t.hftr", "-core"},
 		{"hifi-trace -n -5 -workload canneal -o t.hftr", "-n"},
+		{"hifi-trace -workload nope -n 10 -o t.hftr", "-workload nope"},
 		// A job runs once: the retry and deadline flags are gone.
 		{"hifi-experiments -job-retries 1", "-job-retries"},
 		{"hifi-experiments -retry-backoff 1ms", "-retry-backoff"},

@@ -93,41 +93,34 @@ func main() {
 	faultFlags := cliutil.NewFaultFlags()
 	flag.Parse()
 	plan := faultFlags.Check("hifi-sim")
+	// An unknown name, or a configuration memsim refuses, is bad input
+	// like any bad flag: exit 2 before anything starts.
+	w, t, s, err := resolve(*workload, *tech, *scheme)
+	if err != nil {
+		log.Errorf("hifi-sim: %v", err)
+		os.Exit(2)
+	}
+	cfg := memsim.DefaultConfig(t, s)
+	cfg.AccessesPerCore = *accesses
+	cfg.WarmupAccessesPerCore = *warmup
+	cfg.Seed = *seed
+	cfg.Ideal = *ideal
+	cfg.FaultPlan = plan
+	if err := cfg.Validate(); err != nil {
+		log.Errorf("hifi-sim: %v", err)
+		os.Exit(2)
+	}
+
 	obs.EnableMetrics() // the progress line reads the run gauges
 	ctx := obs.Start()
 	eng, err := engFlags.Build(obs)
 	if err != nil {
 		log.Fatalf("hifi-sim: %v", err)
 	}
-
-	w, err := trace.ByName(*workload)
-	if err != nil {
-		log.Fatalf("hifi-sim: %v (workloads: canneal dedup facesim ferret fluidanimate freqmine blackscholes bodytrack streamcluster swaptions vips x264)", err)
-	}
-	t, err := parseTech(*tech)
-	if err != nil {
-		log.Fatalf("hifi-sim: %v", err)
-	}
-	s, err := shiftctrl.ParseScheme(*scheme)
-	if err != nil {
-		log.Fatalf("hifi-sim: %v", err)
-	}
 	reg := obs.Reg
-	cfg := memsim.DefaultConfig(t, s)
-	cfg.AccessesPerCore = *accesses
-	cfg.WarmupAccessesPerCore = *warmup
-	cfg.Seed = *seed
-	cfg.Ideal = *ideal
 	cfg.Metrics = reg
 	cfg.Sampler = obs.TS
 	cfg.Events = obs.Events
-	cfg.FaultPlan = plan
-	// A configuration memsim refuses is bad input, like a bad flag: exit
-	// 2 before the engine runs it.
-	if err := cfg.Validate(); err != nil {
-		log.Errorf("hifi-sim: %v", err)
-		os.Exit(2)
-	}
 
 	stopProgress := watchProgress(reg, *progress)
 	start := time.Now()
@@ -225,6 +218,24 @@ func watchProgress(reg *telemetry.Registry, every time.Duration) func() {
 		close(stop)
 		wg.Wait()
 	}
+}
+
+// resolve looks up the workload, technology and scheme names, naming the
+// flag of the first it does not know.
+func resolve(workload, tech, scheme string) (trace.Workload, energy.Tech, shiftctrl.Scheme, error) {
+	w, err := cliutil.Workload(workload)
+	if err != nil {
+		return w, 0, 0, err
+	}
+	t, err := parseTech(tech)
+	if err != nil {
+		return w, 0, 0, fmt.Errorf("-tech %s: %v (sram | stt | racetrack)", tech, err)
+	}
+	s, err := shiftctrl.ParseScheme(scheme)
+	if err != nil {
+		return w, 0, 0, fmt.Errorf("-scheme %s: %v (baseline | sts | sed | secded | pecco | worst | adaptive)", scheme, err)
+	}
+	return w, t, s, nil
 }
 
 func parseTech(s string) (energy.Tech, error) {

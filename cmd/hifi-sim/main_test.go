@@ -1,9 +1,11 @@
 package main
 
 import (
+	"strings"
 	"testing"
 
 	"racetrack/hifi/internal/energy"
+	"racetrack/hifi/internal/shiftctrl"
 )
 
 func TestParseTech(t *testing.T) {
@@ -20,6 +22,23 @@ func TestParseTech(t *testing.T) {
 	}
 	if _, err := parseTech("flash"); err == nil {
 		t.Error("parseTech accepted unknown technology")
+	}
+}
+
+// An unknown name is refused with a message naming its flag.
+func TestResolve(t *testing.T) {
+	w, tech, s, err := resolve("canneal", "stt", "pecco")
+	if err != nil || w.Name != "canneal" || tech != energy.STTRAM || s != shiftctrl.PECCO {
+		t.Errorf("resolve(canneal, stt, pecco) = %s, %v, %v, %v", w.Name, tech, s, err)
+	}
+	for _, tc := range []struct{ workload, tech, scheme, flag string }{
+		{"nope", "racetrack", "adaptive", "-workload nope"},
+		{"ferret", "flash", "adaptive", "-tech flash"},
+		{"ferret", "racetrack", "nope", "-scheme nope"},
+	} {
+		if _, _, _, err := resolve(tc.workload, tc.tech, tc.scheme); err == nil || !strings.HasPrefix(err.Error(), tc.flag+":") {
+			t.Errorf("resolve(%s, %s, %s) = %v, want an error naming %s", tc.workload, tc.tech, tc.scheme, err, tc.flag)
+		}
 	}
 }
 

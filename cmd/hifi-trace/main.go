@@ -7,8 +7,8 @@
 //	hifi-trace -i canneal.hftr -stats                         # summarize
 //	hifi-trace -i canneal.hftr -head 20                       # dump records
 //
-// A -core the simulated system does not have, an -n below 1 or a
-// negative -head exits 2 with a message naming the flag.
+// An unknown -workload, a -core the simulated system does not have, an
+// -n below 1 or a negative -head exits 2 with a message naming the flag.
 package main
 
 import (
@@ -43,7 +43,12 @@ func main() {
 
 	switch {
 	case *workload != "" && *out != "":
-		record(*workload, *core, *n, *seed, *out)
+		w, err := cliutil.Workload(*workload)
+		if err != nil {
+			log.Errorf("hifi-trace: %v", err)
+			os.Exit(2)
+		}
+		record(w, *core, *n, *seed, *out)
 	case *in != "":
 		inspect(*in, *head, *stats)
 	default:
@@ -72,11 +77,7 @@ func checkCount(n int) error {
 	return nil
 }
 
-func record(name string, core, n int, seed uint64, path string) {
-	w, err := trace.ByName(name)
-	if err != nil {
-		log.Fatalf("hifi-trace: %v", err)
-	}
+func record(w trace.Workload, core, n int, seed uint64, path string) {
 	recs := trace.NewGenerator(w, core, seed).Take(n)
 	f, err := os.Create(path)
 	if err != nil {
@@ -96,7 +97,7 @@ func record(name string, core, n int, seed uint64, path string) {
 		log.Fatalf("hifi-trace: stat: %v", err)
 	}
 	log.Infof("recorded %d accesses of %s (core %d) to %s (%.1f bytes/record)",
-		n, name, core, path, float64(fi.Size())/float64(n))
+		n, w.Name, core, path, float64(fi.Size())/float64(n))
 }
 
 func inspect(path string, head int, stats bool) {

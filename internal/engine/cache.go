@@ -38,6 +38,7 @@ import (
 	"path/filepath"
 	"runtime/debug"
 	"strconv"
+	"sync"
 	"sync/atomic"
 
 	"racetrack/hifi/internal/telemetry"
@@ -55,6 +56,13 @@ const recordMagic = "hifi2 "
 
 // bucketExt names the bucket files under objects/.
 const bucketExt = ".pack"
+
+// sharedMemoBudget bounds the key and payload bytes of a cache's shared
+// memo (Cache.share). An insertion that would pass it empties the memo
+// first, so a long-lived daemon holds at most this much and its engines
+// read what they need back from disk again. serve-warm's eight specs
+// (896 results) count 0.7 MiB.
+const sharedMemoBudget = 16 << 20
 
 // ErrCorrupt marks a cache object that failed checksum or framing
 // verification. Callers match it with errors.Is and recompute.
@@ -116,6 +124,16 @@ type Cache struct {
 	// nil-safe, so an uninstrumented cache pays only a nil check.
 	telEvictions *telemetry.Counter
 	telBytes     *telemetry.Gauge
+
+	// memo is the process-wide memo of the results engines read back
+	// from this cache, by job key: an engine adopts an entry another
+	// engine read, so it neither reads, verifies nor decodes it again.
+	// memoBytes counts its keys and payloads, at most memoBudget
+	// (sharedMemoBudget).
+	memoMu     sync.Mutex
+	memo       map[string]*memoEntry
+	memoBytes  int
+	memoBudget int
 }
 
 // OpenCache opens (creating if needed) a cache rooted at dir. An empty
@@ -133,7 +151,7 @@ func OpenCacheFS(dir, version string, fsys FS) (*Cache, error) {
 	if err := fsys.MkdirAll(filepath.Join(dir, "objects")); err != nil {
 		return nil, fmt.Errorf("engine: open cache: %w", err)
 	}
-	return &Cache{dir: dir, version: version, fsys: fsys}, nil
+	return &Cache{dir: dir, version: version, fsys: fsys, memoBudget: sharedMemoBudget}, nil
 }
 
 // Version returns the code version mixed into every hash.
@@ -141,6 +159,36 @@ func (c *Cache) Version() string { return c.version }
 
 // CorruptCount returns how many damaged records Get has quarantined.
 func (c *Cache) CorruptCount() uint64 { return c.corrupt.Load() }
+
+// recall returns key's shared entry, or nil.
+func (c *Cache) recall(key string) *memoEntry {
+	c.memoMu.Lock()
+	defer c.memoMu.Unlock()
+	return c.memo[key]
+}
+
+// share makes m key's shared entry unless the key has one already, and
+// returns the key's entry, so engines that read a key at once end up
+// with one entry and one decode. An insertion that would pass the
+// budget empties the memo first; an entry larger than the whole budget
+// is not kept.
+func (c *Cache) share(key string, m *memoEntry) *memoEntry {
+	size := len(key) + len(m.payload)
+	c.memoMu.Lock()
+	defer c.memoMu.Unlock()
+	if old := c.memo[key]; old != nil {
+		return old
+	}
+	if size > c.memoBudget {
+		return m
+	}
+	if c.memo == nil || c.memoBytes+size > c.memoBudget {
+		c.memo, c.memoBytes = map[string]*memoEntry{}, 0
+	}
+	c.memo[key] = m
+	c.memoBytes += size
+	return m
+}
 
 // bucket is the file holding hash's records.
 func (c *Cache) bucket(hash string) string {

@@ -131,7 +131,9 @@ type Engine struct {
 	maxJobLabel  string
 	// memo holds every result this engine resolved, by job key, when it
 	// has a cache: a repeat within its lifetime (one sweep) is served
-	// from memory, without hashing its key or reading the cache.
+	// from memory, without hashing its key or reading the cache. The
+	// results it read back are also in the cache's shared memo
+	// (Cache.share), which serves them to later engines over that cache.
 	memo map[string]*memoEntry
 
 	tel engineTelemetry
@@ -185,7 +187,8 @@ func readUsage() usage {
 
 // memoEntry is one resolved result: its canonical payload and, once
 // RunDecoded has asked for it, the value decoded from it. Every job
-// with the entry's key shares both, so neither may be modified.
+// with the entry's key shares both, in every engine that holds the
+// entry, so neither may be modified.
 type memoEntry struct {
 	payload []byte
 	decode  sync.Once
@@ -248,7 +251,8 @@ func (e *Engine) InFlight() int { return int(e.running.Load()) }
 // Report summarizes one Run call. Payloads holds the canonical JSON
 // result of each job in submission order; decode with Decode, or run
 // the batch through RunDecoded instead. A payload may share its bytes
-// with other reports of the same engine, so callers must not modify it.
+// with other reports of the same engine, or of any engine over the same
+// cache, so callers must not modify it.
 type Report struct {
 	Payloads  [][]byte
 	Executed  int
@@ -265,8 +269,10 @@ type Report struct {
 // An engine with a cache resolves each key at most once per lifetime:
 // it remembers every payload it resolved (by cache read or execution)
 // and serves a repeat from memory, counted and emitted as the cache hit
-// it would have been. An engine without a cache executes every job on
-// every Run.
+// it would have been. A payload it read back from the cache is also
+// kept in the cache's shared memo, so a later engine over the same
+// Cache serves that key from memory too; an executed one stays with its
+// engine. An engine without a cache executes every job on every Run.
 func (e *Engine) Run(ctx context.Context, jobs []Job) (*Report, error) {
 	rep, _, err := e.run(ctx, jobs)
 	return rep, err
@@ -274,10 +280,11 @@ func (e *Engine) Run(ctx context.Context, jobs []Job) (*Report, error) {
 
 // RunDecoded runs jobs like Run and returns their results decoded as T,
 // in submission order. An engine with a cache decodes each key at most
-// once in its lifetime: a repeat returns the value decoded the first
-// time, shared with every other caller, so none may modify it (a T
-// holding maps, slices or pointers shares those too). An engine without
-// a cache decodes every job.
+// once in its lifetime, and a key it read back from the cache at most
+// once for every engine over that Cache: a repeat returns the value
+// decoded the first time, shared with every other caller, so none may
+// modify it (a T holding maps, slices or pointers shares those too). An
+// engine without a cache decodes every job.
 func RunDecoded[T any](ctx context.Context, e *Engine, jobs []Job) ([]T, error) {
 	_, outs, err := e.run(ctx, jobs)
 	if err != nil {
@@ -500,9 +507,10 @@ func firstLine(err error) string {
 	return s
 }
 
-// cacheGet resolves j from the memo, else hashes its key and reads the
-// cache, remembering what it finds; it returns the hash it computed
-// (none on a memo hit). Every cache failure maps to "not cached".
+// cacheGet resolves j from the engine's memo, else from the cache's
+// shared memo, else hashes its key and reads the cache, keeping what it
+// reads in both memos; it returns the hash it computed (none on a memo
+// hit). Every cache failure maps to "not cached".
 // Corruption is counted and logged (the object has already been
 // quarantined by Cache.Get); unexpected read errors are logged so a
 // dying disk is visible, but neither ever fails the job — the engine
@@ -514,11 +522,15 @@ func (e *Engine) cacheGet(j Job) (*memoEntry, string) {
 	if m != nil {
 		return m, ""
 	}
-	hash := HashKey(e.opts.Cache.Version(), j.Key)
-	p, err := e.opts.Cache.Get(hash)
+	c := e.opts.Cache
+	if m := c.recall(j.Key); m != nil {
+		return e.remember(j.Key, m), ""
+	}
+	hash := HashKey(c.Version(), j.Key)
+	p, err := c.Get(hash)
 	switch {
 	case err == nil:
-		return e.remember(j.Key, p), hash
+		return e.remember(j.Key, c.share(j.Key, &memoEntry{payload: p})), hash
 	case errors.Is(err, fs.ErrNotExist):
 	case errors.Is(err, ErrCorrupt):
 		e.corrupt.Add(1)
@@ -530,16 +542,17 @@ func (e *Engine) cacheGet(j Job) (*memoEntry, string) {
 	return nil, hash
 }
 
-// cachePut remembers a fresh payload and stores it in the cache,
-// degrading to memo-only operation on failure: the first error warns,
-// later ones are dropped so an unwritable cache directory does not
-// flood a long sweep's log. It returns the job's result, which an
+// cachePut remembers a fresh payload in the engine's memo (not the
+// shared one: a later engine reads it back once) and stores it in the
+// cache, degrading to memo-only operation on failure: the first error
+// warns, later ones are dropped so an unwritable cache directory does
+// not flood a long sweep's log. It returns the job's result, which an
 // engine without a cache keeps for this job alone.
 func (e *Engine) cachePut(j Job, hash string, payload []byte) *memoEntry {
 	if e.opts.Cache == nil {
 		return &memoEntry{payload: payload}
 	}
-	m := e.remember(j.Key, payload)
+	m := e.remember(j.Key, &memoEntry{payload: payload})
 	if err := e.opts.Cache.Put(hash, payload); err != nil {
 		if e.putWarned.CompareAndSwap(false, true) {
 			log.Errorf("engine: cache put %s: %v (continuing without cache writes)", label(j), err)
@@ -548,17 +561,16 @@ func (e *Engine) cachePut(j Job, hash string, payload []byte) *memoEntry {
 	return m
 }
 
-// remember makes payload key's entry unless the key has one already, and
+// remember makes m key's entry unless the key has one already, and
 // returns the key's entry: the first resolution of a key is the one
 // every later job shares, decoded value included.
-func (e *Engine) remember(key string, payload []byte) *memoEntry {
+func (e *Engine) remember(key string, m *memoEntry) *memoEntry {
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	m := e.memo[key]
-	if m == nil {
-		m = &memoEntry{payload: payload}
-		e.memo[key] = m
+	if old := e.memo[key]; old != nil {
+		return old
 	}
+	e.memo[key] = m
 	return m
 }
 

@@ -118,12 +118,15 @@ func (m Model) K2Rate(n int) float64 {
 	return m.scale() * extrapolateK2(n)
 }
 
-// K3PlusRate returns the probability of a |k| >= 3 out-of-step error. The
-// paper reports these as "too small" for all tabulated distances. We model
-// the tail by continuing the observed super-exponential decay: each extra
+// K3PlusRate returns the probability of the model's largest out-of-step
+// error, |k| = 3: the error model stops there, so this equals KRate(n, 3),
+// Sample draws |k| <= 3 and ErrorRate sums k = 1, 2 and 3 only. The paper
+// reports |k| >= 3 errors as "too small" for all tabulated distances. The
+// k = 3 rate continues the observed super-exponential decay: the extra
 // step of magnitude costs the same factor as the k=1 to k=2 gap at that
-// distance (7e-12 at 7 steps), keeping k>=3 below 1e-25 everywhere —
-// consistent with the paper's SECDED SDC MTTF exceeding 1000 years.
+// distance (7e-12 at 7 steps), keeping it below 1e-25 at every tabulated
+// distance, consistent with the paper's SECDED SDC MTTF exceeding 1000
+// years. A code whose radius exceeds 3 needs a longer tail modelled first.
 func (m Model) K3PlusRate(n int) float64 {
 	k1, k2 := m.K1Rate(n), m.K2Rate(n)
 	if k1 <= 0 {

@@ -246,3 +246,33 @@ func TestExtrapolationContinuity(t *testing.T) {
 		t.Errorf("K2 extrapolation not increasing: %g -> %g", q7, q8)
 	}
 }
+
+// The error model stops at |k| = 3: K3PlusRate is the k = 3 rate and
+// Sample never draws a larger offset, at any distance up to twice the
+// table's, even where the rates are scaled up until k = 3 errors are
+// common.
+func TestTailTruncatedAtThreeSteps(t *testing.T) {
+	for _, m := range []Model{{}, {RateScale: 10}, {RateScale: 10, DisableSTS: true}} {
+		for n := 1; n <= 2*MaxTabulated+1; n++ {
+			if got, want := m.K3PlusRate(n), m.KRate(n, 3); got != want {
+				t.Errorf("%+v: K3PlusRate(%d) = %g, KRate(%d, 3) = %g", m, n, got, n, want)
+			}
+		}
+	}
+	m := Model{RateScale: 10}
+	r := sim.NewRNG(5)
+	k3 := 0
+	for n := 1; n <= 2*MaxTabulated+1; n++ {
+		for i := 0; i < 20_000; i++ {
+			switch o := m.Sample(n, r); {
+			case o.StepOffset > 3 || o.StepOffset < -3:
+				t.Fatalf("Sample(%d) drew %v, past the model's |k| <= 3", n, o)
+			case o.StepOffset == 3 || o.StepOffset == -3:
+				k3++
+			}
+		}
+	}
+	if k3 == 0 {
+		t.Error("no |k| = 3 outcome drawn: the bound was not exercised")
+	}
+}

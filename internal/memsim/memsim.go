@@ -191,8 +191,9 @@ func (c *Config) fillDefaults() {
 
 // Validate reports why RunCtx would refuse the configuration, with
 // RunCtx's own message, or nil; zero fields count as their defaults.
-// It is cheap and deterministic, so a caller can check a configuration
-// before queueing a run of it: an engine retries a failed job.
+// It is cheap and deterministic, so a caller can refuse bad input before
+// anything starts (hifi-sim exits 2 on it), instead of learning of it
+// from a failed engine job.
 func (c Config) Validate() error {
 	c.fillDefaults()
 	if c.Cores < 1 {

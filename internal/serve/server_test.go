@@ -9,6 +9,8 @@ package serve
 import (
 	"context"
 	"errors"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 	"time"
@@ -174,6 +176,35 @@ func TestSubmitByteIdenticalAndCacheServedResubmit(t *testing.T) {
 	}
 	if st2.Engine.CacheHits == 0 || st2.Engine.CacheHits != st2.Engine.Jobs {
 		t.Fatalf("resubmission ledger %+v; want every job a cache hit", st2.Engine)
+	}
+
+	// The resubmission read its results back into the cache's shared
+	// memo, so a second one reads no cache object: with every bucket
+	// file gone it still executes nothing, where a read would have
+	// missed and simulated.
+	packs, err := filepath.Glob(filepath.Join(srv.opts.CacheDir, "objects", "*.pack"))
+	if err != nil || len(packs) == 0 {
+		t.Fatalf("no bucket files to remove (%v)", err)
+	}
+	for _, p := range packs {
+		if err := os.Remove(p); err != nil {
+			t.Fatal(err)
+		}
+	}
+	j3, _, err := srv.Submit(quickSpec(), "client-c")
+	if err != nil {
+		t.Fatal(err)
+	}
+	waitDone(t, j3)
+	if st := j3.State(); st != StateDone {
+		t.Fatalf("job 3 state %s, error %q", st, j3.Status().Error)
+	}
+	if j3.Text() != j1.Text() {
+		t.Fatalf("second resubmission rendered different bytes")
+	}
+	if st3 := j3.Status().Engine; st3 == nil || st3.Executed != 0 ||
+		st3.Jobs != st2.Engine.Jobs || st3.CacheHits != st2.Engine.CacheHits {
+		t.Fatalf("second resubmission ledger %+v; want the first's, %+v", st3, st2.Engine)
 	}
 }
 
