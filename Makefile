@@ -72,10 +72,11 @@ race:
 # fuzz runs each fuzz target for 10s beyond its seed corpus: the NDJSON
 # replay rule behind the serve job index (engine.ReplayLines), the cache
 # bucket reader, the job index replay itself, spec normalization, the binary trace reader, the
-# event-log reader, the traceparent parser, the p-ECC decoder and the
-# memsim fingerprint appender (against the reflective encoder it
-# replaced). A failing input lands in the package's testdata/fuzz/
-# directory, where tier-1 then replays it.
+# event-log reader, the event encoder behind the SSE frames and NDJSON
+# lines (against json.Marshal), the traceparent parser, the p-ECC
+# decoder and the memsim fingerprint appender (against the reflective
+# encoder it replaced). A failing input lands in the package's
+# testdata/fuzz/ directory, where tier-1 then replays it.
 fuzz:
 	$(GO) test -run '^$$' -fuzz '^FuzzReplayLines$$' -fuzztime 10s ./internal/engine
 	$(GO) test -run '^$$' -fuzz '^FuzzCacheBucket$$' -fuzztime 10s ./internal/engine
@@ -83,6 +84,7 @@ fuzz:
 	$(GO) test -run '^$$' -fuzz '^FuzzSpecNormalize$$' -fuzztime 10s ./internal/serve
 	$(GO) test -run '^$$' -fuzz '^FuzzReadTrace$$' -fuzztime 10s ./internal/trace
 	$(GO) test -run '^$$' -fuzz '^FuzzReadLog$$' -fuzztime 10s ./internal/telemetry/events
+	$(GO) test -run '^$$' -fuzz '^FuzzEventJSON$$' -fuzztime 10s ./internal/telemetry/events
 	$(GO) test -run '^$$' -fuzz '^FuzzParse$$' -fuzztime 10s ./internal/telemetry/tracectx
 	$(GO) test -run '^$$' -fuzz '^FuzzDecode$$' -fuzztime 10s ./internal/pecc
 	$(GO) test -run '^$$' -fuzz '^FuzzFingerprint$$' -fuzztime 10s ./internal/memsim

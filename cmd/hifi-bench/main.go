@@ -2,9 +2,10 @@
 // versioned snapshot, or compares two snapshots and fails on regression.
 // The suite covers the hot paths of the reproduction: the RTM shift loop,
 // p-ECC decode, a full memsim replay, one small experiment sweep, the
-// parallel experiment engine (serial vs 4-worker vs warm-cache), and the
-// serve daemon's submit-to-first-event path — micro and macro, so a slow
-// decoder, a slow simulator, or a slow job API all trip the gate.
+// parallel experiment engine (serial vs 4-worker vs warm-cache), event
+// emits and a warm job's SSE stream, and the serve daemon's
+// submit-to-first-event path — micro and macro, so a slow decoder, a
+// slow simulator, or a slow job API all trip the gate.
 //
 // Usage:
 //
@@ -235,6 +236,7 @@ func runSuite(quick bool) *bench.Snapshot {
 		{"sweep-small", benchSweep},
 		{"engine-parallel-sweep", benchEngineSweep},
 		{"events-emit", benchEventsEmit},
+		{"events-sse", benchEventsSSE},
 		{"serve-submit", benchServeSubmit},
 	} {
 		log.Infof("benchmarking %s", b.name)
@@ -390,6 +392,55 @@ func benchEventsEmit(quick bool) bench.Result {
 	})
 	return toResult(res, map[string]float64{"events_per_sec": 1})
 }
+
+// benchEventsSSE measures one SSE stream of a warm served job: what
+// events.Handler writes for the 812 events a warm resubmission of a
+// seven-experiment sweep emits on its job's bus (401 job.queued and 401
+// job.cache_hit among 7 run.phase and 3 serve.job.*, each with a 32-hex
+// trace ID), replayed to a client that discards it. Its allocs/op is a
+// small constant, whatever the number of events, and the allocation
+// gate keeps it so.
+func benchEventsSSE(quick bool) bench.Result {
+	bus := events.New(0)
+	bus.SetTraceID("0af7651916cd43dd8448eb211c80319c")
+	bus.Emit(events.Event{Type: events.ServeJobAccepted, Name: "j-000001", Detail: "7b563554d0e1f2a3"})
+	bus.Emit(events.Event{Type: events.ServeJobStarted, Name: "j-000001"})
+	for x := 0; x < 7; x++ {
+		bus.Emit(events.Event{Type: events.RunPhase, Name: fmt.Sprintf("fig%d", 10+x)})
+		jobs := 401 / 7
+		if x < 401%7 {
+			jobs++
+		}
+		for i := 0; i < jobs; i++ {
+			bus.Emit(events.Event{Type: events.JobQueued, Name: fmt.Sprintf("Racetrack/pECC-S/ideal:w%02d", i), N: int64(jobs)})
+		}
+		for i := 0; i < jobs; i++ {
+			bus.Emit(events.Event{Type: events.JobCacheHit, Name: fmt.Sprintf("Racetrack/pECC-S/ideal:w%02d", i)})
+		}
+	}
+	bus.Emit(events.Event{Type: events.ServeJobFinished, Name: "j-000001", MS: 4, N: 7})
+	done := make(chan struct{})
+	close(done) // the stream ends after the replay
+	h := events.Handler(bus, done)
+	req := httptest.NewRequest(http.MethodGet, "/v1/jobs/j-000001/events", nil)
+	w := discardResponse{http.Header{}}
+	res := testing.Benchmark(func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			h.ServeHTTP(w, req)
+		}
+	})
+	return toResult(res, map[string]float64{"events_per_sec": float64(bus.Seq())})
+}
+
+// discardResponse is an http.ResponseWriter and http.Flusher that
+// keeps nothing.
+type discardResponse struct{ hdr http.Header }
+
+func (d discardResponse) Header() http.Header       { return d.hdr }
+func (discardResponse) WriteHeader(int)             {}
+func (discardResponse) Write(p []byte) (int, error) { return len(p), nil }
+func (discardResponse) Flush()                      {}
 
 // benchSweep measures one small simulation-backed experiment sweep (Fig 14
 // on the scaled hierarchy): the macro path the CLIs actually execute.

@@ -75,8 +75,13 @@ func TestCompareImprovementAndMissing(t *testing.T) {
 		Result{Name: "a", NsPerOp: 60}, // faster: never a regression
 		Result{Name: "new-one", NsPerOp: 999},
 	)
-	regs := Regressions(Compare(old, cur), DefaultThreshold, DefaultAllocThreshold)
+	deltas := Compare(old, cur)
+	regs := Regressions(deltas, DefaultThreshold, DefaultAllocThreshold)
 	if len(regs) != 1 || regs[0].Name != "gone" || !regs[0].MissingNew {
 		t.Fatalf("regressions = %+v, want only the missing benchmark", regs)
+	}
+	// A benchmark only the new snapshot has is an addition: no delta.
+	if len(deltas) != 2 || deltas[0].Name != "a" || deltas[1].Name != "gone" {
+		t.Fatalf("deltas = %+v, want a and gone only", deltas)
 	}
 }

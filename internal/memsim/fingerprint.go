@@ -1,10 +1,9 @@
 package memsim
 
 import (
-	"encoding/json"
-	"math"
 	"strconv"
 
+	"racetrack/hifi/internal/jsonenc"
 	"racetrack/hifi/internal/trace"
 )
 
@@ -42,9 +41,9 @@ func (c Config) Fingerprint(w trace.Workload) string {
 	b := append(buf[:0], `memsim|{"schema":`...)
 	b = strconv.AppendInt(b, FingerprintSchema, 10)
 	b = appendInt(b, `,"cores":`, int64(c.Cores))
-	b = appendFloat(append(b, `,"clock_hz":`...), c.ClockHz)
-	b = appendString(append(b, `,"tech":`...), c.Tech.String())
-	b = appendString(append(b, `,"scheme":`...), c.Scheme.String())
+	b = appendFloat(b, `,"clock_hz":`, c.ClockHz)
+	b = appendString(b, `,"tech":`, c.Tech.String())
+	b = appendString(b, `,"scheme":`, c.Scheme.String())
 	b = appendBool(b, `,"ideal":`, c.Ideal)
 	b = appendInt(b, `,"geometry":{"stripes_per_group":`, int64(c.Geometry.StripesPerGroup))
 	b = appendInt(b, `,"data_bits":`, int64(c.Geometry.DataBits))
@@ -53,7 +52,7 @@ func (c Config) Fingerprint(w trace.Workload) string {
 	b = appendInt(b, `},"accesses_per_core":`, int64(c.AccessesPerCore))
 	b = appendInt(b, `,"warmup_accesses_per_core":`, int64(c.WarmupAccessesPerCore))
 	b = strconv.AppendUint(append(b, `,"seed":`...), c.Seed, 10)
-	b = appendFloat(append(b, `,"target_due":`...), c.TargetDUE)
+	b = appendFloat(b, `,"target_due":`, c.TargetDUE)
 	b = appendInt(b, `,"l1_capacity":`, c.L1Capacity)
 	b = appendInt(b, `,"l2_capacity":`, c.L2Capacity)
 	b = appendInt(b, `,"l3_capacity":`, c.L3Capacity)
@@ -77,7 +76,7 @@ func (c Config) Fingerprint(w trace.Workload) string {
 	// has none and is left out, so plan-free fingerprints are
 	// byte-identical to those made before fault injection existed.
 	if f := c.FaultPlan.Canonical(); f != "" {
-		b = appendString(append(b, `,"faults":`...), f)
+		b = appendString(b, `,"faults":`, f)
 	}
 	return string(append(b, '}'))
 }
@@ -85,16 +84,16 @@ func (c Config) Fingerprint(w trace.Workload) string {
 // appendWorkload appends w as encoding/json writes the untagged struct:
 // every field, under its Go name, in declaration order.
 func appendWorkload(b []byte, w trace.Workload) []byte {
-	b = appendString(append(b, `{"Name":`...), w.Name)
+	b = appendString(b, `{"Name":`, w.Name)
 	b = appendBool(b, `,"CapacitySensitive":`, w.CapacitySensitive)
 	b = appendInt(b, `,"WorkingSetB":`, w.WorkingSetB)
-	b = appendFloat(append(b, `,"ZipfS":`...), w.ZipfS)
-	b = appendFloat(append(b, `,"StreamFrac":`...), w.StreamFrac)
-	b = appendFloat(append(b, `,"WriteFrac":`...), w.WriteFrac)
-	b = appendFloat(append(b, `,"GapMean":`...), w.GapMean)
+	b = appendFloat(b, `,"ZipfS":`, w.ZipfS)
+	b = appendFloat(b, `,"StreamFrac":`, w.StreamFrac)
+	b = appendFloat(b, `,"WriteFrac":`, w.WriteFrac)
+	b = appendFloat(b, `,"GapMean":`, w.GapMean)
 	b = appendBool(b, `,"LatencySensitive":`, w.LatencySensitive)
 	b = appendInt(b, `,"PhasePeriod":`, int64(w.PhasePeriod))
-	b = appendFloat(append(b, `,"PhaseGapMean":`...), w.PhaseGapMean)
+	b = appendFloat(b, `,"PhaseGapMean":`, w.PhaseGapMean)
 	return append(b, '}')
 }
 
@@ -106,42 +105,16 @@ func appendBool(b []byte, name string, v bool) []byte {
 	return strconv.AppendBool(append(b, name...), v)
 }
 
-// appendFloat appends f as encoding/json writes a float64: the shortest
-// decimal that parses back to f, in 'f' form unless |f| < 1e-6 or
-// |f| >= 1e21, then in 'e' form with a one-digit exponent unpadded
-// ("1e-7", not "1e-07"). NaN and ±Inf panic, as json.Marshal fails on
-// them.
-func appendFloat(b []byte, f float64) []byte {
-	if math.IsInf(f, 0) || math.IsNaN(f) {
-		panic("memsim: Fingerprint: json: unsupported value: " + strconv.FormatFloat(f, 'g', -1, 64))
-	}
-	format := byte('f')
-	if a := math.Abs(f); a != 0 && (a < 1e-6 || a >= 1e21) {
-		format = 'e'
-	}
-	b = strconv.AppendFloat(b, f, format, -1, 64)
-	if format == 'e' {
-		if n := len(b); n >= 4 && b[n-4] == 'e' && b[n-3] == '-' && b[n-2] == '0' {
-			b[n-2] = b[n-1]
-			b = b[:n-1]
-		}
-	}
-	return b
+func appendString(b []byte, name, v string) []byte {
+	return jsonenc.String(append(b, name...), v)
 }
 
-// appendString appends s as encoding/json writes a string. Printable
-// ASCII other than a quote, a backslash and <, > and & is copied as is;
-// any other string is rare in a key and goes through json.Marshal, so
-// its escapes (\u003c for <, \n, \ufffd for invalid UTF-8) stay
-// encoding/json's.
-func appendString(b []byte, s string) []byte {
-	for i := 0; i < len(s); i++ {
-		if c := s[i]; c < 0x20 || c > 0x7e || c == '"' || c == '\\' || c == '<' || c == '>' || c == '&' {
-			q, _ := json.Marshal(s) // a string always marshals
-			return append(b, q...)
-		}
+// appendFloat panics on NaN and ±Inf with json.Marshal's message, as
+// the reflective encoder did.
+func appendFloat(b []byte, name string, v float64) []byte {
+	b, err := jsonenc.Float(append(b, name...), v)
+	if err != nil {
+		panic("memsim: Fingerprint: " + err.Error())
 	}
-	b = append(b, '"')
-	b = append(b, s...)
-	return append(b, '"')
+	return b
 }

@@ -36,8 +36,11 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"strconv"
 	"sync"
 	"time"
+
+	"racetrack/hifi/internal/jsonenc"
 )
 
 // SchemaV1 identifies the event stream layout, stamped into the NDJSON
@@ -128,6 +131,43 @@ type Event struct {
 	V float64 `json:"v,omitempty"`
 }
 
+// appendJSON appends e as one compact JSON object, byte for byte what
+// json.Marshal(e) writes: the fields in declaration order, a zero
+// optional field left out, encoding/json's string escapes and float
+// format. A NaN or infinite V fails with json.Marshal's error. The SSE
+// frame and the NDJSON line are both built on it, without reflection
+// or an allocation of their own.
+func appendJSON(b []byte, e Event) ([]byte, error) {
+	b = strconv.AppendUint(append(b, `{"seq":`...), e.Seq, 10)
+	b = strconv.AppendInt(append(b, `,"t_ms":`...), e.TMS, 10)
+	b = jsonenc.String(append(b, `,"type":`...), string(e.Type))
+	if e.Name != "" {
+		b = jsonenc.String(append(b, `,"name":`...), e.Name)
+	}
+	if e.Detail != "" {
+		b = jsonenc.String(append(b, `,"detail":`...), e.Detail)
+	}
+	if e.TraceID != "" {
+		b = jsonenc.String(append(b, `,"trace_id":`...), e.TraceID)
+	}
+	if e.Worker != 0 {
+		b = strconv.AppendInt(append(b, `,"worker":`...), int64(e.Worker), 10)
+	}
+	if e.N != 0 {
+		b = strconv.AppendInt(append(b, `,"n":`...), e.N, 10)
+	}
+	if e.MS != 0 {
+		b = strconv.AppendInt(append(b, `,"ms":`...), e.MS, 10)
+	}
+	if e.V != 0 {
+		var err error
+		if b, err = jsonenc.Float(append(b, `,"v":`...), e.V); err != nil {
+			return b, err
+		}
+	}
+	return append(b, '}'), nil
+}
+
 // canonical is the deterministic projection of an Event: identity
 // fields only, no sequence numbers, timestamps, durations, or worker
 // slots — the parts of a seeded sweep that are byte-identical at any
@@ -180,7 +220,8 @@ type Bus struct {
 	wake chan struct{}
 
 	sink    io.Writer
-	sinkErr error // first sink write failure; later writes are skipped
+	sinkErr error  // first sink write failure; later writes are skipped
+	line    []byte // the sink's line buffer, reused by every Emit
 
 	// defaultTrace, when set, stamps every emitted event that carries no
 	// TraceID of its own. A per-job serve bus sets it once at admission
@@ -282,7 +323,7 @@ func (b *Bus) Emit(e Event) {
 	}
 
 	if b.sink != nil && b.sinkErr == nil {
-		if err := writeNDJSON(b.sink, e); err != nil {
+		if err := b.writeNDJSON(e); err != nil {
 			b.sinkErr = err
 		}
 	}

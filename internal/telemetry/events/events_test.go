@@ -343,7 +343,7 @@ const headerlessLog = `{"seq":1,"t_ms":1,"type":"run.phase","name":"schema"}
 `
 
 // FuzzReadLog: no input panics ReadLog, and a log it accepts, written
-// out again through WriteHeader and the sink's NDJSON writer, reads back
+// out again through WriteHeader and the sink's event encoder, reads back
 // to the same tool and events.
 func FuzzReadLog(f *testing.F) {
 	f.Add(`{"schema":"hifi_events_v1","tool":"t"}
@@ -367,9 +367,12 @@ not json at all
 			t.Fatal(err)
 		}
 		for _, e := range evs {
-			if err := writeNDJSON(&sb, e); err != nil {
+			line, err := appendJSON(nil, e)
+			if err != nil {
 				t.Fatal(err)
 			}
+			sb.Write(line)
+			sb.WriteByte('\n')
 		}
 		hdr2, evs2, err := ReadLog(strings.NewReader(sb.String()))
 		if err != nil {

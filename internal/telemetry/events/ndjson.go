@@ -38,13 +38,15 @@ func WriteHeader(w io.Writer, tool string) error {
 	return err
 }
 
-// writeNDJSON appends one event line to w.
-func writeNDJSON(w io.Writer, e Event) error {
-	b, err := json.Marshal(e)
+// writeNDJSON writes e's line to the sink through the bus's reused line
+// buffer. The caller holds b.mu.
+func (b *Bus) writeNDJSON(e Event) error {
+	line, err := appendJSON(b.line[:0], e)
 	if err != nil {
 		return err
 	}
-	_, err = fmt.Fprintf(w, "%s\n", b)
+	b.line = append(line, '\n')
+	_, err = b.sink.Write(b.line)
 	return err
 }
 

@@ -1,8 +1,7 @@
 package events
 
 import (
-	"encoding/json"
-	"fmt"
+	"io"
 	"net/http"
 	"strconv"
 )
@@ -26,7 +25,10 @@ import (
 // The stream is one loop over Bus.Since with the last id written as
 // its cursor, so it never blocks Emit and never drops an event the ring
 // still holds: a client that falls more than the ring behind resumes at
-// the oldest retained event, and the jump in ids shows the gap.
+// the oldest retained event, and the jump in ids shows the gap. Each
+// batch Since returns is encoded into the stream's one frame buffer,
+// written every sseChunk bytes and at the batch's end, and flushed
+// once.
 //
 // The stream ends when the client goes away, or, once done is closed,
 // right after the events emitted before it closed. A nil done never
@@ -50,12 +52,13 @@ func Handler(b *Bus, done <-chan struct{}) http.Handler {
 
 		// Handshake comment: names the schema and confirms the stream is
 		// open before any event arrives.
-		fmt.Fprintf(w, ": %s\n\n", SchemaV1)
+		_, _ = io.WriteString(w, ": "+SchemaV1+"\n\n") // a dead client fails the flush
 		if err := fl.Flush(); err != nil {
 			return
 		}
 
 		var buf []Event
+		frames := make([]byte, 0, 2*sseChunk) // encoded frames not yet written
 		for {
 			// Everything emitted before done closed is in the read below.
 			finished := false
@@ -65,11 +68,22 @@ func Handler(b *Bus, done <-chan struct{}) http.Handler {
 			default:
 			}
 			evs, wake := b.Since(cursor, buf[:0])
-			for _, e := range evs {
-				if err := writeSSE(w, e); err != nil {
+			for i, e := range evs {
+				n := len(frames)
+				var err error
+				if frames, err = appendSSE(frames, e); err != nil {
+					// The frames before it go out; this one and the
+					// stream end here.
+					_, _ = w.Write(frames[:n])
 					return
 				}
 				cursor = e.Seq
+				if len(frames) >= sseChunk || i == len(evs)-1 {
+					if _, err := w.Write(frames); err != nil {
+						return
+					}
+					frames = frames[:0]
+				}
 			}
 			if len(evs) > 0 {
 				if err := fl.Flush(); err != nil {
@@ -109,12 +123,16 @@ func lastEventID(r *http.Request) uint64 {
 	return n
 }
 
-// writeSSE renders one event as an SSE frame.
-func writeSSE(w http.ResponseWriter, e Event) error {
-	b, err := json.Marshal(e)
-	if err != nil {
-		return err
-	}
-	_, err = fmt.Fprintf(w, "id: %d\nevent: %s\ndata: %s\n\n", e.Seq, e.Type, b)
-	return err
+// sseChunk is about how many bytes of frames a stream encodes before it
+// writes them: a batch of events goes out in writes of about 4 KiB and
+// one write of the rest, then one flush, through one buffer per stream.
+const sseChunk = 4 << 10
+
+// appendSSE appends e as one SSE frame, its JSON on one data line. On
+// an error, from a NaN or infinite V, what it appended is not a frame.
+func appendSSE(b []byte, e Event) ([]byte, error) {
+	b = strconv.AppendUint(append(b, "id: "...), e.Seq, 10)
+	b = append(append(b, "\nevent: "...), e.Type...)
+	b, err := appendJSON(append(b, "\ndata: "...), e)
+	return append(b, "\n\n"...), err
 }
