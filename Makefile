@@ -210,9 +210,11 @@ serve-crash-smoke:
 # cli-smoke is the local version of CI's CLI smoke step: the analytic
 # binaries no other target runs, each once at its defaults (hifi-trace
 # records at its default length), hifi-mttf's adapter table (Table 3b),
-# a hifi-trace record-then-inspect round trip, and invalid flags that
-# must exit 2 before anything runs: hifi-trace must not write its file,
-# hifi-serve must not start (nor make its cache dir), hifi-watch must not
+# a hifi-trace record-then-inspect round trip, a 1000-access trace that
+# must be 8013 bytes (a 13-byte header and 8 bytes a record), and invalid
+# flags that must exit 2 before anything runs: hifi-trace must not write
+# its file, hifi-serve (a bad -rate, or -spans-out, which the daemon does
+# not take) must not start (nor make its cache dir), hifi-watch must not
 # tick, hifi-bench must not read its snapshots, hifi-experiments must not
 # sweep. Built, not run with
 # `go run`, so exit codes are the binaries' own.
@@ -225,9 +227,11 @@ cli-smoke:
 	cd /tmp/hifi-cli && ./hifi-design > design.txt && grep -q 'Pareto frontier' design.txt
 	cd /tmp/hifi-cli && ./hifi-trace -workload canneal -o canneal.hftr -q
 	cd /tmp/hifi-cli && ./hifi-trace -i canneal.hftr -stats > stats.txt && grep -q 'canneal.hftr: 100000 records' stats.txt
+	cd /tmp/hifi-cli && ./hifi-trace -workload canneal -n 1000 -o c1k.hftr -q && test $$(wc -c < c1k.hftr) = 8013
 	cd /tmp/hifi-cli && ./hifi-mttf -seglen 1 -q; test $$? = 2
 	cd /tmp/hifi-cli && ./hifi-trace -q -workload nope -n 10 -o nope.hftr; test $$? = 2 && test ! -e nope.hftr
 	cd /tmp/hifi-cli && timeout 20 ./hifi-serve -q -rate NaN; test $$? = 2 && test ! -e .hifi-serve-cache
+	cd /tmp/hifi-cli && timeout 20 ./hifi-serve -q -spans-out s 2> serve.err; test $$? = 2 && test ! -e .hifi-serve-cache && grep -q -- '-spans-out' serve.err
 	cd /tmp/hifi-cli && touch events.ndjson && timeout 20 ./hifi-watch -q -interval 0 events.ndjson 2> watch.err; \
 		test $$? = 2 && grep -q -- '-interval must be positive' watch.err
 	cd /tmp/hifi-cli && ./hifi-bench -q -threshold NaN -compare $(CURDIR)/BENCH_2026-10-18.json $(CURDIR)/BENCH_2026-10-19_2.json; test $$? = 2

@@ -6,12 +6,14 @@ package hifi_test
 import (
 	"bytes"
 	"errors"
+	"os"
 	"os/exec"
 	"path/filepath"
 	"strings"
 	"testing"
 
 	"racetrack/hifi/internal/experiments"
+	"racetrack/hifi/internal/trace"
 )
 
 // buildCLIs builds the named cmd/ binaries into a temporary directory
@@ -115,6 +117,11 @@ func TestCLIRejectsInvalidValues(t *testing.T) {
 		{"hifi-sim -job-timeout 1ns", "-job-timeout"},
 		{"hifi-serve -retries 1", "-retries"},
 		{"hifi-serve -job-timeout 1s", "-job-timeout"},
+		// The daemon's jobs record no spans and no time series of their
+		// own, so it takes no flags to write them.
+		{"hifi-serve -spans-out s", "-spans-out"},
+		{"hifi-serve -timeseries-out ts.json", "-timeseries-out"},
+		{"hifi-serve -timeseries-every 10", "-timeseries-every"},
 		// The fault flags are resolved as the daemon resolves a spec's.
 		{"hifi-experiments -faults nope -run table3", `-faults nope -fault-intensity 1: faults: unknown preset "nope"`},
 		{"hifi-experiments -fault-plan missing.json", "-fault-plan"},
@@ -148,6 +155,24 @@ func TestCLIRejectsInvalidValues(t *testing.T) {
 			t.Errorf("%s: exit %d, stdout %q, stderr %q; want exit 2, no output and an error holding %q",
 				tc.cmdline, code, stdout, stderr, tc.want)
 		}
+	}
+}
+
+// hifi-trace -stats on a trace of no records prints its count alone and
+// exits 0: no ratio over zero records is printed as NaN.
+func TestTraceStatsOfEmptyTrace(t *testing.T) {
+	dir := buildCLIs(t, "hifi-trace")
+	var file bytes.Buffer
+	if err := trace.WriteTrace(&file, nil); err != nil {
+		t.Fatal(err)
+	}
+	path := filepath.Join(t.TempDir(), "empty.hftr")
+	if err := os.WriteFile(path, file.Bytes(), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	stdout, stderr, code := runCLI(t, dir, "hifi-trace -stats -i "+path)
+	if want := path + ": 0 records\n"; code != 0 || stdout != want || stderr != "" {
+		t.Errorf("exit %d, stdout %q, stderr %q; want exit 0 and %q alone", code, stdout, stderr, want)
 	}
 }
 

@@ -57,7 +57,7 @@ func main() {
 		accessLog    = flag.String("access-log", "-", "hifi_access_v1 NDJSON access-log destination: \"-\" = stderr, \"\" disables, else a file path (appended)")
 		traceSeed    = flag.Uint64("trace-seed", 0, "seed for minted trace IDs (0 = unpredictable; fixed seeds make correlation IDs reproducible)")
 	)
-	obs := cliutil.NewObs("hifi-serve")
+	obs := cliutil.NewDaemonObs("hifi-serve")
 	obs.EnableMetrics() // /metrics must work without -metrics-out
 	obs.EnableEvents()  // /events and per-job SSE need the bus
 	flag.Parse()

@@ -7,6 +7,10 @@
 //	hifi-trace -i canneal.hftr -stats                         # summarize
 //	hifi-trace -i canneal.hftr -head 20                       # dump records
 //
+// A trace file (.hftr, version 2) holds 8 bytes an access, the records
+// the simulator keeps for replay (see trace.WriteTrace); version 1 files
+// no longer read. -stats on a trace of no records prints its count alone.
+//
 // An unknown -workload, a -core the simulated system does not have, an
 // -n below 1 or a negative -head exits 2 with a message naming the flag.
 package main
@@ -96,8 +100,8 @@ func record(w trace.Workload, core, n int, seed uint64, path string) {
 	if err != nil {
 		log.Fatalf("hifi-trace: stat: %v", err)
 	}
-	log.Infof("recorded %d accesses of %s (core %d) to %s (%.1f bytes/record)",
-		n, w.Name, core, path, float64(fi.Size())/float64(n))
+	log.Infof("recorded %d accesses of %s (core %d) to %s (%d bytes)",
+		n, w.Name, core, path, fi.Size())
 }
 
 func inspect(path string, head int, stats bool) {
@@ -114,32 +118,36 @@ func inspect(path string, head int, stats bool) {
 	}
 	log.Debugf("loaded %d records from %s", len(recs), path)
 	fmt.Printf("%s: %d records\n", path, len(recs))
-	for i := 0; i < head && i < len(recs); i++ {
-		op := "R"
-		if recs[i].Write {
-			op = "W"
-		}
-		fmt.Printf("  %6d  %s %#010x  gap=%d\n", i, op, recs[i].Addr, recs[i].Gap)
-	}
-	if !stats {
-		return
-	}
 	var writes, gaps int
-	lines := map[uint64]int{}
+	lines := map[uint64]bool{}
 	var maxAddr uint64
-	for _, r := range recs {
-		if r.Write {
+	r := trace.NewReplay(recs)
+	for i := range recs {
+		if i >= head && !stats {
+			break
+		}
+		a := r.Next()
+		if i < head {
+			op := "R"
+			if a.Write {
+				op = "W"
+			}
+			fmt.Printf("  %6d  %s %#010x  gap=%d\n", i, op, a.Addr, a.Gap)
+		}
+		if a.Write {
 			writes++
 		}
-		gaps += r.Gap
-		lines[r.Addr]++
-		if r.Addr > maxAddr {
-			maxAddr = r.Addr
-		}
+		gaps += a.Gap
+		lines[a.Addr] = true
+		maxAddr = max(maxAddr, a.Addr)
 	}
-	reuse := float64(len(recs)) / float64(len(lines))
-	fmt.Printf("  writes      %.1f%%\n", 100*float64(writes)/float64(len(recs)))
-	fmt.Printf("  mean gap    %.2f cycles\n", float64(gaps)/float64(len(recs)))
+	// A trace of no records has no ratios to print.
+	if !stats || len(recs) == 0 {
+		return
+	}
+	n := float64(len(recs))
+	fmt.Printf("  writes      %.1f%%\n", 100*float64(writes)/n)
+	fmt.Printf("  mean gap    %.2f cycles\n", float64(gaps)/n)
 	fmt.Printf("  footprint   %d lines (%.1f MB max addr)\n", len(lines), float64(maxAddr)/(1<<20))
-	fmt.Printf("  reuse       %.2f accesses/line\n", reuse)
+	fmt.Printf("  reuse       %.2f accesses/line\n", n/float64(len(lines)))
 }

@@ -9,6 +9,8 @@
 // is reported in F^2 per data bit, F being the feature size (45 nm).
 package area
 
+import "racetrack/hifi/internal/pecc"
+
 // Model holds the calibrated area constants. All areas are in F^2.
 type Model struct {
 	// DomainF2 is the stripe area attributable to one domain (track pitch
@@ -87,6 +89,31 @@ type StripeConfig struct {
 // data plus the Lseg-1 overhead region, no extra ports.
 func Baseline(dataBits, segLen int) StripeConfig {
 	return StripeConfig{DataBits: dataBits, SegLen: segLen}
+}
+
+// PECC returns the configuration of a stripe protected by code, one of
+// the paper's original p-ECCs: the code's area length and its guards as
+// extra domains, and its window of read ports.
+func PECC(dataBits, segLen int, code pecc.Code) StripeConfig {
+	return StripeConfig{
+		DataBits:    dataBits,
+		SegLen:      segLen,
+		ExtraDomain: code.AreaLength() + code.GuardDomains(),
+		ExtraReads:  code.Window(),
+	}
+}
+
+// PECCO returns the configuration of a stripe protected by the p-ECC-O
+// code o: its code domains at both ends and its guards as extra domains,
+// m+1 read ports at each end, and its write ports.
+func PECCO(dataBits, segLen int, o pecc.OCode) StripeConfig {
+	return StripeConfig{
+		DataBits:    dataBits,
+		SegLen:      segLen,
+		ExtraDomain: o.ExtraDomains(),
+		ExtraReads:  2 * (o.M() + 1),
+		ExtraWrites: o.WritePorts(),
+	}
 }
 
 // Domains returns the stripe's total domain count: data + overhead region

@@ -70,29 +70,14 @@ func TestCellOverheadMatchesTable5(t *testing.T) {
 	// p-ECC at the default 8x8 64-bit stripe: area-accounting code length
 	// Lseg-1+2m = 9 plus 2m = 2 guards -> 11 extra domains = 17.2%
 	// (paper Table 5 reports 17.6%).
-	code := pecc.SECDED(8)
-	cfg := StripeConfig{
-		DataBits:    64,
-		SegLen:      8,
-		ExtraDomain: code.AreaLength() + code.GuardDomains(),
-		ExtraReads:  code.Window(),
-	}
-	got := cfg.CellOverhead()
+	got := PECC(64, 8, pecc.SECDED(8)).CellOverhead()
 	if math.Abs(got-0.176) > 0.01 {
 		t.Errorf("p-ECC cell overhead = %.3f, want ~0.176 (Table 5)", got)
 	}
 
 	// p-ECC-O: 2(m+1) domains per end + 2m guards = 10 extra = 15.6%
 	// (paper: 15.7%).
-	oc := pecc.MustNewO(1, 8)
-	ocfg := StripeConfig{
-		DataBits:    64,
-		SegLen:      8,
-		ExtraDomain: oc.ExtraDomains(),
-		ExtraReads:  2 * (oc.M() + 1),
-		ExtraWrites: oc.WritePorts(),
-	}
-	got = ocfg.CellOverhead()
+	got = PECCO(64, 8, pecc.MustNewO(1, 8)).CellOverhead()
 	if math.Abs(got-0.157) > 0.01 {
 		t.Errorf("p-ECC-O cell overhead = %.3f, want ~0.157 (Table 5)", got)
 	}
@@ -103,22 +88,9 @@ func TestPECCOWinsForLongSegments(t *testing.T) {
 	m := Default()
 	perBit := func(segLen int, o bool) float64 {
 		if o {
-			oc := pecc.MustNewO(1, segLen)
-			return m.PerBit(StripeConfig{
-				DataBits:    64,
-				SegLen:      segLen,
-				ExtraDomain: oc.ExtraDomains(),
-				ExtraReads:  2 * (oc.M() + 1),
-				ExtraWrites: oc.WritePorts(),
-			})
+			return m.PerBit(PECCO(64, segLen, pecc.MustNewO(1, segLen)))
 		}
-		c := pecc.SECDED(segLen)
-		return m.PerBit(StripeConfig{
-			DataBits:    64,
-			SegLen:      segLen,
-			ExtraDomain: c.AreaLength() + c.GuardDomains(),
-			ExtraReads:  c.Window(),
-		})
+		return m.PerBit(PECC(64, segLen, pecc.SECDED(segLen)))
 	}
 	if perBit(32, true) >= perBit(32, false) {
 		t.Errorf("Lseg=32: p-ECC-O (%.2f) should beat p-ECC (%.2f)",

@@ -1,7 +1,8 @@
 // Package cliutil is the plumbing shared by the hifi-* binaries: the -v
 // and -q log switches every binary takes; for the five that simulate
 // or serve, the observability flag set (-metrics-out, -spans-out, -manifest-out,
-// -pprof, ...), the wiring from those flags to the telemetry registry,
+// -pprof, ...; the daemon takes it without the span and time-series
+// outputs), the wiring from those flags to the telemetry registry,
 // span collector, run manifest, and live status server, and the
 // end-of-run artifact writing; and the sweep path of hifi-experiments,
 // hifi-report and hifi-chaos. Keeping it in one place means every CLI
@@ -85,21 +86,35 @@ type Obs struct {
 // Call before flag.Parse; call Start after.
 func NewObs(tool string) *Obs { return AddFlags(flag.CommandLine, tool) }
 
+// NewDaemonObs is NewObs without -spans-out, -timeseries-out and
+// -timeseries-every, for a daemon whose jobs run outside the context
+// Start returns and get no sampler: their span tree would hold the root
+// span alone, and their time series no tick.
+func NewDaemonObs(tool string) *Obs { return addFlags(flag.CommandLine, tool) }
+
 // AddFlags registers the shared observability flags on fs.
 func AddFlags(fs *flag.FlagSet, tool string) *Obs {
-	o := &Obs{tool: tool, fs: fs}
-	o.metricsOut = fs.String("metrics-out", "",
-		"write aggregated metrics snapshots to <base>.json and <base>.prom")
+	o := addFlags(fs, tool)
 	o.spansOut = fs.String("spans-out", "",
 		"write the hierarchical span tree to <base>.spans.json and <base>.folded (flamegraph)")
-	o.manifestOut = fs.String("manifest-out", "",
-		"write the run manifest here (default: <metrics/spans base>.manifest.json)")
-	o.statusAddr = fs.String("pprof", "",
-		"serve /metrics /spans /runinfo /timeseries /events /healthz and /debug/pprof on this address (e.g. localhost:6060)")
 	o.tsOut = fs.String("timeseries-out", "",
 		"write the windowed metrics time-series (JSON) to this file")
 	o.tsEvery = fs.Int("timeseries-every", timeseries.DefaultEvery,
 		"time-series window width in simulated accesses")
+	return o
+}
+
+// addFlags registers the flags every Obs takes. The span and
+// time-series outputs stay off unless AddFlags registers theirs.
+func addFlags(fs *flag.FlagSet, tool string) *Obs {
+	every := timeseries.DefaultEvery
+	o := &Obs{tool: tool, fs: fs, spansOut: new(string), tsOut: new(string), tsEvery: &every}
+	o.metricsOut = fs.String("metrics-out", "",
+		"write aggregated metrics snapshots to <base>.json and <base>.prom")
+	o.manifestOut = fs.String("manifest-out", "",
+		"write the run manifest here (default: <metrics/spans base>.manifest.json)")
+	o.statusAddr = fs.String("pprof", "",
+		"serve /metrics /spans /runinfo /timeseries /events /healthz and /debug/pprof on this address (e.g. localhost:6060)")
 	o.profKinds = fs.String("profile", "",
 		"capture pprof profiles: comma-separated cpu,heap,allocs,mutex,block or \"all\"")
 	o.profOut = fs.String("profile-out", "",

@@ -142,20 +142,9 @@ func failureRates(scheme shiftctrl.Scheme, em errmodel.Model, step, strength int
 func areaOf(segLen, dataBits int, scheme shiftctrl.Scheme, strength int) float64 {
 	m := area.Default()
 	if scheme.StepLimited() {
-		oc := pecc.MustNewO(strength, segLen)
-		return m.PerBit(area.StripeConfig{
-			DataBits: dataBits, SegLen: segLen,
-			ExtraDomain: oc.ExtraDomains(),
-			ExtraReads:  2 * (oc.M() + 1),
-			ExtraWrites: oc.WritePorts(),
-		})
+		return m.PerBit(area.PECCO(dataBits, segLen, pecc.MustNewO(strength, segLen)))
 	}
-	code := pecc.MustNew(strength, segLen)
-	return m.PerBit(area.StripeConfig{
-		DataBits: dataBits, SegLen: segLen,
-		ExtraDomain: code.AreaLength() + code.GuardDomains(),
-		ExtraReads:  code.Window(),
-	})
+	return m.PerBit(area.PECC(dataBits, segLen, pecc.MustNew(strength, segLen)))
 }
 
 // Search evaluates the whole space and returns the feasible points sorted

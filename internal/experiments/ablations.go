@@ -272,13 +272,7 @@ func AblationFig7Area() Table {
 	}
 	base := m.PerBit(area.Baseline(64, 8))
 	for strength := 0; strength <= 3; strength++ {
-		code := pecc.MustNew(strength, 8)
-		cfg := area.StripeConfig{
-			DataBits:    64,
-			SegLen:      8,
-			ExtraDomain: code.AreaLength() + code.GuardDomains(),
-			ExtraReads:  code.Window(),
-		}
+		cfg := area.PECC(64, 8, pecc.MustNew(strength, 8))
 		v := m.PerBit(cfg)
 		t.AddRow(strength, cfg.ExtraDomain, cfg.ExtraReads, v, 100*(v-base)/base)
 	}

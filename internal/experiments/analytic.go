@@ -242,32 +242,12 @@ func Fig13() Table {
 		base := m.PerBit(area.Baseline(c.Bits, c.SegLen))
 		var sVal, oVal float64
 		if c.SegLen >= 3 { // SECDED needs m=1 < segLen-1
-			code := pecc.SECDED(c.SegLen)
-			sVal = m.PerBit(area.StripeConfig{
-				DataBits:    c.Bits,
-				SegLen:      c.SegLen,
-				ExtraDomain: code.AreaLength() + code.GuardDomains(),
-				ExtraReads:  code.Window(),
-			})
-			oc := pecc.MustNewO(1, c.SegLen)
-			oVal = m.PerBit(area.StripeConfig{
-				DataBits:    c.Bits,
-				SegLen:      c.SegLen,
-				ExtraDomain: oc.ExtraDomains(),
-				ExtraReads:  2 * (oc.M() + 1),
-				ExtraWrites: oc.WritePorts(),
-			})
+			sVal = m.PerBit(area.PECC(c.Bits, c.SegLen, pecc.SECDED(c.SegLen)))
+			oVal = m.PerBit(area.PECCO(c.Bits, c.SegLen, pecc.MustNewO(1, c.SegLen)))
 		} else {
 			// Lseg=2 cannot host SECDED p-ECC in-region; p-ECC-O still
 			// works (overhead region is segment-length independent).
-			oc := pecc.MustNewO(1, 4)
-			oVal = m.PerBit(area.StripeConfig{
-				DataBits:    c.Bits,
-				SegLen:      c.SegLen,
-				ExtraDomain: oc.ExtraDomains(),
-				ExtraReads:  2 * (oc.M() + 1),
-				ExtraWrites: oc.WritePorts(),
-			})
+			oVal = m.PerBit(area.PECCO(c.Bits, c.SegLen, pecc.MustNewO(1, 4)))
 			sVal = oVal
 		}
 		t.AddRow(fmt.Sprintf("%dx%d", c.Segs, c.SegLen), c.Bits, base, sVal, oVal)

@@ -33,8 +33,9 @@ func (m Mod) Identity() bool {
 
 // Apply returns the error model with the modulation folded in: the rate
 // factor multiplies RateScale and a nonzero TempC replaces the model's
-// temperature. Forced offsets and bias are sampling-plane effects and
-// are applied by Sample, not here.
+// temperature. A forced offset is not a rate: the caller accounts it
+// (memsim classifies it with shiftctrl's Scheme.ClassifyOffset). The
+// over-shift bias moves no rate either, so it is not applied here.
 func (m Mod) Apply(em errmodel.Model) errmodel.Model {
 	if m.RateFactor != 1 {
 		rs := em.RateScale
@@ -228,24 +229,4 @@ func tempAt(in Injector, op uint64, intensity float64) float64 {
 		return 0
 	}
 	return referenceTempC + delta
-}
-
-// Sample draws one n-step shift outcome under the modulated device:
-// the device advances one operation, the error model is modulated, and
-// the outcome is sampled from the caller's random stream — then forced
-// offsets and over-shift bias are applied. This is the device plane of
-// the functional tape path (shiftctrl.Tape); the analytic cache-scale
-// path uses Advance + Mod.Apply directly.
-func (d *Device) Sample(em errmodel.Model, n int, r *sim.RNG) errmodel.Outcome {
-	if d == nil {
-		return em.Sample(n, r)
-	}
-	m := d.Advance()
-	o := m.Apply(em).Sample(n, r)
-	if m.ForceOffset != 0 {
-		o = errmodel.Outcome{StepOffset: m.ForceOffset}
-	} else if m.OverBias && o.StepOffset < 0 {
-		o.StepOffset = -o.StepOffset
-	}
-	return o
 }

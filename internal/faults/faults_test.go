@@ -6,7 +6,6 @@ import (
 	"testing"
 
 	"racetrack/hifi/internal/errmodel"
-	"racetrack/hifi/internal/sim"
 )
 
 func TestNormAndCanonical(t *testing.T) {
@@ -101,13 +100,6 @@ func TestNilDeviceIsIdentity(t *testing.T) {
 	if d.Ops() != 0 {
 		t.Error("nil device counts ops")
 	}
-	em := errmodel.Model{}
-	r1, r2 := sim.NewRNG(9), sim.NewRNG(9)
-	for i := 0; i < 1000; i++ {
-		if d.Sample(em, 4, r1) != em.Sample(4, r2) {
-			t.Fatal("nil device Sample diverges from the bare model")
-		}
-	}
 }
 
 func TestDeterminism(t *testing.T) {
@@ -166,12 +158,9 @@ func TestStuckPeriodAndDefaultOffset(t *testing.T) {
 	if forced != 10 {
 		t.Errorf("forced %d of 40 ops at period 4, want 10", forced)
 	}
-	// A forced outcome overrides the sampled one.
-	r := sim.NewRNG(1)
 	d2, _ := New(&Plan{Injectors: []Injector{{Kind: KindStuck, Period: 1, Offset: 2}}})
-	o := d2.Sample(errmodel.Model{}, 3, r)
-	if o.StepOffset != 2 {
-		t.Errorf("forced sample offset = %d, want 2", o.StepOffset)
+	if m := d2.Advance(); m.ForceOffset != 2 {
+		t.Errorf("stuck offset 2 forces %d", m.ForceOffset)
 	}
 }
 

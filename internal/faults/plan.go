@@ -8,7 +8,7 @@
 // mechanical or thermal drift degrades alignment over a device's life.
 // This package models those off-nominal regimes as composable,
 // deterministic injectors layered over the analytic error model
-// (errmodel.Model) and the sampled shift path (shiftctrl.Tape), so a
+// (errmodel.Model) that memsim integrates per shift operation, so a
 // campaign can ask "how far past Table 2 does each protection scheme
 // hold?" and get a reproducible degradation curve.
 //

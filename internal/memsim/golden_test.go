@@ -110,8 +110,7 @@ func goldenCases(t *testing.T) []goldenCase {
 	replay := rtm(shiftctrl.PECCO)
 	w := scaledWorkload("bodytrack")
 	for core := 0; core < replay.Cores; core++ {
-		recs := trace.NewGenerator(w, core, replay.Seed).Take(replay.AccessesPerCore)
-		replay.Sources = append(replay.Sources, trace.NewReplayer(recs))
+		replay.Sources = append(replay.Sources, recorded(t, w, core, replay.Seed, replay.AccessesPerCore))
 	}
 	add("racetrack/secded-pecc-o/replay", "bodytrack", replay)
 	return cases

@@ -52,11 +52,13 @@ type Config struct {
 	// Associativity (Table 4 defaults when zero).
 	L1Ways, L2Ways, L3Ways int
 	// Sources optionally replaces the synthetic generators with recorded
-	// access streams (see trace.Replayer), one per core. When set it must
-	// have Cores entries, none nil; RunCtx rejects any other list. Like
-	// the generators they replace, the sources are drawn ahead of the
-	// access loop, on a goroutine RunCtx starts and waits for (see
-	// Source), so no two cores may share one.
+	// access streams, one per core: a trace.Replay of the records
+	// trace.ReadTrace read, which never wraps, so it must hold at least
+	// AccessesPerCore records. When set it must have Cores entries, none
+	// nil; RunCtx rejects any other list. Like the generators they
+	// replace, the sources are drawn ahead of the access loop, on a
+	// goroutine RunCtx starts and waits for (see Source), so no two cores
+	// may share one.
 	Sources []Source
 	// EagerHead returns every stripe group's head to offset 0 after each
 	// access (off the critical path), instead of leaving it where the
@@ -109,7 +111,7 @@ type Config struct {
 }
 
 // Source is any per-core access stream: the synthetic trace.Generator and
-// the recorded trace.Replayer both satisfy it. A run draws each core's
+// the recorded trace.Replay both satisfy it. A run draws each core's
 // source exactly AccessesPerCore times, in order, ahead of the access
 // loop: a goroutine of memsim's own calls Next while the loop runs on the
 // caller's, and it has stopped by the time RunCtx returns. Its draws do

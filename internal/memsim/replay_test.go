@@ -9,6 +9,21 @@ import (
 	"racetrack/hifi/internal/trace"
 )
 
+// recorded writes n accesses of a core's stream as a trace file and
+// returns a replay of the records read back from it.
+func recorded(t *testing.T, w trace.Workload, core int, seed uint64, n int) Source {
+	t.Helper()
+	var file bytes.Buffer
+	if err := trace.WriteTrace(&file, trace.NewGenerator(w, core, seed).Take(n)); err != nil {
+		t.Fatal(err)
+	}
+	recs, err := trace.ReadTrace(&file)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return trace.NewReplay(recs)
+}
+
 func TestReplayMatchesLiveGeneration(t *testing.T) {
 	// Recording a workload's streams and replaying them must reproduce
 	// the simulation bit-exactly.
@@ -21,20 +36,9 @@ func TestReplayMatchesLiveGeneration(t *testing.T) {
 	}
 
 	// Record the same streams through the serializer.
-	var sources []Source
 	for core := 0; core < cfg.Cores; core++ {
-		recs := trace.NewGenerator(w, core, cfg.Seed).Take(cfg.AccessesPerCore)
-		var buf bytes.Buffer
-		if err := trace.WriteTrace(&buf, recs); err != nil {
-			t.Fatal(err)
-		}
-		back, err := trace.ReadTrace(&buf)
-		if err != nil {
-			t.Fatal(err)
-		}
-		sources = append(sources, trace.NewReplayer(back))
+		cfg.Sources = append(cfg.Sources, recorded(t, w, core, cfg.Seed, cfg.AccessesPerCore))
 	}
-	cfg.Sources = sources
 	replayed, err := Run(w, cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -48,22 +52,5 @@ func TestReplayMatchesLiveGeneration(t *testing.T) {
 	}
 	if live.L3.Misses != replayed.L3.Misses {
 		t.Errorf("L3 misses differ: %d vs %d", live.L3.Misses, replayed.L3.Misses)
-	}
-}
-
-func TestReplayWrapsShortTrace(t *testing.T) {
-	// A trace shorter than AccessesPerCore loops; the run completes.
-	w := smallWorkload("vips", 64<<10)
-	cfg := smallConfig(energy.SRAM, shiftctrl.Baseline)
-	cfg.Cores = 1
-	cfg.AccessesPerCore = 5000
-	recs := trace.NewGenerator(w, 0, 1).Take(100)
-	cfg.Sources = []Source{trace.NewReplayer(recs)}
-	r, err := Run(w, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if r.L1.Hits+r.L1.Misses != 5000 {
-		t.Errorf("accesses = %d, want 5000", r.L1.Hits+r.L1.Misses)
 	}
 }

@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	"racetrack/hifi/internal/errmodel"
-	"racetrack/hifi/internal/faults"
 	"racetrack/hifi/internal/pecc"
 	"racetrack/hifi/internal/sim"
 	"racetrack/hifi/internal/stripe"
@@ -45,11 +44,6 @@ type Tape struct {
 
 	// Mode selects the protection level; zero value is full correction.
 	Mode CheckMode
-
-	// Faults optionally modulates every sampled shift outcome with the
-	// device-plane fault injectors (internal/faults). Nil — the default
-	// and the nominal device — costs one nil check per operation.
-	Faults *faults.Device
 
 	believed int // offset the controller believes (0..SegLen-1 nominally)
 	trueOff  int // actual tape offset (oracle; hardware cannot see this)
@@ -110,7 +104,7 @@ func (t *Tape) shiftOnce(dist, dir int) {
 // position error, updating physical state and the true offset, without any
 // checking.
 func (t *Tape) applyRaw(dist, dir int) {
-	o := t.Faults.Sample(t.em, dist, t.rng)
+	o := t.em.Sample(dist, t.rng)
 	actual := dist + o.StepOffset
 	if actual < 0 {
 		actual = 0

@@ -6,94 +6,65 @@ import (
 	"errors"
 	"fmt"
 	"io"
-	"math"
 )
 
-// Trace serialization: a compact varint-delta binary format so generated
-// workloads can be archived and replayed bit-exactly (e.g. to compare
-// simulator versions, or to feed external tools). Format:
+// Trace files hold an access stream in the record layout Streams keeps
+// (see pack), so generated workloads can be archived and replayed
+// bit-exactly (e.g. to compare simulator versions, or to feed external
+// tools). Format:
 //
-//	magic "HFTR" | version u8 | count u64
-//	per record: flags u8 (bit0 write) | uvarint(gap) | varint(addr delta/64)
+//	magic "HFTR" | version u8 (2) | count u64 | count records, u64 each
 //
-// Address deltas are line-granular and signed, keeping typical records at
-// 3-5 bytes.
+// All integers are little-endian, so a file's body is byte for byte the
+// slice a kept stream holds: 8 bytes an access. ReadTrace refuses every
+// other version, the varint-delta version 1 included.
 
 const (
 	traceMagic   = "HFTR"
-	traceVersion = 1
+	traceVersion = 2
+	headerLen    = len(traceMagic) + 1 + 8
 )
 
-// WriteTrace serializes accesses to w.
+// WriteTrace serializes accesses to w. It refuses, before writing
+// anything, an access a record cannot hold: an unaligned address, a line
+// ≥ 2^32 or a gap outside [0, 2^31).
 func WriteTrace(w io.Writer, accesses []Access) error {
-	bw := bufio.NewWriter(w)
-	if _, err := bw.WriteString(traceMagic); err != nil {
-		return err
+	out := append(make([]byte, 0, headerLen+8*len(accesses)), traceMagic...)
+	out = binary.LittleEndian.AppendUint64(append(out, traceVersion), uint64(len(accesses)))
+	for i, a := range accesses {
+		rec, ok := pack(a)
+		if !ok {
+			return fmt.Errorf("trace: access %d (addr %#x, gap %d) does not fit a record", i, a.Addr, a.Gap)
+		}
+		out = binary.LittleEndian.AppendUint64(out, rec)
 	}
-	if err := bw.WriteByte(traceVersion); err != nil {
-		return err
-	}
-	var hdr [8]byte
-	binary.LittleEndian.PutUint64(hdr[:], uint64(len(accesses)))
-	if _, err := bw.Write(hdr[:]); err != nil {
-		return err
-	}
-	var buf [binary.MaxVarintLen64]byte
-	prev := int64(0)
-	for _, a := range accesses {
-		if a.Addr%LineBytes != 0 {
-			return fmt.Errorf("trace: unaligned address %#x", a.Addr)
-		}
-		flags := byte(0)
-		if a.Write {
-			flags = 1
-		}
-		if err := bw.WriteByte(flags); err != nil {
-			return err
-		}
-		n := binary.PutUvarint(buf[:], uint64(a.Gap))
-		if _, err := bw.Write(buf[:n]); err != nil {
-			return err
-		}
-		line := int64(a.Addr / LineBytes)
-		n = binary.PutVarint(buf[:], line-prev)
-		if _, err := bw.Write(buf[:n]); err != nil {
-			return err
-		}
-		prev = line
-	}
-	return bw.Flush()
+	_, err := w.Write(out)
+	return err
 }
 
 // preallocMax is the most records ReadTrace allocates for before they
-// arrive (1.5 MiB).
+// arrive (512 KiB).
 const preallocMax = 1 << 16
 
 // ErrBadTrace reports a malformed trace stream.
 var ErrBadTrace = errors.New("trace: malformed trace stream")
 
-// ReadTrace deserializes a trace written by WriteTrace.
-func ReadTrace(r io.Reader) ([]Access, error) {
+// ReadTrace deserializes a trace written by WriteTrace into its records;
+// NewReplay replays them. Bytes past the last record are ignored.
+func ReadTrace(r io.Reader) ([]uint64, error) {
 	br := bufio.NewReader(r)
-	magic := make([]byte, 4)
-	if _, err := io.ReadFull(br, magic); err != nil {
+	var hdr [headerLen]byte
+	n, err := io.ReadFull(br, hdr[:])
+	const ver = len(traceMagic) // the version byte's offset
+	switch {
+	case n >= ver && string(hdr[:ver]) != traceMagic:
+		return nil, fmt.Errorf("%w: bad magic %q", ErrBadTrace, hdr[:ver])
+	case n > ver && hdr[ver] != traceVersion:
+		return nil, fmt.Errorf("%w: unsupported version %d", ErrBadTrace, hdr[ver])
+	case err != nil:
 		return nil, fmt.Errorf("%w: %v", ErrBadTrace, err)
 	}
-	if string(magic) != traceMagic {
-		return nil, fmt.Errorf("%w: bad magic %q", ErrBadTrace, magic)
-	}
-	ver, err := br.ReadByte()
-	if err != nil {
-		return nil, fmt.Errorf("%w: %v", ErrBadTrace, err)
-	}
-	if ver != traceVersion {
-		return nil, fmt.Errorf("%w: unsupported version %d", ErrBadTrace, ver)
-	}
-	hdr := make([]byte, 8)
-	if _, err := io.ReadFull(br, hdr); err != nil {
-		return nil, fmt.Errorf("%w: %v", ErrBadTrace, err)
-	}
-	count := binary.LittleEndian.Uint64(hdr)
+	count := binary.LittleEndian.Uint64(hdr[ver+1:])
 	const sanityMax = 1 << 32
 	if count > sanityMax {
 		return nil, fmt.Errorf("%w: implausible record count %d", ErrBadTrace, count)
@@ -101,63 +72,13 @@ func ReadTrace(r io.Reader) ([]Access, error) {
 	// The count is the header's claim, not what the stream holds: a
 	// 13-byte file may claim 2^32 records. Preallocate no more than
 	// preallocMax and let append grow the slice as records arrive.
-	out := make([]Access, 0, min(count, preallocMax))
-	prev := int64(0)
+	out := make([]uint64, 0, min(count, preallocMax))
+	var rec [8]byte
 	for i := uint64(0); i < count; i++ {
-		flags, err := br.ReadByte()
-		if err != nil {
+		if _, err := io.ReadFull(br, rec[:]); err != nil {
 			return nil, fmt.Errorf("%w: record %d: %v", ErrBadTrace, i, err)
 		}
-		gap, err := binary.ReadUvarint(br)
-		if err != nil {
-			return nil, fmt.Errorf("%w: record %d gap: %v", ErrBadTrace, i, err)
-		}
-		delta, err := binary.ReadVarint(br)
-		if err != nil {
-			return nil, fmt.Errorf("%w: record %d addr: %v", ErrBadTrace, i, err)
-		}
-		line := prev + delta
-		if line < 0 {
-			return nil, fmt.Errorf("%w: record %d negative address", ErrBadTrace, i)
-		}
-		if uint64(line) > math.MaxUint64/LineBytes {
-			return nil, fmt.Errorf("%w: record %d address beyond 64 bits", ErrBadTrace, i)
-		}
-		prev = line
-		out = append(out, Access{
-			Addr:  uint64(line) * LineBytes,
-			Write: flags&1 != 0,
-			Gap:   int(gap),
-		})
+		out = append(out, binary.LittleEndian.Uint64(rec[:]))
 	}
 	return out, nil
 }
-
-// Replayer feeds a recorded trace through the Generator interface used by
-// the simulator: Next returns records in order and loops back to the start
-// when exhausted (so trace length and simulation length decouple).
-type Replayer struct {
-	records []Access
-	pos     int
-}
-
-// NewReplayer wraps records; it panics on an empty trace.
-func NewReplayer(records []Access) *Replayer {
-	if len(records) == 0 {
-		panic("trace: empty trace")
-	}
-	return &Replayer{records: records}
-}
-
-// Next returns the next record, wrapping around at the end.
-func (r *Replayer) Next() Access {
-	a := r.records[r.pos]
-	r.pos++
-	if r.pos == len(r.records) {
-		r.pos = 0
-	}
-	return a
-}
-
-// Len returns the number of records.
-func (r *Replayer) Len() int { return len(r.records) }

@@ -5,84 +5,116 @@ import (
 	"encoding/binary"
 	"errors"
 	"runtime"
-	"slices"
 	"strings"
 	"testing"
 	"testing/quick"
 )
 
-func TestTraceRoundTrip(t *testing.T) {
-	w, _ := ByName("ferret")
-	orig := NewGenerator(w, 0, 99).Take(5000)
+// readBack writes accesses as a trace, reads it back and replays it.
+func readBack(t *testing.T, accesses []Access) []Access {
+	t.Helper()
 	var buf bytes.Buffer
-	if err := WriteTrace(&buf, orig); err != nil {
+	if err := WriteTrace(&buf, accesses); err != nil {
 		t.Fatal(err)
 	}
-	got, err := ReadTrace(&buf)
+	recs, err := ReadTrace(&buf)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(got) != len(orig) {
-		t.Fatalf("length %d != %d", len(got), len(orig))
+	if len(recs) != len(accesses) {
+		t.Fatalf("read %d records, wrote %d", len(recs), len(accesses))
 	}
-	for i := range got {
-		if got[i] != orig[i] {
-			t.Fatalf("record %d: %+v != %+v", i, got[i], orig[i])
+	return drain(NewReplay(recs), len(recs))
+}
+
+func TestTraceRoundTrip(t *testing.T) {
+	w, _ := ByName("ferret")
+	orig := NewGenerator(w, 0, 99).Take(5000)
+	sameAccesses(t, "read trace", readBack(t, orig), orig)
+}
+
+func TestTraceRoundTripEmpty(t *testing.T) {
+	readBack(t, nil)
+}
+
+// A trace file's body is byte for byte the records a Streams keeps for
+// the same accesses, and it replays through the same Replay.
+func TestTraceFileHoldsKeptRecords(t *testing.T) {
+	w, _ := ByName("canneal")
+	const n = 3_000
+	s := NewStreams()
+	accesses := drain(s.Source(w, 2, 5, n), n)
+	kept := s.Source(w, 2, 5, n)
+	if _, ok := kept.(*Replay); !ok {
+		t.Fatalf("second Source is %T, want a replay", kept)
+	}
+	var file bytes.Buffer
+	if err := WriteTrace(&file, accesses); err != nil {
+		t.Fatal(err)
+	}
+	var body []byte
+	for _, rec := range s.kept[streamKey{w, 2, 5, n}] {
+		body = binary.LittleEndian.AppendUint64(body, rec)
+	}
+	if got := file.Bytes()[headerLen:]; !bytes.Equal(got, body) {
+		t.Fatalf("trace body (%d bytes) differs from the %d bytes of kept records", len(got), len(body))
+	}
+	recs, err := ReadTrace(&file)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sameAccesses(t, "kept stream", drain(kept, n), accesses)
+	sameAccesses(t, "read trace", drain(NewReplay(recs), len(recs)), accesses)
+}
+
+// WriteTrace refuses what a record cannot hold, as pack does, and
+// writes nothing then.
+func TestWriteTraceRejectsUnaligned(t *testing.T) {
+	for _, a := range []Access{
+		{Addr: 13},
+		{Addr: 1 << 32 * LineBytes},
+		{Gap: 1 << 31},
+	} {
+		var buf bytes.Buffer
+		if err := WriteTrace(&buf, []Access{{}, a}); err == nil || buf.Len() != 0 {
+			t.Errorf("%+v: err = %v, %d bytes written; want an error and none", a, err, buf.Len())
 		}
 	}
 }
 
-func TestTraceRoundTripEmpty(t *testing.T) {
-	var buf bytes.Buffer
-	if err := WriteTrace(&buf, nil); err != nil {
-		t.Fatal(err)
-	}
-	got, err := ReadTrace(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(got) != 0 {
-		t.Fatalf("got %d records", len(got))
-	}
-}
-
-func TestWriteTraceRejectsUnaligned(t *testing.T) {
-	var buf bytes.Buffer
-	err := WriteTrace(&buf, []Access{{Addr: 13}})
-	if err == nil {
-		t.Fatal("unaligned address accepted")
-	}
-}
+// v1 is the header of an empty version-1 (varint-delta) trace.
+const v1 = "HFTR\x01\x00\x00\x00\x00\x00\x00\x00\x00"
 
 func TestReadTraceRejectsGarbage(t *testing.T) {
 	cases := []string{
 		"",
 		"XXXX",
-		"HFTR",                              // truncated after magic
-		"HFTR\x02" + strings.Repeat("0", 8), // bad version
-		"HFTR\x01\x05\x00\x00\x00\x00\x00\x00\x00", // count 5, no records
-		string(lineOverflow),                       // line 2^58: address 2^64 wraps to 0
+		"HFTR", // truncated after magic
+		v1,
+		"HFTR\x03" + strings.Repeat("\x00", 8), // unknown version
+		"HFTR\x02\x05\x00\x00\x00\x00\x00\x00\x00",         // count 5, no records
+		"HFTR\x02\x01\x00\x00\x00\x00\x00\x00\x00\x40\x00", // a record cut short
 	}
 	for i, c := range cases {
-		if _, err := ReadTrace(strings.NewReader(c)); err == nil {
-			t.Errorf("case %d accepted", i)
+		if _, err := ReadTrace(strings.NewReader(c)); !errors.Is(err, ErrBadTrace) {
+			t.Errorf("case %d: err = %v, want ErrBadTrace", i, err)
 		}
+	}
+	if _, err := ReadTrace(strings.NewReader(v1)); err == nil || !strings.Contains(err.Error(), "unsupported version 1") {
+		t.Errorf("v1 trace: err = %v, want unsupported version 1", err)
 	}
 }
 
-// lineOverflow is one record whose line, 2^58, has no 64-bit address.
-var lineOverflow = binary.AppendVarint([]byte("HFTR\x01\x01\x00\x00\x00\x00\x00\x00\x00\x00\x00"), 1<<58)
-
 // countClaim is a 13-byte trace whose header claims 2^32 records.
-const countClaim = "HFTR\x01\x00\x00\x00\x00\x01\x00\x00\x00"
+const countClaim = "HFTR\x02\x00\x00\x00\x00\x01\x00\x00\x00"
 
 func TestReadTraceRejectsHugeCount(t *testing.T) {
-	hdr := "HFTR\x01\xff\xff\xff\xff\xff\xff\xff\xff"
+	hdr := "HFTR\x02\xff\xff\xff\xff\xff\xff\xff\xff"
 	if _, err := ReadTrace(strings.NewReader(hdr)); err == nil {
 		t.Fatal("implausible count accepted")
 	}
 	// A count the header may claim but the stream does not hold is an
-	// error, not a 96 GiB preallocation.
+	// error, not a 32 GiB preallocation.
 	var before, after runtime.MemStats
 	runtime.ReadMemStats(&before)
 	if _, err := ReadTrace(strings.NewReader(countClaim)); !errors.Is(err, ErrBadTrace) {
@@ -94,11 +126,12 @@ func TestReadTraceRejectsHugeCount(t *testing.T) {
 	}
 }
 
-// FuzzReadTrace feeds ReadTrace arbitrary bytes: it must never panic, and
-// any trace it accepts must survive WriteTrace and ReadTrace unchanged.
-// The seeds are a short recorded trace and the inputs of
-// TestReadTraceRejectsHugeCount and TestReadTraceRejectsGarbage that once
-// crashed the reader or read back a wrong address.
+// FuzzReadTrace feeds ReadTrace arbitrary bytes: it must never panic, it
+// must refuse every version but 2, and any trace it accepts must write
+// back as the input's leading 13 + 8n bytes. The seeds are a short
+// recorded trace, TestReadTraceRejectsHugeCount's count claim, one
+// all-ones record (the top line, the top gap, a write) and an empty v1
+// trace.
 func FuzzReadTrace(f *testing.F) {
 	w, _ := ByName("ferret")
 	var rec bytes.Buffer
@@ -107,7 +140,8 @@ func FuzzReadTrace(f *testing.F) {
 	}
 	f.Add(rec.Bytes())
 	f.Add([]byte(countClaim))
-	f.Add(lineOverflow)
+	f.Add([]byte("HFTR\x02\x01\x00\x00\x00\x00\x00\x00\x00" + strings.Repeat("\xff", 8)))
+	f.Add([]byte(v1))
 	f.Fuzz(func(t *testing.T, in []byte) {
 		recs, err := ReadTrace(bytes.NewReader(in))
 		if err != nil {
@@ -116,31 +150,24 @@ func FuzzReadTrace(f *testing.F) {
 			}
 			return
 		}
+		if in[len(traceMagic)] != traceVersion {
+			t.Fatalf("version %d accepted", in[len(traceMagic)])
+		}
 		var buf bytes.Buffer
-		if err := WriteTrace(&buf, recs); err != nil {
+		if err := WriteTrace(&buf, drain(NewReplay(recs), len(recs))); err != nil {
 			t.Fatalf("accepted trace does not write back: %v", err)
 		}
-		back, err := ReadTrace(&buf)
-		if err != nil {
-			t.Fatalf("written trace does not read back: %v", err)
-		}
-		if !slices.Equal(back, recs) {
-			t.Fatalf("round trip changed the trace: %v, then %v", recs, back)
+		if !bytes.Equal(buf.Bytes(), in[:headerLen+8*len(recs)]) {
+			t.Fatalf("%d records write back as %x, read from %x", len(recs), buf.Bytes(), in)
 		}
 	})
 }
 
 func TestQuickTraceRoundTrip(t *testing.T) {
 	f := func(lines []uint32, writes []bool, gaps []uint8) bool {
-		n := len(lines)
-		if len(writes) < n {
-			n = len(writes)
-		}
-		if len(gaps) < n {
-			n = len(gaps)
-		}
+		n := min(len(lines), len(writes), len(gaps))
 		in := make([]Access, n)
-		for i := 0; i < n; i++ {
+		for i := range in {
 			in[i] = Access{
 				Addr:  uint64(lines[i]) * LineBytes,
 				Write: writes[i],
@@ -151,10 +178,11 @@ func TestQuickTraceRoundTrip(t *testing.T) {
 		if err := WriteTrace(&buf, in); err != nil {
 			return false
 		}
-		out, err := ReadTrace(&buf)
-		if err != nil || len(out) != n {
+		recs, err := ReadTrace(&buf)
+		if err != nil || len(recs) != n {
 			return false
 		}
+		out := drain(NewReplay(recs), n)
 		for i := range out {
 			if out[i] != in[i] {
 				return false
@@ -164,44 +192,5 @@ func TestQuickTraceRoundTrip(t *testing.T) {
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Error(err)
-	}
-}
-
-func TestReplayerWrapsAround(t *testing.T) {
-	rec := []Access{{Addr: 0}, {Addr: 64}, {Addr: 128}}
-	r := NewReplayer(rec)
-	if r.Len() != 3 {
-		t.Fatalf("Len = %d", r.Len())
-	}
-	for round := 0; round < 3; round++ {
-		for i := range rec {
-			if got := r.Next(); got != rec[i] {
-				t.Fatalf("round %d record %d: %+v", round, i, got)
-			}
-		}
-	}
-}
-
-func TestReplayerEmptyPanics(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("empty replayer did not panic")
-		}
-	}()
-	NewReplayer(nil)
-}
-
-func TestTraceCompactness(t *testing.T) {
-	// The format should average well under 8 bytes per record for real
-	// workloads (varint deltas).
-	w, _ := ByName("streamcluster")
-	recs := NewGenerator(w, 0, 5).Take(10000)
-	var buf bytes.Buffer
-	if err := WriteTrace(&buf, recs); err != nil {
-		t.Fatal(err)
-	}
-	perRecord := float64(buf.Len()) / float64(len(recs))
-	if perRecord > 8 {
-		t.Errorf("%.1f bytes/record, want < 8", perRecord)
 	}
 }

@@ -16,9 +16,10 @@ const StreamsBudget = 64 << 20
 // the same key replay it.
 //
 // A record is a uint64: the line index (Addr/LineBytes) in the high 32
-// bits, and gap<<1 | write in the low 32. A stream with an access that
-// does not fit — unaligned, a line ≥ 2^32 or a gap outside [0, 2^31) —
-// is never kept, and every Source call for it generates it.
+// bits, and gap<<1 | write in the low 32; trace files hold the same
+// records. A stream with an access that does not fit — unaligned, a line
+// ≥ 2^32 or a gap outside [0, 2^31) — is never kept, and every Source
+// call for it generates it.
 //
 // Nothing waits: a Source call for a stream another caller is still
 // drawing generates it too, and whichever finishes first is kept. Which
@@ -64,7 +65,7 @@ func (s *Streams) Source(w Workload, core int, seed uint64, n int) interface{ Ne
 	recs, seen := s.kept[key]
 	if recs != nil {
 		s.replayed++
-		return &replay{recs: recs}
+		return NewReplay(recs)
 	}
 	s.generated++
 	g := NewGenerator(w, core, seed)
@@ -145,14 +146,19 @@ func (r *recorder) Next() Access {
 	return a
 }
 
-// replay yields a kept stream. It never wraps: its caller draws exactly
-// the stream's length.
-type replay struct {
+// Replay yields packed records as accesses, in order: a stream Streams
+// kept, or a trace ReadTrace read. It never wraps: its caller draws at
+// most len(recs) accesses, and one more panics.
+type Replay struct {
 	recs []uint64
 	i    int
 }
 
-func (r *replay) Next() Access {
+// NewReplay returns a Replay of recs.
+func NewReplay(recs []uint64) *Replay { return &Replay{recs: recs} }
+
+// Next returns the next record's access.
+func (r *Replay) Next() Access {
 	a := unpack(r.recs[r.i])
 	r.i++
 	return a

@@ -37,7 +37,7 @@ func TestStreamsKeepThenReplay(t *testing.T) {
 	s := NewStreams()
 	sameAccesses(t, "first draw", drain(s.Source(w, 1, 7, n), n), want)
 	src := s.Source(w, 1, 7, n)
-	if _, ok := src.(*replay); !ok {
+	if _, ok := src.(*Replay); !ok {
 		t.Fatalf("second Source is %T, want a replay", src)
 	}
 	sameAccesses(t, "replay", drain(src, n), want)
@@ -47,7 +47,7 @@ func TestStreamsKeepThenReplay(t *testing.T) {
 	other := w
 	other.WorkingSetB >>= 7
 	for _, k := range []streamKey{{other, 1, 7, n}, {w, 2, 7, n}, {w, 1, 8, n}, {w, 1, 7, n - 1}} {
-		if _, ok := s.Source(k.w, k.core, k.seed, k.n).(*replay); ok {
+		if _, ok := s.Source(k.w, k.core, k.seed, k.n).(*Replay); ok {
 			t.Errorf("key %+v replayed another key's stream", k)
 		}
 	}
@@ -64,7 +64,7 @@ func TestStreamsIncompleteDrawIsNotKept(t *testing.T) {
 	w, _ := ByName("vips")
 	s := NewStreams()
 	drain(s.Source(w, 0, 1, 100), 99)
-	if _, ok := s.Source(w, 0, 1, 100).(*replay); ok {
+	if _, ok := s.Source(w, 0, 1, 100).(*Replay); ok {
 		t.Error("a stream drawn 99 of 100 times was kept")
 	}
 }
@@ -85,7 +85,7 @@ func TestStreamsNeverKeepAGapPast31Bits(t *testing.T) {
 	s := NewStreams()
 	for i := 0; i < 3; i++ {
 		src := s.Source(w, 0, 1, n)
-		if _, ok := src.(*replay); ok {
+		if _, ok := src.(*Replay); ok {
 			t.Fatalf("draw %d replayed a stream that does not fit", i)
 		}
 		sameAccesses(t, "unfit stream", drain(src, n), want)
@@ -124,7 +124,7 @@ func TestStreamsBudget(t *testing.T) {
 		drain(s.Source(w, 0, 1, n), n)
 	}
 	for i, w := range ws[:3] {
-		_, replayed := s.Source(w, 0, 1, n).(*replay)
+		_, replayed := s.Source(w, 0, 1, n).(*Replay)
 		if replayed != (i < 2) {
 			t.Errorf("%s: replayed = %v, want %v", w.Name, replayed, i < 2)
 		}
@@ -147,7 +147,7 @@ func TestStreamsBudget(t *testing.T) {
 	if s.bytes != 8*n {
 		t.Errorf("store holds %d record bytes, want its limit %d", s.bytes, 8*n)
 	}
-	if _, ok := s.Source(ws[1], 0, 1, n).(*replay); ok {
+	if _, ok := s.Source(ws[1], 0, 1, n).(*Replay); ok {
 		t.Error("a stream finished after the budget was spent was kept")
 	}
 }
@@ -189,7 +189,7 @@ func TestStreamsConcurrent(t *testing.T) {
 		t.Errorf("Counts() = %d generated, %d replayed over %d draws of %d streams", g, r, len(ws)*per, len(ws))
 	}
 	for _, w := range ws {
-		if _, ok := s.Source(w, 0, 1, n).(*replay); !ok {
+		if _, ok := s.Source(w, 0, 1, n).(*Replay); !ok {
 			t.Errorf("%s: not kept after concurrent draws", w.Name)
 		}
 	}
